@@ -25,7 +25,7 @@ tree = load_tree(str(FIX / (name + ".tree")))
 
 t0 = time.time()
 report = verify_kreweras_stability(tree, jobs=2)
-print("%s: %s  (%.2fs)" % (name, report.summary_line, time.time() - t0))
+print("%s: %s  (%.2fs)" % (name, report.summary_line(), time.time() - t0))
 for fr in report.failures():
     print("  facet %d FAILED: %s" % (fr.index, "; ".join(fr.failures)))
 print()

@@ -329,7 +329,8 @@ class _UsageError(Exception):
 
 
 def _parse_theta(text, n):
-    parts = [p.strip() for p in text.split(",")]
+    # the empty text is the weight of a tree without interior edges
+    parts = [p.strip() for p in text.split(",")] if text.strip() else []
     try:
         theta = tuple(int(p) for p in parts)
     except ValueError:

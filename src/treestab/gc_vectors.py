@@ -132,26 +132,26 @@ def submodule_segments(tree, seg):
     right and end where s turns left, endpoints of s always allowed.
     Contains s itself; indexes the indecomposable submodules of the
     string module of s.  Orientation of s does not matter; computed for
-    both orientations defensively."""
-    forward = _subpaths_with_turns(tree, seg.vertices, "right", "left")
-    backward = _subpaths_with_turns(tree, tuple(reversed(seg.vertices)),
-                                    "right", "left")
-    if forward != backward:
-        warnings.warn("C_s differs between orientations of %r" % (seg,))
-        return forward | backward
-    return forward
+    both orientations defensively.  A frozenset, built once per segment
+    and tree."""
+    return tree.memo(("C", seg), _turn_subpaths, seg, "right", "left")
 
 
 def quotient_segments(tree, seg):
     """K_s: mirror of C_s with left and right swapped; indexes the
     indecomposable quotients."""
-    forward = _subpaths_with_turns(tree, seg.vertices, "left", "right")
+    return tree.memo(("K", seg), _turn_subpaths, seg, "left", "right")
+
+
+def _turn_subpaths(tree, seg, start_turn, end_turn):
+    forward = _subpaths_with_turns(tree, seg.vertices, start_turn, end_turn)
     backward = _subpaths_with_turns(tree, tuple(reversed(seg.vertices)),
-                                    "left", "right")
+                                    start_turn, end_turn)
     if forward != backward:
-        warnings.warn("K_s differs between orientations of %r" % (seg,))
-        return forward | backward
-    return forward
+        name = "C_s" if start_turn == "right" else "K_s"
+        warnings.warn("%s differs between orientations of %r" % (name, seg))
+        return frozenset(forward | backward)
+    return frozenset(forward)
 
 
 def zigzag_dominance_check(facet, arc):

@@ -221,31 +221,19 @@ class Facet:
     def key(self):
         return tuple(d.leaves for d in self.arcs)
 
-    def to_dict(self):
-        gap = {f.index: f.gap for f in self.tree.faces}
-        return {
-            "index": self.index,
-            "arcs": [
-                {
-                    "leaves": list(d.leaves),
-                    "path": list(d.path),
-                    "color": self.color[d],
-                    "marks": [[v, list(gap[fi])] for v, fi in self.marks[d]],
-                    "segment": (list(self.segment[d].vertices)
-                                if d in self.segment else None),
-                }
-                for d in self.arcs
-            ],
-        }
-
 
 def facets(tree):
-    """All facets, in a deterministic order.
+    """All facets, in a deterministic order, as a tuple built once per
+    tree.
 
     Enumeration runs maximal-clique search over the non-boundary arcs
     only; boundary arcs cross nothing and are appended to every clique.
     Purity (equal facet sizes) is asserted over the full enumeration.
     """
+    return tree.memo("facets", _facets)
+
+
+def _facets(tree):
     all_arcs = arcs(tree)
     bnd = [d for d in all_arcs if d.is_boundary]
     colored = [d for d in all_arcs if not d.is_boundary]
@@ -271,7 +259,7 @@ def facets(tree):
             raise ConventionError(
                 "facet %d has %d arcs, expected %d (complex not pure)"
                 % (f.index, len(f.arcs), expect))
-    return out
+    return tuple(out)
 
 
 def flip_neighbors(facet, all_facets):

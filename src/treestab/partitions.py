@@ -12,8 +12,6 @@ torsion-pair bookkeeping finite and checkable.
 
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
 from . import gc_vectors, nc_complex, string_modules
 from .tree_core import Segment, compose
 
@@ -93,11 +91,16 @@ def block_segments(tree, block):
 
 
 def partition_segments(tree, partition):
-    """Union of block_segments over all blocks."""
+    """Union of block_segments over all blocks; a frozenset, built once
+    per partition and tree."""
+    return tree.memo(("segments", partition), _partition_segments, partition)
+
+
+def _partition_segments(tree, partition):
     out = set()
     for b in partition.blocks:
         out |= block_segments(tree, b)
-    return out
+    return frozenset(out)
 
 
 def red_partition(facet):
@@ -126,42 +129,30 @@ def green_partition(facet):
     return part
 
 
-_ncp_cache = WeakKeyDictionary()
-
-
 def _ncp_table(tree):
-    if tree not in _ncp_cache:
-        table = []
-        for facet in nc_complex.facets(tree):
-            table.append((red_partition(facet), green_partition(facet),
-                          facet))
-        reds = [r for r, _, _ in table]
-        assert len(set(reds)) == len(reds), \
-            "red partitions repeat across facets"
-        _ncp_cache[tree] = table
-    return _ncp_cache[tree]
+    """Red partitions in facet order, and the red-to-green map."""
+    reds, complement = [], {}
+    for facet in nc_complex.facets(tree):
+        red = red_partition(facet)
+        reds.append(red)
+        complement[red] = green_partition(facet)
+    assert len(complement) == len(reds), \
+        "red partitions repeat across facets"
+    return tuple(reds), complement
 
 
 def noncrossing_partitions(tree):
     """All noncrossing partitions, in facet order; one per facet."""
-    return [r for r, _, _ in _ncp_table(tree)]
-
-
-def facet_of_partition(tree, partition):
-    for r, _, facet in _ncp_table(tree):
-        if r == partition:
-            return facet
-    raise ValueError("%r is not a noncrossing partition of this tree"
-                     % (partition,))
+    return tree.memo("ncp", _ncp_table)[0]
 
 
 def kreweras_complement(tree, partition):
     """Green partition of the facet whose red partition this is."""
-    for r, g, _ in _ncp_table(tree):
-        if r == partition:
-            return g
-    raise ValueError("%r is not a noncrossing partition of this tree"
-                     % (partition,))
+    try:
+        return tree.memo("ncp", _ncp_table)[1][partition]
+    except KeyError:
+        raise ValueError("%r is not a noncrossing partition of this tree"
+                         % (partition,)) from None
 
 
 def kreweras_orbits(tree):
@@ -259,17 +250,18 @@ def redgreen_tree(tree, partition):
 
 
 def segment_closure(tree, segments):
-    """Smallest composition-closed superset."""
+    """Smallest composition-closed superset.  Composition is symmetric,
+    so each pair is composed once: when the later of the two is taken
+    off the work list."""
     closed = set(segments)
-    grew = True
-    while grew:
-        grew = False
-        pairs = [(s, t) for s in closed for t in closed if s != t]
-        for s, t in pairs:
-            c = compose(tree, s, t)
+    todo = list(closed)
+    while todo:
+        s = todo.pop()
+        for t in list(closed):
+            c = compose(tree, s, t) if t != s else None
             if c is not None and c not in closed:
                 closed.add(c)
-                grew = True
+                todo.append(c)
     return closed
 
 
@@ -306,16 +298,26 @@ def join_biclosed(tree, b1, b2):
 def wide_from_partition(tree, partition):
     """Module set of the composition closure of the partition's
     segments; the subcategory the main theorem pairs with a Kreweras
-    stability condition."""
+    stability condition.  A frozenset, built once per partition and
+    tree."""
+    return tree.memo(("wide", partition), _wide_from_partition, partition)
+
+
+def _wide_from_partition(tree, partition):
     segs = segment_closure(tree, partition_segments(tree, partition))
-    return {string_modules.string_module(tree, s) for s in segs}
+    return frozenset(string_modules.string_module(tree, s) for s in segs)
 
 
 def torsion_pair(tree, partition):
     """(T, F) for a noncrossing partition: T joins the quotient-closed
     sets of the complement's green segments, F joins the sub-closed
     sets of the red segments.  Hom(T, F) vanishes and the pair covers
-    every simple."""
+    every simple.  Both are frozensets, built and checked once per
+    partition and tree."""
+    return tree.memo(("torsion", partition), _torsion_pair, partition)
+
+
+def _torsion_pair(tree, partition):
     complement = kreweras_complement(tree, partition)
     tsegs = set()
     for s in partition_segments(tree, complement):
@@ -327,8 +329,8 @@ def torsion_pair(tree, partition):
         fsegs |= gc_vectors.submodule_segments(tree, s)
     if fsegs:
         fsegs = segment_closure(tree, fsegs)
-    T = {string_modules.string_module(tree, s) for s in tsegs}
-    F = {string_modules.string_module(tree, s) for s in fsegs}
+    T = frozenset(string_modules.string_module(tree, s) for s in tsegs)
+    F = frozenset(string_modules.string_module(tree, s) for s in fsegs)
     for X in T:
         for Y in F:
             assert string_modules.hom_dim(tree, X, Y) == 0, \
@@ -346,14 +348,9 @@ def torsion_decompose(tree, partition, module):
     T, F = torsion_pair(tree, partition)
     tsegs = {m.segment for m in T}
     fsegs = {m.segment for m in F}
-    hits = []
-    for sub in string_modules.all_submodules(tree, module):
-        if any(m.segment not in tsegs for m in sub):
-            continue
-        quot = string_modules.quotient_by(tree, module, sub)
-        if any(m.segment not in fsegs for m in quot):
-            continue
-        hits.append((sub, quot))
+    hits = [(sub, quot) for sub, quot, subsegs, quotsegs
+            in tree.memo(("sub_quotients", module), _sub_quotients, module)
+            if subsegs <= tsegs and quotsegs <= fsegs]
     assert len(hits) == 1, \
         "torsion decomposition of %r not unique: %r" % (module, hits)
     sub, quot = hits[0]
@@ -361,6 +358,17 @@ def torsion_decompose(tree, partition, module):
                                         quot.dim_vector(tree)))
     assert total == module.dim_vector, "dimension mismatch in decomposition"
     return hits[0]
+
+
+def _sub_quotients(tree, module):
+    """(submodule, quotient, their segment sets) for every submodule of
+    an indecomposable."""
+    out = []
+    for sub in string_modules.all_submodules(tree, module):
+        quot = string_modules.quotient_by(tree, module, sub)
+        out.append((sub, quot, frozenset(m.segment for m in sub),
+                    frozenset(m.segment for m in quot)))
+    return tuple(out)
 
 
 # -- posets --------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from weakref import WeakKeyDictionary
 
 from . import gc_vectors, nc_complex, partitions, string_modules
 
@@ -30,25 +29,33 @@ def theta_value(tree, theta, thing):
     return sum(t * x for t, x in zip(theta, vec))
 
 
-def _proper_sub_segments(tree, segment):
-    return gc_vectors.submodule_segments(tree, segment) - {segment}
+def _proper_submodules(tree, segment):
+    """M(t) for t in C_s other than s, built once per segment and tree."""
+    return tree.memo(("proper_subs", segment), _build_proper_submodules,
+                     segment)
+
+
+def _build_proper_submodules(tree, segment):
+    return tuple(string_modules.string_module(tree, t)
+                 for t in gc_vectors.submodule_segments(tree, segment)
+                 if t != segment)
 
 
 def is_semistable(tree, theta, module):
     """Zero weight, no positive-weight submodule.  Sums of the proper
-    indecomposable submodule segments exhaust all proper submodules, so
-    checking the segments suffices."""
+    indecomposable submodules exhaust all proper submodules, so checking
+    the indecomposables suffices."""
     if theta_value(tree, theta, module) != 0:
         return False
     return all(theta_value(tree, theta, t) <= 0
-               for t in _proper_sub_segments(tree, module.segment))
+               for t in _proper_submodules(tree, module.segment))
 
 
 def is_stable(tree, theta, module):
     if theta_value(tree, theta, module) != 0:
         return False
     return all(theta_value(tree, theta, t) < 0
-               for t in _proper_sub_segments(tree, module.segment))
+               for t in _proper_submodules(tree, module.segment))
 
 
 def semistable_modules(tree, theta):
@@ -135,7 +142,7 @@ def check_facet(tree, facet):
             % (sorted(_segment_set(ss), key=lambda s: s.vertices),
                sorted(_segment_set(wide), key=lambda s: s.vertices)))
     reds = partitions.partition_segments(tree, part)
-    closure = partitions.segment_closure(tree, reds)
+    closure = _segment_set(wide)
     for s in sorted(reds, key=lambda s: s.vertices):
         m = string_modules.string_module(tree, s)
         if not is_stable(tree, theta, m):
@@ -148,7 +155,7 @@ def check_facet(tree, facet):
             res.failures.append("red composite %r unexpectedly stable" % (s,))
     comp = partitions.kreweras_complement(tree, part)
     greens = partitions.partition_segments(tree, comp)
-    gclosure = partitions.segment_closure(tree, greens)
+    gclosure = _segment_set(partitions.wide_from_partition(tree, comp))
     for s in sorted(gclosure, key=lambda s: s.vertices):
         ks = _decomposition_lengths(s, greens)
         if len(ks) != 1:
@@ -225,19 +232,6 @@ def semistable_poset(tree):
 # -- converse sweep ------------------------------------------------------
 
 
-_wide_memo = WeakKeyDictionary()
-
-
-def _cached_is_wide(tree, segments):
-    if tree not in _wide_memo:
-        _wide_memo[tree] = {}
-    memo = _wide_memo[tree]
-    key = frozenset(segments)
-    if key not in memo:
-        memo[key] = string_modules.is_wide(tree, key)
-    return memo[key]
-
-
 def check_semistable_wide(tree, samples=200, seed=0, bound=10,
                           scales=(2, 3, 7)):
     """Semistable sets of pseudorandom integer weights are wide, and
@@ -255,7 +249,7 @@ def check_semistable_wide(tree, samples=200, seed=0, bound=10,
             same = semistable_modules(tree, scaled)
             assert frozenset(_segment_set(same)) == segs, \
                 "weight %r changes semistables under scaling by %d" % (theta, c)
-        assert _cached_is_wide(tree, segs), \
+        assert tree.memo(("is_wide", segs), string_modules.is_wide, segs), \
             "semistable set of %r is not wide: %r" % (theta, sorted(
                 segs, key=lambda s: s.vertices))
         seen.add(segs)

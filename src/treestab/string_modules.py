@@ -19,16 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from weakref import WeakKeyDictionary
+from types import MappingProxyType
 
 from . import gc_vectors
 from ._exact import nullspace, rank
 from .tree_core import Segment
-
-_algebra_cache = WeakKeyDictionary()
-_table_cache = WeakKeyDictionary()
-_middles_cache = WeakKeyDictionary()
-_pattern_cache = WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -98,9 +93,7 @@ class TilingAlgebra:
 
 
 def tiling_algebra(tree):
-    if tree not in _algebra_cache:
-        _algebra_cache[tree] = TilingAlgebra(tree)
-    return _algebra_cache[tree]
+    return tree.memo("algebra", TilingAlgebra)
 
 
 def algebra_dimension(tree):
@@ -128,6 +121,10 @@ def string_module(tree, segment):
 
 
 def indecomposables(tree):
+    return tree.memo("indecomposables", _indecomposables)
+
+
+def _indecomposables(tree):
     return tuple(string_module(tree, s) for s in tree.all_segments)
 
 
@@ -297,15 +294,17 @@ def _hom_system(tree, X, Y):
 
 
 def hom_dim(tree, M, N):
-    """Dimension of the morphism space; additive over direct sums."""
+    """Dimension of the morphism space; additive over direct sums.
+    Solved once per pair of indecomposables and tree."""
     ms = M.summands if isinstance(M, ModuleSum) else (M,)
     ns = N.summands if isinstance(N, ModuleSum) else (N,)
-    total = 0
-    for X in ms:
-        for Y in ns:
-            shared, rows = _hom_system(tree, X, Y)
-            total += len(shared) - rank(rows)
-    return total
+    return sum(tree.memo(("hom", X, Y), _hom_dim, X, Y)
+               for X in ms for Y in ns)
+
+
+def _hom_dim(tree, X, Y):
+    shared, rows = _hom_system(tree, X, Y)
+    return len(shared) - rank(rows)
 
 
 def hom_basis(tree, X, Y):
@@ -320,14 +319,13 @@ def hom_basis(tree, X, Y):
 
 def hom_table(tree):
     """dim Hom(M(s), M(t)) for all ordered segment pairs."""
-    if tree not in _table_cache:
-        indecs = indecomposables(tree)
-        table = {}
-        for X in indecs:
-            for Y in indecs:
-                table[(X.segment, Y.segment)] = hom_dim(tree, X, Y)
-        _table_cache[tree] = table
-    return _table_cache[tree]
+    return tree.memo("hom_table", _hom_table)
+
+
+def _hom_table(tree):
+    indecs = indecomposables(tree)
+    return MappingProxyType({(X.segment, Y.segment): hom_dim(tree, X, Y)
+                             for X in indecs for Y in indecs})
 
 
 # -- general representations (for cokernels of chosen maps) ------------
@@ -470,19 +468,15 @@ def _cokernel_rep(tree, E, columns):
 # -- extension middle terms ---------------------------------------------
 
 
-_candidate_cache = WeakKeyDictionary()
-
-
 def _candidate_sums(tree, target):
     """Multisets of segments whose indicator vectors sum to `target`.
     Segments are chosen in nondecreasing order; the lowest uncovered
     node prunes the search."""
-    if tree not in _candidate_cache:
-        _candidate_cache[tree] = {}
-    cache = _candidate_cache[tree]
     target = tuple(target)
-    if target in cache:
-        return cache[target]
+    return tree.memo(("candidates", target), _build_candidate_sums, target)
+
+
+def _build_candidate_sums(tree, target):
     segs = list(tree.all_segments)
     vecs = [string_module(tree, s).dim_vector for s in segs]
     out = []
@@ -502,8 +496,7 @@ def _candidate_sums(tree, target):
                 chosen + [segs[k]])
 
     rec(0, target, [])
-    cache[target] = tuple(out)
-    return cache[target]
+    return tuple(out)
 
 
 def _injection_with_cokernel(tree, X, E_segments, Y):
@@ -578,18 +571,11 @@ def _injection_with_cokernel(tree, X, E_segments, Y):
 def _certify_middle(tree, X, Y, cand):
     """Whether `cand` is a certified middle term for an extension with
     sub X and quotient Y.  Cached per (sub, quotient, candidate)."""
-    if tree not in _middles_cache:
-        _middles_cache[tree] = {}
-    cache = _middles_cache[tree]
-    key = (X.segment, Y.segment, cand)
-    if key not in cache:
-        split = tuple(sorted((X.segment, Y.segment),
-                             key=lambda s: s.vertices))
-        if cand == split:
-            cache[key] = True
-        else:
-            cache[key] = _injection_with_cokernel(tree, X, cand, Y)
-    return cache[key]
+    split = tuple(sorted((X.segment, Y.segment), key=lambda s: s.vertices))
+    if cand == split:
+        return True
+    return tree.memo(("middle", X.segment, Y.segment, cand),
+                     _injection_with_cokernel, X, cand, Y)
 
 
 def middle_terms(tree, X, Y):
@@ -606,12 +592,11 @@ def middle_terms(tree, X, Y):
 def _map_patterns(tree, X, Y):
     """All achievable (kernel, cokernel) summand sets over morphisms
     X -> Y, via exact zero-set analysis of the Hom space."""
-    if tree not in _pattern_cache:
-        _pattern_cache[tree] = {}
-    cache = _pattern_cache[tree]
-    key = (X.segment, Y.segment)
-    if key in cache:
-        return cache[key]
+    return tree.memo(("patterns", X.segment, Y.segment),
+                     _build_map_patterns, X, Y)
+
+
+def _build_map_patterns(tree, X, Y):
     shared, rows = _hom_system(tree, X, Y)
     col = {e: i for i, e in enumerate(shared)}
     xedges = X.segment.edges()
@@ -644,8 +629,7 @@ def _map_patterns(tree, X, Y):
         kernel = _run_summands(tree, X.segment, kpos)
         coker = _run_summands(tree, Y.segment, cpos)
         results.add((kernel, coker))
-    cache[key] = frozenset(results)
-    return cache[key]
+    return frozenset(results)
 
 
 def is_wide(tree, indec_set):

@@ -108,7 +108,11 @@ class EmbeddedTree:
     """Validated tree with a counterclockwise rotation system.
 
     Immutable after construction; every derived structure (faces,
-    corners, segments) is computed once and cached.
+    corners, segments) is computed once and cached.  The tables the
+    other layers derive from the tree (facets, noncrossing partitions,
+    torsion pairs, sub- and quotient segments, module data) are kept
+    here too, through `memo`, so each is built at most once and is
+    freed with the tree.
     """
 
     def __init__(self, rotation):
@@ -126,6 +130,16 @@ class EmbeddedTree:
         self.edge_index = {e: i for i, e in enumerate(self.interior_edges)}
         self.n = len(self.interior_edges)
         self._trace_faces()
+        self._memo = {}
+
+    def memo(self, key, build, *args):
+        """`build(self, *args)`, computed on the first request for `key`
+        and kept for the life of the tree.  Every later caller shares the
+        value, so collections handed out are tuples or frozensets."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = build(self, *args)
+        return memo[key]
 
     # -- validation ----------------------------------------------------
 
@@ -423,5 +437,10 @@ def parse_tree(text):
 
 
 def load_tree(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_tree(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise TreeFileError("not valid UTF-8 at byte %d" % e.start) from None
+    return parse_tree(text)

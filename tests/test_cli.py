@@ -56,6 +56,32 @@ def test_missing_file_exits_2(tmp_path):
     assert "bad tree file" in r.stderr
 
 
+def test_invalid_utf8_exits_2(tmp_path):
+    bad = tmp_path / "latin1.tree"
+    bad.write_bytes("vertex v\xe9: a\n".encode("latin-1"))
+    r = run("facets", str(bad))
+    assert r.returncode == 2
+    assert r.stderr.startswith("bad tree file")
+    assert "UTF-8" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_semistable_empty_weight_without_interior_edges():
+    r = run("semistable", "--theta=", fixture_path("star3"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("theta []: 0 semistable indecomposables")
+    r = run("semistable", "--theta=", "--format", "json",
+            fixture_path("star3"))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["theta"] == []
+    r = run("semistable", "--theta=1", fixture_path("star3"))
+    assert r.returncode == 2
+    assert "0 entries" in r.stderr
+    r = run("semistable", "--theta=", fixture_path("a2"))
+    assert r.returncode == 2
+    assert "2 entries" in r.stderr
+
+
 def test_json_outputs_have_format_version():
     for cmd in (["facets"], ["vectors"], ["modules"], ["ncp"],
                 ["kreweras"], ["torsion"],

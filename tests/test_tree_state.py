@@ -1,0 +1,151 @@
+"""Per-tree derived tables: built once, immutable, shared, reproducible,
+and freed with their tree."""
+
+import gc
+import weakref
+
+import pytest
+
+from conftest import SMALL, SUITE, fixture_path, get_tree
+from treestab import cli, nc_complex, partitions
+from treestab.gc_vectors import quotient_segments, submodule_segments
+from treestab.nc_complex import facets
+from treestab.partitions import (
+    kreweras_complement,
+    noncrossing_partitions,
+    segment_closure,
+    torsion_pair,
+)
+from treestab.semistable import (
+    check_semistable_wide,
+    semistable_poset,
+    verify_kreweras_stability,
+)
+from treestab.tree_core import Segment, compose, load_tree
+
+
+def facet_view(f):
+    return f.key(), tuple((d.leaves, f.color[d], f.segment.get(d))
+                          for d in f.arcs)
+
+
+def torsion_view(tree):
+    out = {}
+    for p in noncrossing_partitions(tree):
+        T, F = torsion_pair(tree, p)
+        out[p] = (frozenset(m.segment for m in T),
+                  frozenset(m.segment for m in F))
+    return out
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_cached_tables_are_immutable_and_shared(name):
+    tree = get_tree(name)
+    fs = facets(tree)
+    assert isinstance(fs, tuple)
+    assert facets(tree) is fs
+    ncps = noncrossing_partitions(tree)
+    assert isinstance(ncps, tuple)
+    assert noncrossing_partitions(tree) is ncps
+    for p in ncps:
+        assert kreweras_complement(tree, p) is kreweras_complement(tree, p)
+        pair = torsion_pair(tree, p)
+        assert torsion_pair(tree, p) is pair
+        assert all(isinstance(side, frozenset) for side in pair)
+    stranger = Segment(("no-such-vertex", "nor-this-one"))
+    for seg in tree.all_segments:
+        for fn in (submodule_segments, quotient_segments):
+            got = fn(tree, seg)
+            assert isinstance(got, frozenset)
+            assert fn(tree, seg) is got
+            before = set(got)
+            got |= {stranger}  # rebinds; the cached set stays as it was
+            assert fn(tree, seg) == before
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_fresh_tree_gives_equal_tables(name):
+    used, fresh = get_tree(name), load_tree(fixture_path(name))
+    assert ([facet_view(f) for f in facets(used)]
+            == [facet_view(f) for f in facets(fresh)])
+    assert ({p: kreweras_complement(used, p)
+             for p in noncrossing_partitions(used)}
+            == {p: kreweras_complement(fresh, p)
+                for p in noncrossing_partitions(fresh)})
+    assert torsion_view(used) == torsion_view(fresh)
+    for seg in used.all_segments:
+        assert submodule_segments(used, seg) == submodule_segments(fresh, seg)
+        assert quotient_segments(used, seg) == quotient_segments(fresh, seg)
+
+
+def test_tree_is_freed_after_use():
+    tree = load_tree(fixture_path("cyc3"))
+    ref = weakref.ref(tree)
+    assert verify_kreweras_stability(tree).all_passed
+    for p in noncrossing_partitions(tree):
+        torsion_pair(tree, p)
+    semistable_poset(tree)
+    check_semistable_wide(tree, samples=20)
+    del tree
+    gc.collect()
+    assert ref() is None
+
+
+def count_builds(monkeypatch, module, builder):
+    """Record the arguments of every call to a private table builder."""
+    calls = []
+    real = getattr(module, builder)
+
+    def counting(tree, *args):
+        calls.append(args)
+        return real(tree, *args)
+
+    monkeypatch.setattr(module, builder, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_verify_thm1_builds_facets_once(name, monkeypatch, capsys):
+    builds = count_builds(monkeypatch, nc_complex, "_facets")
+    assert cli.main(["verify-thm1", fixture_path(name)]) == 0
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_check_all_builds_facets_and_torsion_pairs_once(name, monkeypatch,
+                                                         capsys):
+    facet_builds = count_builds(monkeypatch, nc_complex, "_facets")
+    pair_builds = count_builds(monkeypatch, partitions, "_torsion_pair")
+    assert cli.main(["check-all", "--samples", "20", fixture_path(name)]) == 0
+    assert "all checks pass" in capsys.readouterr().out
+    assert len(facet_builds) == 1
+    ncps = noncrossing_partitions(load_tree(fixture_path(name)))
+    assert sorted(pair_builds, key=repr) == sorted(((p,) for p in ncps),
+                                                   key=repr)
+
+
+def naive_closure(tree, segments):
+    closed = set(segments)
+    while True:
+        new = {compose(tree, s, t) for s in closed for t in closed
+               if s != t} - {None} - closed
+        if not new:
+            return closed
+        closed |= new
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_segment_closure_matches_fixpoint(name):
+    tree = get_tree(name)
+    segs = tree.all_segments
+    for s in segs:
+        for t in segs:
+            assert compose(tree, s, t) == compose(tree, t, s)
+    for seg in segs:
+        for family in (submodule_segments(tree, seg),
+                       quotient_segments(tree, seg)):
+            assert segment_closure(tree, family) == \
+                naive_closure(tree, family)
+    for p in noncrossing_partitions(tree):
+        blocks = partitions.partition_segments(tree, p)
+        assert segment_closure(tree, blocks) == naive_closure(tree, blocks)
