@@ -263,11 +263,21 @@ def _facets(tree):
 
 
 def flip_neighbors(facet, all_facets):
-    """Facets differing from `facet` in exactly one non-boundary arc."""
-    mine = set(facet.colored)
-    out = []
-    for g in all_facets:
-        theirs = set(g.colored)
-        if len(mine - theirs) == 1 and len(theirs - mine) == 1:
-            out.append(g)
+    """Facets differing from `facet` in exactly one non-boundary arc, in
+    index order, read off the ridges of `all_facets`, the tree's facets."""
+    if all_facets is not facets(facet.tree) \
+            and tuple(all_facets) != facets(facet.tree):
+        raise ValueError("flip neighbours are taken among all facets")
+    ridges = facet.tree.memo("ridges", _ridges)
+    mine = frozenset(facet.colored)
+    return sorted((g for d in mine for g in ridges[mine - {d}]
+                   if g is not facet), key=lambda g: g.index)
+
+
+def _ridges(tree):
+    """Facets by their colored arcs minus one arc."""
+    out = {}
+    for f in facets(tree):
+        for d in f.colored:
+            out.setdefault(frozenset(f.colored) - {d}, []).append(f)
     return out

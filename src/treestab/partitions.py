@@ -105,27 +105,21 @@ def _partition_segments(tree, partition):
 
 def red_partition(facet):
     """Interior vertices glued along the facet's red segments."""
-    tree = facet.tree
-    reds = [facet.segment[d] for d in facet.reds()]
-    part = _endpoint_partition(tree, reds)
-    for s in reds:
-        block = set(part.block_of(s.vertices[0]))
-        inner = set(s.vertices[1:-1])
-        assert not (inner & block), \
-            "red segment %r not minimal in its block" % (s,)
-    return part
+    return _glued_partition(facet, "red")
 
 
 def green_partition(facet):
     """Interior vertices glued along the facet's green segments."""
-    tree = facet.tree
-    greens = [facet.segment[d] for d in facet.greens()]
-    part = _endpoint_partition(tree, greens)
-    for s in greens:
-        block = set(part.block_of(s.vertices[0]))
-        inner = set(s.vertices[1:-1])
-        assert not (inner & block), \
-            "green segment %r not minimal in its block" % (s,)
+    return _glued_partition(facet, "green")
+
+
+def _glued_partition(facet, color):
+    segments = [facet.segment[d] for d in facet.colored
+                if facet.color[d] == color]
+    part = _endpoint_partition(facet.tree, segments)
+    for s in segments:
+        assert not set(s.vertices[1:-1]) & set(part.block_of(s.vertices[0])), \
+            "%s segment %r not minimal in its block" % (color, s)
     return part
 
 
@@ -158,21 +152,15 @@ def kreweras_complement(tree, partition):
 def kreweras_orbits(tree):
     """Cycle lengths of the Kreweras map on noncrossing partitions.
     Reported, not constrained: the map need not have small order."""
-    ncps = noncrossing_partitions(tree)
-    index = {p: i for i, p in enumerate(ncps)}
-    succ = [index[kreweras_complement(tree, p)] for p in ncps]
-    seen = [False] * len(ncps)
-    orbits = []
-    for i in range(len(ncps)):
-        if seen[i]:
-            continue
+    seen, orbits = set(), []
+    for p in noncrossing_partitions(tree):
         length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = succ[j]
+        while p not in seen:
+            seen.add(p)
+            p = kreweras_complement(tree, p)
             length += 1
-        orbits.append(length)
+        if length:
+            orbits.append(length)
     return sorted(orbits, reverse=True)
 
 
@@ -204,19 +192,12 @@ class RedGreenTree:
                 self.adjacency[a].append((b, s, color))
                 self.adjacency[b].append((a, s, color))
                 edges += 1
-        vs = tree.interior_vertices
-        assert edges == len(vs) - 1, \
+        assert edges == len(tree.interior_vertices) - 1, \
             "red and green segments miss the tree count"
         # connectivity makes it a tree
-        seen = {vs[0]}
-        stack = [vs[0]]
-        while stack:
-            v = stack.pop()
-            for u, _, _ in self.adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        assert len(seen) == len(vs), "red-green graph is disconnected"
+        glued = _endpoint_partition(tree, self.red_segments
+                                    + self.green_segments)
+        assert len(glued.blocks) == 1, "red-green graph is disconnected"
 
     def tree_path(self, v, u):
         """Segments along the unique path from v to u, each tagged with
@@ -374,63 +355,66 @@ def _sub_quotients(tree, module):
 # -- posets --------------------------------------------------------------
 
 
-class Poset:
-    """Finite poset with explicit relation matrix."""
+def _bits(mask):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def __init__(self, elements, leq):
+
+class Poset:
+    """Inclusion order of masks[i], kept as up-set bitmasks (bit j of
+    up[i] says i <= j) and their transpose, the down-sets."""
+
+    def __init__(self, elements, masks):
         self.elements = list(elements)
-        k = len(self.elements)
-        self.matrix = [[bool(leq(self.elements[i], self.elements[j]))
-                        for j in range(k)] for i in range(k)]
-        for i in range(k):
-            assert self.matrix[i][i], "order must be reflexive"
-            for j in range(k):
-                if i != j and self.matrix[i][j] and self.matrix[j][i]:
-                    raise ValueError("elements %d and %d are order-equal"
-                                     % (i, j))
+        masks = list(masks)
+        # having[p]: the elements whose mask holds bit p
+        having = [sum(1 << j for j, m in enumerate(masks) if m >> p & 1)
+                  for p in range(max(masks, default=0).bit_length())]
+        self.up, self.down = [], []
+        for i, m in enumerate(masks):
+            up = down = (1 << len(masks)) - 1
+            for p, h in enumerate(having):
+                if m >> p & 1:
+                    up &= h
+                else:
+                    down &= ~h
+            self.up.append(up)
+            self.down.append(down)
+            if not up & down & 1 << i:
+                raise ValueError("order must be reflexive")
+            if up & down != 1 << i:
+                raise ValueError("elements %d and %d are order-equal"
+                                 % (i, next(_bits(up & down ^ 1 << i))))
 
     def __len__(self):
         return len(self.elements)
 
     def leq(self, i, j):
-        return self.matrix[i][j]
+        return bool(self.up[i] >> j & 1)
 
     def covers(self):
-        """Pairs (i, j) with i covered by j."""
-        k = len(self.elements)
+        """Pairs (i, j) with i covered by j, in lexicographic order: the
+        strict up-set of i minus everything strictly above a member."""
         out = []
-        for i in range(k):
-            for j in range(k):
-                if i == j or not self.matrix[i][j]:
-                    continue
-                if any(m != i and m != j and self.matrix[i][m]
-                       and self.matrix[m][j] for m in range(k)):
-                    continue
-                out.append((i, j))
+        for i, up in enumerate(self.up):
+            strict = up ^ 1 << i
+            above = 0
+            for j in _bits(strict):
+                above |= self.up[j] ^ 1 << j
+            out.extend((i, j) for j in _bits(strict & ~above))
         return out
 
-    def _bound_ids(self, i, j, upper):
-        k = len(self.elements)
-        if upper:
-            bounds = [m for m in range(k)
-                      if self.matrix[i][m] and self.matrix[j][m]]
-            least = [m for m in bounds
-                     if all(self.matrix[m][x] for x in bounds)]
-        else:
-            bounds = [m for m in range(k)
-                      if self.matrix[m][i] and self.matrix[m][j]]
-            least = [m for m in bounds
-                     if all(self.matrix[x][m] for x in bounds)]
-        return least
-
     def is_lattice(self):
-        k = len(self.elements)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if len(self._bound_ids(i, j, True)) != 1:
-                    return False
-                if len(self._bound_ids(i, j, False)) != 1:
-                    return False
+        """Every pair has a join and a meet: its common up-set is some
+        element's up-set, and its common down-set some down-set."""
+        for rows in (self.up, self.down):
+            principal = set(rows)
+            if not all(principal.issuperset(map(a.__and__, rows[i + 1:]))
+                       for i, a in enumerate(rows)):
+                return False
         return True
 
     def isomorphic_by(self, other, mapping):
@@ -439,13 +423,17 @@ class Poset:
         k = len(self.elements)
         if len(other.elements) != k or sorted(mapping) != list(range(k)):
             return False
-        for i in range(k):
-            for j in range(k):
-                if self.matrix[i][j] != other.matrix[mapping[i]][mapping[j]]:
-                    return False
-        return True
+        image = [mapping[i] for i in range(k)]
+        return sorted(image) == list(range(k)) and all(
+            sum(1 << image[j] for j in _bits(up)) == other.up[image[i]]
+            for i, up in enumerate(self.up))
 
 
 def ncp_poset(tree):
-    """Noncrossing partitions under refinement."""
-    return Poset(noncrossing_partitions(tree), refinement_leq)
+    """Noncrossing partitions under refinement, which is inclusion of
+    the sets of vertex pairs sharing a block."""
+    index = {v: i for i, v in enumerate(tree.interior_vertices)}
+    ncps = noncrossing_partitions(tree)
+    return Poset(ncps, [sum(1 << len(index) * index[a] + index[b]
+                            for block in p.blocks for a in block
+                            for b in block) for p in ncps])

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import gc_vectors, nc_complex, partitions, string_modules
+from .tree_core import ConventionError
 
 
 def theta_value(tree, theta, thing):
@@ -220,12 +221,13 @@ def semistable_poset(tree):
         theta = gc_vectors.kreweras_theta(facet)
         table.append(frozenset(_segment_set(
             semistable_modules(tree, theta))))
-    assert len(set(table)) == len(table), \
-        "facet weights share a semistable set"
-    po = partitions.Poset(table, lambda a, b: a <= b)
-    npo = partitions.ncp_poset(tree)
-    assert po.isomorphic_by(npo, list(range(len(table)))), \
-        "semistable order disagrees with refinement order"
+    if len(set(table)) != len(table):
+        raise ConventionError("facet weights share a semistable set")
+    sid = {s: i for i, s in enumerate(tree.all_segments)}
+    po = partitions.Poset(table, [sum(1 << sid[s] for s in e) for e in table])
+    if not po.isomorphic_by(partitions.ncp_poset(tree), range(len(table))):
+        raise ConventionError(
+            "semistable order disagrees with refinement order")
     return po
 
 

@@ -158,3 +158,91 @@ def brute_facets(tree, arcs, crossing):
     maximal = [s for s in sets
                if not any(s < t for t in sets)]
     return set(maximal)
+
+
+def scan_flip_neighbors(facet, all_facets):
+    """Facets differing from `facet` in exactly one non-boundary arc,
+    by comparing it with every facet."""
+    mine = set(facet.colored)
+    out = []
+    for g in all_facets:
+        theirs = set(g.colored)
+        if len(mine - theirs) == 1 and len(theirs - mine) == 1:
+            out.append(g)
+    return out
+
+
+# -- dense posets --------------------------------------------------------
+
+
+class DensePoset:
+    """Finite poset with explicit relation matrix, filled by calling
+    `leq` on every pair of elements."""
+
+    def __init__(self, elements, leq):
+        self.elements = list(elements)
+        k = len(self.elements)
+        self.matrix = [[bool(leq(self.elements[i], self.elements[j]))
+                        for j in range(k)] for i in range(k)]
+        for i in range(k):
+            assert self.matrix[i][i], "order must be reflexive"
+            for j in range(k):
+                if i != j and self.matrix[i][j] and self.matrix[j][i]:
+                    raise ValueError("elements %d and %d are order-equal"
+                                     % (i, j))
+
+    def __len__(self):
+        return len(self.elements)
+
+    def leq(self, i, j):
+        return self.matrix[i][j]
+
+    def covers(self):
+        """Pairs (i, j) with i covered by j."""
+        k = len(self.elements)
+        out = []
+        for i in range(k):
+            for j in range(k):
+                if i == j or not self.matrix[i][j]:
+                    continue
+                if any(m != i and m != j and self.matrix[i][m]
+                       and self.matrix[m][j] for m in range(k)):
+                    continue
+                out.append((i, j))
+        return out
+
+    def _bound_ids(self, i, j, upper):
+        k = len(self.elements)
+        if upper:
+            bounds = [m for m in range(k)
+                      if self.matrix[i][m] and self.matrix[j][m]]
+            least = [m for m in bounds
+                     if all(self.matrix[m][x] for x in bounds)]
+        else:
+            bounds = [m for m in range(k)
+                      if self.matrix[m][i] and self.matrix[m][j]]
+            least = [m for m in bounds
+                     if all(self.matrix[x][m] for x in bounds)]
+        return least
+
+    def is_lattice(self):
+        k = len(self.elements)
+        for i in range(k):
+            for j in range(i + 1, k):
+                if len(self._bound_ids(i, j, True)) != 1:
+                    return False
+                if len(self._bound_ids(i, j, False)) != 1:
+                    return False
+        return True
+
+    def isomorphic_by(self, other, mapping):
+        """Whether the index map i -> mapping[i] is an order
+        isomorphism onto `other`."""
+        k = len(self.elements)
+        if len(other.elements) != k or sorted(mapping) != list(range(k)):
+            return False
+        for i in range(k):
+            for j in range(k):
+                if self.matrix[i][j] != other.matrix[mapping[i]][mapping[j]]:
+                    return False
+        return True

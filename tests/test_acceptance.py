@@ -188,7 +188,7 @@ def test_criterion_08_zigzag_dominance():
                 for d in f.reds():
                     if len(segment_of(f, d).edges()) < 2:
                         continue
-                    zigzag_dominance_check(f, d)
+                    assert zigzag_dominance_check(f, d), (name, f.index, d)
                     n += 1
             if name == "big8":
                 assert n == 1681

@@ -183,6 +183,27 @@ def test_a2_flip_graph_is_pentagon():
     assert len(seen) == 5
 
 
+def test_flip_neighbors_match_scan(suite_tree):
+    fs = facets(suite_tree)
+    for f in fs:
+        assert flip_neighbors(f, fs) == oracles.scan_flip_neighbors(f, fs)
+
+
+def test_flip_neighbors_need_all_facets():
+    fs = facets(get_tree("a2"))
+    assert flip_neighbors(fs[0], list(fs)) == flip_neighbors(fs[0], fs)
+    with pytest.raises(ValueError):
+        flip_neighbors(fs[0], fs[1:])
+
+
+@settings(max_examples=15, deadline=None)
+@given(randtrees.rotations())
+def test_random_tree_flips_match_scan(rotation):
+    fs = facets(EmbeddedTree(rotation))
+    for f in fs:
+        assert flip_neighbors(f, fs) == oracles.scan_flip_neighbors(f, fs)
+
+
 @settings(max_examples=15, deadline=None)
 @given(randtrees.rotations())
 def test_random_tree_facets(rotation):

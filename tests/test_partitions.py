@@ -184,5 +184,7 @@ def test_ncp_poset_a2():
 
 
 def test_poset_rejects_duplicates():
-    with pytest.raises(ValueError):
-        pt.Poset([1, 1], lambda a, b: True)
+    with pytest.raises(ValueError, match="elements 0 and 1 are order-equal"):
+        pt.Poset([1, 1], [0b1, 0b1])
+    with pytest.raises(ValueError, match="elements 1 and 2 are order-equal"):
+        pt.Poset("abc", [0b1, 0b11, 0b11])

@@ -124,6 +124,14 @@ def test_check_all_builds_facets_and_torsion_pairs_once(name, monkeypatch,
                                                    key=repr)
 
 
+@pytest.mark.parametrize("name", SMALL)
+def test_facets_dot_builds_flip_index_once(name, monkeypatch, capsys):
+    builds = count_builds(monkeypatch, nc_complex, "_ridges")
+    assert cli.main(["facets", "--format", "dot", fixture_path(name)]) == 0
+    assert capsys.readouterr().out.startswith("graph flips {")
+    assert len(builds) == 1
+
+
 def naive_closure(tree, segments):
     closed = set(segments)
     while True:
