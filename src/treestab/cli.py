@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import gc_vectors, nc_complex, partitions, semistable, string_modules
-from .tree_core import TreeError, load_tree
+from .tree_core import ConventionError, TreeError, load_tree
 
 FORMAT_VERSION = 1
 
@@ -272,14 +272,16 @@ def cmd_check_all(tree, args):
         for f in fs:
             for d in f.reds():
                 if len(f.segment[d]) >= 2:
-                    assert gc_vectors.zigzag_dominance_check(f, d), \
-                        "facet %d arc %s" % (f.index, _arc_label(d))
+                    if not gc_vectors.zigzag_dominance_check(f, d):
+                        raise ConventionError("facet %d arc %s"
+                                              % (f.index, _arc_label(d)))
                     count += 1
         return "%d qualifying pairs" % count
 
     def theorem():
         report = semistable.verify_kreweras_stability(tree, jobs=args.jobs)
-        assert report.all_passed, report.failures()[:3]
+        if not report.all_passed:
+            raise ConventionError(report.failures()[:3])
         return report.summary_line()
 
     def posets():

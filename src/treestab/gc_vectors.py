@@ -14,8 +14,6 @@ checks.
 
 from __future__ import annotations
 
-import warnings
-
 from .tree_core import ConventionError, Segment, turn
 
 
@@ -131,9 +129,10 @@ def submodule_segments(tree, seg):
     """C_s: sub-paths of s (oriented v_0..v_t) that start where s turns
     right and end where s turns left, endpoints of s always allowed.
     Contains s itself; indexes the indecomposable submodules of the
-    string module of s.  Orientation of s does not matter; computed for
-    both orientations defensively.  A frozenset, built once per segment
-    and tree."""
+    string module of s.  Orientation of s does not matter; both
+    orientations are computed, and a difference raises ConventionError
+    since Hom and Ext are read off these sets.  A frozenset, built once
+    per segment and tree."""
     return tree.memo(("C", seg), _turn_subpaths, seg, "right", "left")
 
 
@@ -149,8 +148,8 @@ def _turn_subpaths(tree, seg, start_turn, end_turn):
                                     start_turn, end_turn)
     if forward != backward:
         name = "C_s" if start_turn == "right" else "K_s"
-        warnings.warn("%s differs between orientations of %r" % (name, seg))
-        return frozenset(forward | backward)
+        raise ConventionError("%s differs between orientations of %r"
+                              % (name, seg))
     return frozenset(forward)
 
 

@@ -238,7 +238,7 @@ def check_semistable_wide(tree, samples=200, seed=0, bound=10,
                           scales=(2, 3, 7)):
     """Semistable sets of pseudorandom integer weights are wide, and
     scaling a weight changes nothing.  Returns (checked, distinct wide
-    sets seen); any failure raises AssertionError with the offending
+    sets seen); any failure raises ConventionError with the offending
     weight, since a counterexample would sink the converse direction."""
     rng = random.Random(seed)
     seen = set()
@@ -249,10 +249,13 @@ def check_semistable_wide(tree, samples=200, seed=0, bound=10,
         for c in scales:
             scaled = tuple(c * t for t in theta)
             same = semistable_modules(tree, scaled)
-            assert frozenset(_segment_set(same)) == segs, \
-                "weight %r changes semistables under scaling by %d" % (theta, c)
-        assert tree.memo(("is_wide", segs), string_modules.is_wide, segs), \
-            "semistable set of %r is not wide: %r" % (theta, sorted(
-                segs, key=lambda s: s.vertices))
+            if frozenset(_segment_set(same)) != segs:
+                raise ConventionError(
+                    "weight %r changes semistables under scaling by %d"
+                    % (theta, c))
+        if not tree.memo(("is_wide", segs), string_modules.is_wide, segs):
+            raise ConventionError(
+                "semistable set of %r is not wide: %r"
+                % (theta, sorted(segs, key=lambda s: s.vertices)))
         seen.add(segs)
     return samples, len(seen)

@@ -7,23 +7,24 @@ arrows pivot at the same vertex.  The algebra is gentle and
 representation-finite, and its indecomposable modules are the string
 modules of the tree's segments, all of them multiplicity-free.
 
-Thinness keeps every piece of linear algebra small and exact: a
-morphism between two indecomposables is a scalar per shared edge, a
-submodule is a subset of edges closed under the arrow action, and
-kernels, cokernels and extension middle terms can be certified over
-the rationals without any numerical tolerance.
+Thinness and the tree reduce the module theory to set operations on
+segments, with no linear algebra.  A submodule is a subset of edges
+closed under the arrow action.  Two segments share at most one run r
+of edges, so a morphism between two indecomposables is either zero or
+the graph map that is the identity on r (Crawley-Boevey's graph maps),
+and Ext^1 between two of them has at most one non-split middle term,
+an arrow or an overlap extension (Canakci-Pauksztello-Schroll, "On
+extensions for gentle algebras").
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 from . import gc_vectors
-from ._exact import nullspace, rank
-from .tree_core import Segment
+from .tree_core import Segment, compose
 
 
 @dataclass(frozen=True)
@@ -194,26 +195,18 @@ def _action_pairs(tree, segment):
     return out
 
 
-def _runs(positions):
-    """Maximal runs of consecutive integers, each as a (lo, hi) range."""
+def _run_summands(tree, segment, positions):
+    """Decompose an edge-position subset into string summands along the
+    segment, one per maximal run of consecutive positions."""
     runs = []
     for p in sorted(positions):
         if runs and p == runs[-1][1] + 1:
             runs[-1][1] = p
         else:
             runs.append([p, p])
-    return runs
-
-
-def _run_summands(tree, segment, positions):
-    """Decompose an edge-position subset into string summands along the
-    segment."""
     vs = segment.vertices
-    out = []
-    for lo, hi in _runs(positions):
-        sub = Segment.canonical(vs[lo:hi + 2])
-        out.append(string_module(tree, sub))
-    return ModuleSum(out)
+    return ModuleSum(string_module(tree, Segment.canonical(vs[lo:hi + 2]))
+                     for lo, hi in runs)
 
 
 def all_submodules(tree, module):
@@ -262,59 +255,57 @@ def quotient_by(tree, module, sub):
 # -- Hom spaces ---------------------------------------------------------
 
 
-def _acts(segment, arrow):
-    """Whether the arrow carries a nonzero map on the segment's string
-    module: its two edges must be consecutive in the segment."""
-    edges = segment.edges()
-    for e1, e2 in zip(edges, edges[1:]):
-        if {e1, e2} == {arrow.source, arrow.target}:
-            return True
-    return False
+def _shared_run(s, t):
+    """The path two segments share, as a vertex tuple in the direction
+    of s, or None when they share no edge.  Two paths in a tree meet in
+    one path, so the shared vertices are consecutive along s."""
+    tv = set(t.vertices)
+    run = tuple(v for v in s.vertices if v in tv)
+    return run if len(run) > 1 else None
 
 
-def _hom_system(tree, X, Y):
-    """Unknowns (one scalar per shared edge) and commutation rows for
-    Hom(X, Y) between indecomposables."""
-    alg = tiling_algebra(tree)
-    shared = sorted(X.support & Y.support)
-    col = {e: i for i, e in enumerate(shared)}
-    rows = []
-    for ar in alg.arrows:
-        xa = 1 if _acts(X.segment, ar) else 0
-        ya = 1 if _acts(Y.segment, ar) else 0
-        row = [Fraction(0)] * len(shared)
-        # f_target * X_ar = Y_ar * f_source, absent scalars are zero
-        if ar.target in col and xa:
-            row[col[ar.target]] += 1
-        if ar.source in col and ya:
-            row[col[ar.source]] -= 1
-        if any(row):
-            rows.append(row)
-    return shared, rows
+def _outside(segment, run):
+    """The segments of `segment` on either side of `run`, one of its
+    sub-paths in either direction."""
+    vs = segment.vertices
+    i, j = sorted((vs.index(run[0]), vs.index(run[-1])))
+    return [Segment.canonical(p) for p in (vs[:i + 1], vs[j:]) if len(p) > 1]
+
+
+def _graph_map(tree, s, t):
+    """The run r a nonzero map M(s) -> M(t) is the identity on, or None
+    when Hom is 0.  A graph map is the identity on a quotient segment
+    of s that is a submodule segment of t.  Any such segment lies in
+    the shared run, and a shorter one would need the arrow to the next
+    shared edge to point out of it for s and into it for t.  Built once
+    per pair and tree."""
+    return tree.memo(("hom", s, t), _build_graph_map, s, t)
+
+
+def _build_graph_map(tree, s, t):
+    run = _shared_run(s, t)
+    if run is None:
+        return None
+    r = Segment.canonical(run)
+    if (r in gc_vectors.quotient_segments(tree, s)
+            and r in gc_vectors.submodule_segments(tree, t)):
+        return r
+    return None
 
 
 def hom_dim(tree, M, N):
-    """Dimension of the morphism space; additive over direct sums.
-    Solved once per pair of indecomposables and tree."""
+    """Dimension of the morphism space; additive over direct sums."""
     ms = M.summands if isinstance(M, ModuleSum) else (M,)
     ns = N.summands if isinstance(N, ModuleSum) else (N,)
-    return sum(tree.memo(("hom", X, Y), _hom_dim, X, Y)
-               for X in ms for Y in ns)
-
-
-def _hom_dim(tree, X, Y):
-    shared, rows = _hom_system(tree, X, Y)
-    return len(shared) - rank(rows)
+    return sum(1 for X in ms for Y in ns
+               if _graph_map(tree, X.segment, Y.segment) is not None)
 
 
 def hom_basis(tree, X, Y):
-    """Basis of Hom(X, Y) as scalar-per-edge dicts."""
-    shared, rows = _hom_system(tree, X, Y)
-    if not shared:
-        return []
-    basis = nullspace(rows, len(shared))
-    return [{e: vec[i] for i, e in enumerate(shared) if vec[i] != 0}
-            for vec in basis]
+    """Basis of Hom(X, Y) as scalar-per-edge dicts: empty, or the one
+    graph map, 1 on every edge of the shared run."""
+    r = _graph_map(tree, X.segment, Y.segment)
+    return [] if r is None else [dict.fromkeys(r.edges(), 1)]
 
 
 def hom_table(tree):
@@ -328,308 +319,56 @@ def _hom_table(tree):
                              for X in indecs for Y in indecs})
 
 
-# -- general representations (for cokernels of chosen maps) ------------
+# -- extensions ------------------------------------------------------------
 
 
-class Rep:
-    """Representation of the tiling algebra with explicit matrices.
-
-    dims[i] is the dimension at node i; mats[arrow] is a dims[target] x
-    dims[source] matrix over Fraction.  Only needed where string sums
-    get quotiented by non-split images."""
-
-    def __init__(self, tree, dims, mats):
-        self.tree = tree
-        self.dims = list(dims)
-        self.mats = mats
-
-    @staticmethod
-    def from_sum(tree, segments):
-        """Block sum of string modules.  Node slots are ordered by
-        component index; `slots` maps (component, node) -> row."""
-        alg = tiling_algebra(tree)
-        n = tree.n
-        dims = [0] * n
-        slots = {}
-        for k, seg in enumerate(segments):
-            for e in seg.edge_set():
-                i = tree.edge_index[e]
-                slots[(k, i)] = dims[i]
-                dims[i] += 1
-        mats = {}
-        for ar in alg.arrows:
-            src = tree.edge_index[ar.source]
-            tgt = tree.edge_index[ar.target]
-            mat = [[Fraction(0)] * dims[src] for _ in range(dims[tgt])]
-            for k, seg in enumerate(segments):
-                if _acts(seg, ar):
-                    mat[slots[(k, tgt)]][slots[(k, src)]] = Fraction(1)
-            mats[ar] = mat
-        rep = Rep(tree, dims, mats)
-        rep.slots = slots
-        return rep
-
-    def dim_vector(self):
-        return tuple(self.dims)
-
-    def hom_from_string(self, segment):
-        """dim Hom(M(segment), self), by exact solve."""
-        tree = self.tree
-        alg = tiling_algebra(tree)
-        sup = [tree.edge_index[e] for e in sorted(segment.edge_set())]
-        offset = {}
-        total = 0
-        for i in sup:
-            offset[i] = total
-            total += self.dims[i]
-        if total == 0:
-            return 0
-        rows = []
-        for ar in alg.arrows:
-            src = tree.edge_index[ar.source]
-            tgt = tree.edge_index[ar.target]
-            if src not in offset:
-                continue
-            acts = 1 if _acts(segment, ar) else 0
-            for r in range(self.dims[tgt]):
-                row = [Fraction(0)] * total
-                for c in range(self.dims[src]):
-                    row[offset[src] + c] += self.mats[ar][r][c]
-                if acts and tgt in offset:
-                    row[offset[tgt] + r] -= 1
-                if any(row):
-                    rows.append(row)
-        return total - rank(rows)
-
-    def profile(self):
-        """Hom-dimensions from every indecomposable; determines the
-        isomorphism class."""
-        return tuple(self.hom_from_string(s)
-                     for s in self.tree.all_segments)
+def _by_vertices(segments):
+    return tuple(sorted(segments, key=lambda s: s.vertices))
 
 
-def _string_profile(tree, segment):
-    table = hom_table(tree)
-    return tuple(table[(s, segment)] for s in tree.all_segments)
+def _nonsplit(tree, s, t):
+    """Segments of the middle term of the non-split extension with sub
+    M(s) and quotient M(t), sorted, or None when Ext^1(M(t), M(s)) = 0.
+    Built once per pair and tree."""
+    return tree.memo(("ext", s, t), _build_nonsplit, s, t)
 
 
-def _quotient_maps(column):
-    """Projection P with kernel spanned by `column` and a section R
-    with P R = id.  Identity pair when the column is zero."""
-    d = len(column)
-    if all(x == 0 for x in column):
-        eye = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
-        return eye, eye
-    p = next(i for i, x in enumerate(column) if x != 0)
-    keep = [i for i in range(d) if i != p]
-    P = []
-    for i in keep:
-        row = [Fraction(0)] * d
-        row[i] = Fraction(1)
-        row[p] = -Fraction(column[i], 1) / column[p]
-        P.append(row)
-    R = []
-    for i in range(d):
-        row = [Fraction(0)] * (d - 1)
-        if i != p:
-            row[keep.index(i)] = Fraction(1)
-        R.append(row)
-    return P, R
-
-
-def _mat_mul(A, B):
-    if not A or not B:
-        return [[] for _ in A]
-    cols = len(B[0])
-    inner = len(B)
-    return [[sum(A[i][k] * B[k][j] for k in range(inner))
-             for j in range(cols)] for i in range(len(A))]
-
-
-def _cokernel_rep(tree, E, columns):
-    """Cokernel of a map from a thin module into E, given the image
-    column at each node (zero column where the map misses the node)."""
-    alg = tiling_algebra(tree)
-    P = {}
-    R = {}
-    dims = []
-    for i in range(tree.n):
-        col = columns.get(i, [Fraction(0)] * E.dims[i])
-        P[i], R[i] = _quotient_maps(col)
-        dims.append(len(P[i]))
-    mats = {}
-    for ar in alg.arrows:
-        src = tree.edge_index[ar.source]
-        tgt = tree.edge_index[ar.target]
-        mats[ar] = _mat_mul(_mat_mul(P[tgt], E.mats[ar]), R[src])
-    return Rep(tree, dims, mats)
-
-
-# -- extension middle terms ---------------------------------------------
-
-
-def _candidate_sums(tree, target):
-    """Multisets of segments whose indicator vectors sum to `target`.
-    Segments are chosen in nondecreasing order; the lowest uncovered
-    node prunes the search."""
-    target = tuple(target)
-    return tree.memo(("candidates", target), _build_candidate_sums, target)
-
-
-def _build_candidate_sums(tree, target):
-    segs = list(tree.all_segments)
-    vecs = [string_module(tree, s).dim_vector for s in segs]
-    out = []
-
-    def rec(start, remaining, chosen):
-        if all(x == 0 for x in remaining):
-            out.append(tuple(chosen))
-            return
-        low = next(i for i, x in enumerate(remaining) if x > 0)
-        for k in range(start, len(segs)):
-            v = vecs[k]
-            if v[low] == 0:
-                continue
-            if any(v[i] > remaining[i] for i in range(tree.n)):
-                continue
-            rec(k, tuple(r - x for r, x in zip(remaining, v)),
-                chosen + [segs[k]])
-
-    rec(0, target, [])
-    return tuple(out)
-
-
-def _injection_with_cokernel(tree, X, E_segments, Y):
-    """Search for an injection X -> sum(E_segments) whose cokernel is
-    isomorphic to Y.  Returns True when a certified witness exists.
-
-    Witnesses are exact: injectivity is checked edgewise and the
-    cokernel is compared with Y through Hom-profiles against every
-    indecomposable, which determine modules up to isomorphism.  The
-    search space of coefficient vectors is a finite grid, so a miss is
-    possible in principle; every certificate is sound."""
-    basis = []
-    for k, seg in enumerate(E_segments):
-        for b in hom_basis(tree, X, string_module(tree, seg)):
-            basis.append((k, b))
-    if not basis:
-        return False
-    xsup = sorted(tree.edge_index[e] for e in X.support)
-    # quick reachability: every X-node must be hit by some basis map
-    reach = set()
-    for k, b in basis:
-        for e in b:
-            reach.add(tree.edge_index[e])
-    if not set(xsup) <= reach:
-        return False
-    E = Rep.from_sum(tree, E_segments)
-    want_dims = tuple(a - b for a, b in
-                      zip(E.dim_vector(), X.dim_vector))
-    want_profile = _string_profile(tree, Y.segment)
-    if len(basis) <= 4:
-        grid = itertools.product((-2, -1, 0, 1, 2), repeat=len(basis))
-    elif len(basis) <= 9:
-        grid = itertools.product((-1, 0, 1), repeat=len(basis))
-    else:
-        # at most three nonzero coefficients once the space is huge;
-        # certificates stay sound, the search just gets sparser
-        def sparse():
-            for spots in itertools.combinations(range(len(basis)), 3):
-                for vals in itertools.product((-1, 0, 1), repeat=3):
-                    c = [0] * len(basis)
-                    for s, v in zip(spots, vals):
-                        c[s] = v
-                    yield tuple(c)
-        grid = sparse()
-    for coeffs in grid:
-        if all(c == 0 for c in coeffs):
-            continue
-        columns = {}
-        for i in xsup:
-            columns[i] = [Fraction(0)] * E.dims[i]
-        ok = True
-        for c, (k, b) in zip(coeffs, basis):
-            if c == 0:
-                continue
-            for e, val in b.items():
-                i = tree.edge_index[e]
-                columns[i][E.slots[(k, i)]] += c * val
-        for i in xsup:
-            if all(x == 0 for x in columns[i]):
-                ok = False
-                break
-        if not ok:
-            continue
-        coker = _cokernel_rep(tree, E, columns)
-        if coker.dim_vector() != want_dims:
-            continue
-        if coker.profile() == want_profile:
-            return True
-    return False
-
-
-def _certify_middle(tree, X, Y, cand):
-    """Whether `cand` is a certified middle term for an extension with
-    sub X and quotient Y.  Cached per (sub, quotient, candidate)."""
-    split = tuple(sorted((X.segment, Y.segment), key=lambda s: s.vertices))
-    if cand == split:
-        return True
-    return tree.memo(("middle", X.segment, Y.segment, cand),
-                     _injection_with_cokernel, X, cand, Y)
+def _build_nonsplit(tree, s, t):
+    run = _shared_run(s, t)
+    if run is None:
+        # arrow extension: s and t meet end to end in the segment u
+        u = compose(tree, s, t)
+        if (u is not None and s in gc_vectors.submodule_segments(tree, u)
+                and t in gc_vectors.quotient_segments(tree, u)):
+            return (u,)
+        return None
+    # overlap extension: s = s1 r s2 and t = t1 r t2 with r running the
+    # same way in both; the middle term is s1 r t2 + t1 r s2
+    sv = s.vertices
+    tv = t.vertices
+    if tv.index(run[0]) > tv.index(run[-1]):
+        tv = tv[::-1]
+    i, k = sv.index(run[0]), tv.index(run[0])
+    pieces = _by_vertices((Segment.canonical(sv[:i] + tv[k:]),
+                           Segment.canonical(tv[:k] + sv[i:])))
+    if pieces == _by_vertices((s, t)):
+        return None
+    if all(_graph_map(tree, s, p) is not None
+           and _graph_map(tree, p, t) is not None for p in pieces):
+        return pieces
+    return None
 
 
 def middle_terms(tree, X, Y):
-    """Certified middle terms of extensions with sub X and quotient Y,
-    as multisets of segments.  The split sum is always present."""
-    target = tuple(a + b for a, b in zip(X.dim_vector, Y.dim_vector))
-    return tuple(cand for cand in _candidate_sums(tree, target)
-                 if _certify_middle(tree, X, Y, cand))
+    """Middle terms of the extensions with sub X and quotient Y, as
+    multisets of segments: the split sum, then the non-split term when
+    Ext^1(Y, X) is not zero (it is at most one-dimensional)."""
+    split = _by_vertices((X.segment, Y.segment))
+    term = _nonsplit(tree, X.segment, Y.segment)
+    return (split,) if term is None else (split, term)
 
 
 # -- kernel/cokernel closure and wideness --------------------------------
-
-
-def _map_patterns(tree, X, Y):
-    """All achievable (kernel, cokernel) summand sets over morphisms
-    X -> Y, via exact zero-set analysis of the Hom space."""
-    return tree.memo(("patterns", X.segment, Y.segment),
-                     _build_map_patterns, X, Y)
-
-
-def _build_map_patterns(tree, X, Y):
-    shared, rows = _hom_system(tree, X, Y)
-    col = {e: i for i, e in enumerate(shared)}
-    xedges = X.segment.edges()
-    yedges = Y.segment.edges()
-    results = set()
-
-    def solution_dim(forced_zero):
-        extra = []
-        for e in forced_zero:
-            row = [Fraction(0)] * len(shared)
-            row[col[e]] = Fraction(1)
-            extra.append(row)
-        return len(shared) - rank(rows + extra)
-
-    for zero_set in itertools.chain.from_iterable(
-            itertools.combinations(shared, r)
-            for r in range(len(shared) + 1)):
-        zs = set(zero_set)
-        d = solution_dim(zs)
-        # the zero set is exact iff no further shared edge vanishes on
-        # the whole solution space
-        exact = all(solution_dim(zs | {e}) < d
-                    for e in shared if e not in zs)
-        if not exact:
-            continue
-        kpos = [i for i, e in enumerate(xedges)
-                if e in zs or e not in Y.support]
-        cpos = [i for i, e in enumerate(yedges)
-                if e in zs or e not in X.support]
-        kernel = _run_summands(tree, X.segment, kpos)
-        coker = _run_summands(tree, Y.segment, cpos)
-        results.add((kernel, coker))
-    return frozenset(results)
 
 
 def is_wide(tree, indec_set):
@@ -637,31 +376,24 @@ def is_wide(tree, indec_set):
     wide: closed under kernels and cokernels of morphisms between
     members and under extensions.
 
-    Extension closure is decided through certified middle terms; a
-    certificate always names a genuine short exact sequence, so a False
-    verdict is exact, while True additionally relies on the middle-term
-    search being exhaustive on the finite coefficient grid."""
+    Every ordered pair of members is checked: the kernel of the graph
+    map on r (the part of s outside r), its cokernel (the part of t
+    outside r) and the middle term of the non-split extension must lie
+    in the set.  Raises ValueError on a segment that does not belong to
+    the tree."""
     members = {m.segment if isinstance(m, StringModule) else m
                for m in indec_set}
-    all_segs = set(tree.all_segments)
-    assert members <= all_segs, "unknown module in candidate set"
-    if members == all_segs or not members:
-        return True
-    mods = [string_module(tree, s) for s in sorted(members,
-                                                   key=lambda s: s.vertices)]
-    for X in mods:
-        for Y in mods:
-            for kernel, coker in _map_patterns(tree, X, Y):
-                for part in (kernel, coker):
-                    if any(m.segment not in members for m in part):
-                        return False
-    for X in mods:
-        for Y in mods:
-            target = tuple(a + b for a, b in
-                           zip(X.dim_vector, Y.dim_vector))
-            for cand in _candidate_sums(tree, target):
-                if all(s in members for s in cand):
-                    continue
-                if _certify_middle(tree, X, Y, cand):
-                    return False
+    unknown = members - set(tree.all_segments)
+    if unknown:
+        raise ValueError("not a segment of this tree: %s" % ", ".join(
+            repr(s) for s in _by_vertices(unknown)))
+    for s in members:
+        for t in members:
+            r = _graph_map(tree, s, t)
+            if r is not None and not members.issuperset(
+                    _outside(s, r.vertices) + _outside(t, r.vertices)):
+                return False
+            term = _nonsplit(tree, s, t)
+            if term is not None and not members.issuperset(term):
+                return False
     return True

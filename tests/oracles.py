@@ -4,14 +4,16 @@ Everything here derives the same objects from a different definition
 than the production code: segments from edge-face incidence instead of
 rotation adjacency, submodules from explicit matrix invariance instead
 of turn conditions, semistability from the full submodule lattice
-instead of the indecomposable shortcut.  Slow is fine; different is
-the point.
+instead of the indecomposable shortcut, Hom and Ext^1 from matrix
+ranks instead of segment overlaps.  Slow is fine; different is the
+point.
 """
 
 import itertools
+from fractions import Fraction
 
 from treestab import string_modules
-from treestab.tree_core import Segment
+from treestab.tree_core import Segment, compose
 
 
 def edge_faces(tree, edge):
@@ -124,6 +126,118 @@ def indec_quots(tree, segment):
 def hom_count(tree, s, t):
     """Graph-map count: quotient shapes of s that are sub shapes of t."""
     return len(indec_quots(tree, s) & indec_subs(tree, t))
+
+
+def closed_under_graph_maps(tree, members):
+    """Wideness of a set of segments, by closure under the kernel and
+    cokernel of every graph map between members (matrix-invariant
+    quotient and sub shapes) and under composition of members."""
+    for s in members:
+        for t in members:
+            u = compose(tree, s, t)
+            if u is not None and u not in members:
+                return False
+            for q in indec_quots(tree, s) & indec_subs(tree, t):
+                for seg in (s, t):
+                    rest = {i for i, e in enumerate(seg.edges())
+                            if e not in q.edge_set()}
+                    if not set(_pattern_runs(seg, rest)) <= members:
+                        return False
+    return True
+
+
+def rank(rows):
+    """Rank of an integer or rational matrix, by exact elimination."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c] / mat[r][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        r += 1
+    return r
+
+
+def _acts(segment, arrow):
+    """Whether the arrow acts (as 1) on the string module of the
+    segment: its two edges must be consecutive in the segment."""
+    edges = segment.edges()
+    return any({e1, e2} == {arrow.source, arrow.target}
+               for e1, e2 in zip(edges, edges[1:]))
+
+
+def ext_dim(tree, s, t):
+    """dim Ext^1(M(t), M(s)) from the start of the standard resolution:
+    cocycles (f_a : M(t)_source -> M(s)_target per arrow a) with
+    X_b f_a + f_b Y_a = 0 for each relation (a, b), modulo the
+    coboundaries X_a h - h Y_a of edgewise maps h.  X is M(s) and Y is
+    M(t); both are thin, so every block is 1x1."""
+    alg = string_modules.tiling_algebra(tree)
+    xs, ys = s.edge_set(), t.edge_set()
+    cols = [ar for ar in alg.arrows if ar.source in ys and ar.target in xs]
+    col = {ar: i for i, ar in enumerate(cols)}
+    cocycle = []
+    for a, b in alg.relations:
+        row = [0] * len(cols)
+        if a in col and _acts(s, b):
+            row[col[a]] += 1
+        if b in col and _acts(t, a):
+            row[col[b]] += 1
+        cocycle.append(row)
+    shared = sorted(xs & ys)
+    coboundary = []
+    for e in shared:
+        row = [0] * len(cols)
+        for ar in cols:
+            if ar.source == e and _acts(s, ar):
+                row[col[ar]] += 1
+            if ar.target == e and _acts(t, ar):
+                row[col[ar]] -= 1
+        coboundary.append(row)
+    return len(cols) - rank(cocycle) - rank(coboundary)
+
+
+def _commutes(tree, x, y, f):
+    """Whether the edgewise scalars f (edge -> value, zero elsewhere)
+    form a module map M(x) -> M(y)."""
+    for ar in string_modules.tiling_algebra(tree).arrows:
+        lhs = f.get(ar.target, 0) if _acts(x, ar) else 0
+        rhs = f.get(ar.source, 0) if _acts(y, ar) else 0
+        if lhs != rhs:
+            return False
+    return True
+
+
+def is_short_exact(tree, s, pieces, t):
+    """Whether 0 -> M(s) -> sum M(p) -> M(t) -> 0 is exact for the maps
+    that are 1 on the edges s shares with each piece p and, into M(t),
+    (-1)^k on the edges piece k shares with t.  Checks that each
+    component commutes with every arrow, then edge by edge that the
+    first map is injective, the second surjective, their composite zero
+    and the dimensions add up, which together give exactness."""
+    xs, ys = s.edge_set(), t.edge_set()
+    into = [dict.fromkeys(xs & p.edge_set(), 1) for p in pieces]
+    onto = [dict.fromkeys(p.edge_set() & ys, (-1) ** k)
+            for k, p in enumerate(pieces)]
+    if not all(_commutes(tree, s, p, f) and _commutes(tree, p, t, g)
+               for p, f, g in zip(pieces, into, onto)):
+        return False
+    for e in tree.interior_edges:
+        i = [f.get(e, 0) for f in into]
+        o = [g.get(e, 0) for g in onto]
+        if sum(1 for p in pieces if e in p.edge_set()) != \
+                (e in xs) + (e in ys):
+            return False
+        if (e in xs and not any(i)) or (e in ys and not any(o)):
+            return False
+        if sum(a * b for a, b in zip(i, o)) != 0:
+            return False
+    return True
 
 
 def semistable_full_lattice(tree, theta, segment):

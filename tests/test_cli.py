@@ -176,3 +176,28 @@ def test_facets_json_roundtrip():
                if not a["boundary"]]
     assert len(colored) == 10
     assert all(a["color"] in ("red", "green") for a in colored)
+
+
+DOCTORED = {
+    "zigzag-dominance": "gc_vectors.zigzag_dominance_check = "
+                        "lambda facet, arc: False\n",
+    "converse-sweep": "string_modules.is_wide = lambda tree, segs: False\n",
+}
+
+
+@pytest.mark.parametrize("check", sorted(DOCTORED))
+def test_check_all_failures_survive_optimize(check):
+    """A doctored check still fails `check-all` under `python -O`."""
+    script = (
+        "import sys\n"
+        "from treestab import cli, gc_vectors, string_modules\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(3)\n"
+        + DOCTORED[check] +
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", script, "check-all", "--samples", "5",
+         fixture_path("cyc3")], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1, r.stderr
+    line = next(ln for ln in r.stdout.splitlines() if ln.startswith(check))
+    assert line.split()[1] == "FAIL", r.stdout

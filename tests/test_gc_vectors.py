@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from conftest import get_tree
+from conftest import fixture_path, get_tree
+from treestab import gc_vectors
 from treestab.nc_complex import facets
 from treestab.gc_vectors import (
     c_vector,
@@ -15,7 +16,7 @@ from treestab.gc_vectors import (
     zigzag,
     zigzag_dominance_check,
 )
-from treestab.tree_core import Segment
+from treestab.tree_core import ConventionError, Segment, load_tree
 
 
 def _facet_by_leaves(tree, leaf_pairs):
@@ -199,3 +200,21 @@ def test_dominance_preconditions():
     by_leaves = {d.leaves: d for d in f.colored}
     with pytest.raises(ValueError):
         zigzag_dominance_check(f, by_leaves[("l1", "l4")])  # green
+
+
+def test_orientation_mismatch_raises(monkeypatch):
+    """C_s and K_s carry Hom and Ext, so a sub-path set that depends on
+    the orientation of s is an error, not a warning."""
+    tree = load_tree(fixture_path("a2"))  # fresh: nothing memoized
+    real = gc_vectors._subpaths_with_turns
+
+    def lopsided(tree, vertices, start_turn, end_turn):
+        out = real(tree, vertices, start_turn, end_turn)
+        return out if vertices[0] < vertices[-1] else set()
+
+    monkeypatch.setattr(gc_vectors, "_subpaths_with_turns", lopsided)
+    seg = Segment.canonical(("v1", "v2", "v3"))
+    with pytest.raises(ConventionError, match="C_s differs"):
+        submodule_segments(tree, seg)
+    with pytest.raises(ConventionError, match="K_s differs"):
+        quotient_segments(tree, seg)

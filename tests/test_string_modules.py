@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 import oracles
+import randtrees
 from conftest import get_tree, SMALL
 from treestab import string_modules as sm
-from treestab.tree_core import Segment
+from treestab.tree_core import EmbeddedTree, Segment
 
 ALGEBRA_DIMS = {"a2": 3, "star3": 0, "subseg": 8, "cyc3": 6,
                 "deg45": 5, "caterpillar4": 6, "big8": 16}
@@ -76,15 +78,15 @@ def test_hom_frozen_a2():
             assert d == 0
 
 
-def test_hom_dim_matches_graph_map_count(small_tree):
-    """Solution-space dimension equals the count of quotient shapes of
-    the source that are sub shapes of the target."""
-    for s in small_tree.all_segments:
-        for t in small_tree.all_segments:
-            X = sm.string_module(small_tree, s)
-            Y = sm.string_module(small_tree, t)
-            assert sm.hom_dim(small_tree, X, Y) == \
-                oracles.hom_count(small_tree, s, t), (s, t)
+def test_hom_dim_matches_graph_map_count(suite_tree):
+    """Hom dimension equals the count of quotient shapes of the source
+    that are sub shapes of the target."""
+    for s in suite_tree.all_segments:
+        for t in suite_tree.all_segments:
+            X = sm.string_module(suite_tree, s)
+            Y = sm.string_module(suite_tree, t)
+            assert sm.hom_dim(suite_tree, X, Y) == \
+                oracles.hom_count(suite_tree, s, t), (s, t)
 
 
 def test_hom_basis_maps_commute(small_tree):
@@ -96,8 +98,8 @@ def test_hom_basis_maps_commute(small_tree):
             Y = sm.string_module(small_tree, t)
             for f in sm.hom_basis(small_tree, X, Y):
                 for ar in alg.arrows:
-                    xa = 1 if oracles.string_modules._acts(s, ar) else 0
-                    ya = 1 if oracles.string_modules._acts(t, ar) else 0
+                    xa = 1 if oracles._acts(s, ar) else 0
+                    ya = 1 if oracles._acts(t, ar) else 0
                     lhs = xa * f.get(ar.target, 0)
                     rhs = ya * f.get(ar.source, 0)
                     assert lhs == rhs
@@ -183,19 +185,43 @@ def test_middle_terms_a2():
     assert len(backward) == 1  # split only
 
 
-def test_rep_profile_consistency(small_tree):
-    """Hom from a string into a one-summand rep agrees with the string
-    against string computation."""
-    segs = list(small_tree.all_segments)
-    for t in segs[:4]:
-        rep = sm.Rep.from_sum(small_tree, [t])
-        for s in segs:
-            X = sm.string_module(small_tree, s)
-            Y = sm.string_module(small_tree, t)
-            assert rep.hom_from_string(s) == sm.hom_dim(small_tree, X, Y)
-
-
 def test_is_wide_rejects_unknown_module():
     tree = get_tree("a2")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         sm.is_wide(tree, {Segment.canonical(("v1", "v9"))})
+
+
+def assert_middle_terms_exact(tree):
+    """For every ordered pair: the split sum is a middle term, the
+    non-split terms are as many as dim Ext^1 by cocycle ranks, and each
+    one carries a short exact sequence."""
+    for s in tree.all_segments:
+        for t in tree.all_segments:
+            X = sm.string_module(tree, s)
+            Y = sm.string_module(tree, t)
+            split = tuple(sorted((s, t), key=lambda x: x.vertices))
+            terms = sm.middle_terms(tree, X, Y)
+            assert split in terms, (s, t, terms)
+            nonsplit = [c for c in terms if c != split]
+            assert len(nonsplit) == oracles.ext_dim(tree, s, t), (s, t)
+            for c in nonsplit:
+                assert oracles.is_short_exact(tree, s, c, t), (s, c, t)
+
+
+def test_middle_terms_match_ext_oracle(suite_tree):
+    assert_middle_terms_exact(suite_tree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_middle_terms_match_ext_oracle_random(rotation):
+    assert_middle_terms_exact(EmbeddedTree(rotation))
+
+
+def test_is_wide_matches_oracle(small_tree):
+    segs = small_tree.all_segments
+    for r in range(len(segs) + 1):
+        for combo in itertools.combinations(segs, r):
+            members = set(combo)
+            assert sm.is_wide(small_tree, members) == \
+                oracles.closed_under_graph_maps(small_tree, members), combo
