@@ -24,10 +24,10 @@ name = sys.argv[1] if len(sys.argv) > 1 else "subseg"
 tree = load_tree(str(FIX / (name + ".tree")))
 
 t0 = time.time()
-report = verify_kreweras_stability(tree, jobs=2)
+report = verify_kreweras_stability(tree)
 print("%s: %s  (%.2fs)" % (name, report.summary_line(), time.time() - t0))
-for fr in report.failures():
-    print("  facet %d FAILED: %s" % (fr.index, "; ".join(fr.failures)))
+for index, reason in report.failures():
+    print("  facet %d FAILED: %s" % (index, reason))
 print()
 
 # show the first few facets in detail

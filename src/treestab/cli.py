@@ -202,7 +202,7 @@ def cmd_semistable(tree, args):
 
 
 def cmd_verify_thm1(tree, args):
-    report = semistable.verify_kreweras_stability(tree, jobs=args.jobs)
+    report = semistable.verify_kreweras_stability(tree)
     if args.format == "json":
         _json_out({"command": "verify-thm1",
                    "summary": report.summary_line(),
@@ -279,7 +279,7 @@ def cmd_check_all(tree, args):
         return "%d qualifying pairs" % count
 
     def theorem():
-        report = semistable.verify_kreweras_stability(tree, jobs=args.jobs)
+        report = semistable.verify_kreweras_stability(tree)
         if not report.all_passed:
             raise ConventionError(report.failures()[:3])
         return report.summary_line()
@@ -373,13 +373,13 @@ def _build_parser():
         theta={"required": True,
                "help": "comma-separated integer weight, one per interior "
                        "edge"})
-    add("verify-thm1", cmd_verify_thm1,
-        jobs={"type": int, "default": 1,
-              "help": "worker processes for the facet sweep"})
+    ignored_jobs = {"type": int, "default": 1,
+                    "help": "ignored: verification runs in one process"}
+    add("verify-thm1", cmd_verify_thm1, jobs=ignored_jobs)
     add("poset", cmd_poset, formats=("text", "json", "dot"),
         which={"choices": ("ncp", "ss"), "default": "ncp"})
     add("check-all", cmd_check_all,
-        jobs={"type": int, "default": 1},
+        jobs=ignored_jobs,
         seed={"type": int, "default": 0},
         samples={"type": int, "default": 200})
     return top
@@ -400,6 +400,9 @@ def main(argv=None):
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 2
+    except ConventionError as e:
+        print("check failed on %s: %s" % (args.tree, e), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -214,7 +214,9 @@ class Facet:
             chain = [e for e in self.arcs if corner in e.hugs]
             chain.sort(key=lambda e: len(e.region_containing(fi)))
             k = chain.index(d)
-            assert k > 0, "marked arc cannot be minimal at its corner"
+            if k == 0:
+                raise ConventionError(
+                    "marked arc cannot be minimal at its corner")
             out.append(chain[k - 1])
         return tuple(out)
 
@@ -228,18 +230,14 @@ def facets(tree):
 
     Enumeration runs maximal-clique search over the non-boundary arcs
     only; boundary arcs cross nothing and are appended to every clique.
-    Purity (equal facet sizes) is asserted over the full enumeration.
+    Purity (equal facet sizes) is checked over the full enumeration.
     """
     return tree.memo("facets", _facets)
 
 
 def _facets(tree):
-    all_arcs = arcs(tree)
-    bnd = [d for d in all_arcs if d.is_boundary]
-    colored = [d for d in all_arcs if not d.is_boundary]
-    if len(bnd) != len(tree.boundary_leaves) and len(tree.leaves) > 2:
-        import warnings
-        warnings.warn("boundary arc missing; facets may be irregular")
+    bnd = boundary_arcs(tree)
+    colored = [d for d in arcs(tree) if not d.is_boundary]
     adjacency = {
         i: {j for j in range(len(colored))
             if j != i and not crossing(colored[i], colored[j])}

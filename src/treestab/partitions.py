@@ -13,7 +13,7 @@ torsion-pair bookkeeping finite and checkable.
 from __future__ import annotations
 
 from . import gc_vectors, nc_complex, string_modules
-from .tree_core import Segment, compose
+from .tree_core import ConventionError, Segment, compose
 
 
 class TreePartition:
@@ -118,8 +118,9 @@ def _glued_partition(facet, color):
                 if facet.color[d] == color]
     part = _endpoint_partition(facet.tree, segments)
     for s in segments:
-        assert not set(s.vertices[1:-1]) & set(part.block_of(s.vertices[0])), \
-            "%s segment %r not minimal in its block" % (color, s)
+        if set(s.vertices[1:-1]) & set(part.block_of(s.vertices[0])):
+            raise ConventionError("%s segment %r not minimal in its block"
+                                  % (color, s))
     return part
 
 
@@ -130,8 +131,8 @@ def _ncp_table(tree):
         red = red_partition(facet)
         reds.append(red)
         complement[red] = green_partition(facet)
-    assert len(complement) == len(reds), \
-        "red partitions repeat across facets"
+    if len(complement) != len(reds):
+        raise ConventionError("red partitions repeat across facets")
     return tuple(reds), complement
 
 
@@ -182,7 +183,8 @@ class RedGreenTree:
             partition_segments(tree, self.complement),
             key=lambda s: s.vertices)
         overlap = set(self.red_segments) & set(self.green_segments)
-        assert not overlap, "segment on both sides: %r" % (overlap,)
+        if overlap:
+            raise ConventionError("segment on both sides: %r" % (overlap,))
         self.adjacency = {v: [] for v in tree.interior_vertices}
         edges = 0
         for color, segs in (("red", self.red_segments),
@@ -192,12 +194,13 @@ class RedGreenTree:
                 self.adjacency[a].append((b, s, color))
                 self.adjacency[b].append((a, s, color))
                 edges += 1
-        assert edges == len(tree.interior_vertices) - 1, \
-            "red and green segments miss the tree count"
+        if edges != len(tree.interior_vertices) - 1:
+            raise ConventionError("red and green segments miss the tree count")
         # connectivity makes it a tree
         glued = _endpoint_partition(tree, self.red_segments
                                     + self.green_segments)
-        assert len(glued.blocks) == 1, "red-green graph is disconnected"
+        if len(glued.blocks) != 1:
+            raise ConventionError("red-green graph is disconnected")
 
     def tree_path(self, v, u):
         """Segments along the unique path from v to u, each tagged with
@@ -248,14 +251,7 @@ def segment_closure(tree, segments):
 
 def is_closed(tree, segments):
     segments = set(segments)
-    for s in segments:
-        for t in segments:
-            if s == t:
-                continue
-            c = compose(tree, s, t)
-            if c is not None and c not in segments:
-                return False
-    return True
+    return segment_closure(tree, segments) == segments
 
 
 def is_biclosed(tree, segments):
@@ -269,7 +265,8 @@ def join_biclosed(tree, b1, b2):
     """Join in the biclosed-set order: closure of the union.  The
     result is checked to be biclosed again."""
     joined = segment_closure(tree, set(b1) | set(b2))
-    assert is_biclosed(tree, joined), "join left the biclosed family"
+    if not is_biclosed(tree, joined):
+        raise ConventionError("join left the biclosed family")
     return joined
 
 
@@ -314,11 +311,14 @@ def _torsion_pair(tree, partition):
     F = frozenset(string_modules.string_module(tree, s) for s in fsegs)
     for X in T:
         for Y in F:
-            assert string_modules.hom_dim(tree, X, Y) == 0, \
-                "torsion class maps onto its own free class: %r -> %r" % (X, Y)
+            if string_modules.hom_dim(tree, X, Y) != 0:
+                raise ConventionError(
+                    "torsion class maps onto its own free class: %r -> %r"
+                    % (X, Y))
     simples = {s for s in tree.all_segments if len(s) == 1}
     covered = {m.segment for m in T} | {m.segment for m in F}
-    assert simples <= covered, "simple module outside both classes"
+    if not simples <= covered:
+        raise ConventionError("simple module outside both classes")
     return T, F
 
 
@@ -332,12 +332,14 @@ def torsion_decompose(tree, partition, module):
     hits = [(sub, quot) for sub, quot, subsegs, quotsegs
             in tree.memo(("sub_quotients", module), _sub_quotients, module)
             if subsegs <= tsegs and quotsegs <= fsegs]
-    assert len(hits) == 1, \
-        "torsion decomposition of %r not unique: %r" % (module, hits)
+    if len(hits) != 1:
+        raise ConventionError("torsion decomposition of %r not unique: %r"
+                              % (module, hits))
     sub, quot = hits[0]
     total = tuple(a + b for a, b in zip(sub.dim_vector(tree),
                                         quot.dim_vector(tree)))
-    assert total == module.dim_vector, "dimension mismatch in decomposition"
+    if total != module.dim_vector:
+        raise ConventionError("dimension mismatch in decomposition")
     return hits[0]
 
 

@@ -135,7 +135,7 @@ def check_facet(tree, facet):
     theta = gc_vectors.kreweras_theta(facet)
     res = FacetResult(facet.index, theta)
     ss = semistable_modules(tree, theta)
-    part = partitions.red_partition(facet)
+    part = partitions.noncrossing_partitions(tree)[facet.index]
     wide = partitions.wide_from_partition(tree, part)
     if ss != wide:
         res.failures.append(
@@ -184,29 +184,10 @@ def check_facet(tree, facet):
     return res
 
 
-def verify_kreweras_stability(tree, jobs=1):
-    """Run check_facet over every facet.  `jobs` > 1 splits the facet
-    list across processes; results are identical either way."""
-    all_facets = nc_complex.facets(tree)
-    if jobs > 1 and len(all_facets) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        indices = list(range(len(all_facets)))
-        chunks = [indices[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(_check_chunk,
-                             [(tree.rotation, c) for c in chunks])
-            results = [r for part in parts for r in part]
-        results.sort(key=lambda r: r.index)
-        return SemistableReport(results)
-    return SemistableReport([check_facet(tree, f) for f in all_facets])
-
-
-def _check_chunk(payload):
-    from .tree_core import EmbeddedTree
-    rotation, indices = payload
-    tree = EmbeddedTree(rotation)
-    fs = nc_complex.facets(tree)
-    return [check_facet(tree, fs[i]) for i in indices]
+def verify_kreweras_stability(tree):
+    """Run check_facet over every facet, in facet order."""
+    return SemistableReport([check_facet(tree, f)
+                             for f in nc_complex.facets(tree)])
 
 
 # -- poset comparison ----------------------------------------------------

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from . import gc_vectors
-from .tree_core import Segment, compose
+from .tree_core import ConventionError, Segment, compose
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,8 @@ class TilingAlgebra:
             for nxt in outgoing.get(path[-1].target, []):
                 if (path[-1], nxt) in forbidden:
                     continue
-                assert len(path) < n, "path length exceeds edge count"
+                if len(path) >= n:
+                    raise ConventionError("path length exceeds edge count")
                 count += 1 + extend(path + [nxt])
             return count
 
@@ -189,9 +189,11 @@ def _action_pairs(tree, segment):
     for i in range(len(edges) - 1):
         if (edges[i], edges[i + 1]) in alg.by_edges:
             out.append((i, i + 1))
-        else:
-            assert (edges[i + 1], edges[i]) in alg.by_edges
+        elif (edges[i + 1], edges[i]) in alg.by_edges:
             out.append((i + 1, i))
+        else:
+            raise ConventionError("no arrow between edges %r and %r of %r"
+                                  % (edges[i], edges[i + 1], segment))
     return out
 
 
@@ -306,17 +308,6 @@ def hom_basis(tree, X, Y):
     graph map, 1 on every edge of the shared run."""
     r = _graph_map(tree, X.segment, Y.segment)
     return [] if r is None else [dict.fromkeys(r.edges(), 1)]
-
-
-def hom_table(tree):
-    """dim Hom(M(s), M(t)) for all ordered segment pairs."""
-    return tree.memo("hom_table", _hom_table)
-
-
-def _hom_table(tree):
-    indecs = indecomposables(tree)
-    return MappingProxyType({(X.segment, Y.segment): hom_dim(tree, X, Y)
-                             for X in indecs for Y in indecs})
 
 
 # -- extensions ------------------------------------------------------------

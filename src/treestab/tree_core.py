@@ -310,16 +310,21 @@ class EmbeddedTree:
         path.reverse()
         return path
 
+    def _turn(self, v, a, b):
+        """"left" when ray b is immediately clockwise from ray a about v,
+        "right" when immediately counterclockwise, None otherwise."""
+        if self.cw_next(v, a) == b:
+            return "left"
+        if self.ccw_next(v, a) == b:
+            return "right"
+        return None
+
     def is_extreme_path(self, path):
         """True when every consecutive edge pair of the path is incident
         to a common face, i.e. entry and exit rays are rotation-adjacent
         at every intermediate vertex."""
-        for i in range(1, len(path) - 1):
-            v = path[i]
-            a, b = path[i - 1], path[i + 1]
-            if self.ccw_next(v, a) != b and self.cw_next(v, a) != b:
-                return False
-        return True
+        return all(self._turn(path[i], path[i - 1], path[i + 1])
+                   for i in range(1, len(path) - 1))
 
     @cached_property
     def all_segments(self):
@@ -337,16 +342,17 @@ class EmbeddedTree:
         intermediate vertex: the sector pinched between entry and exit."""
         out = []
         for i in range(1, len(path) - 1):
-            v = path[i]
-            a, b = path[i - 1], path[i + 1]
-            if self.ccw_next(v, a) == b:
-                out.append((v, self.sector_face[(v, a)]))
-            elif self.cw_next(v, a) == b:
-                out.append((v, self.sector_face[(v, b)]))
-            else:
+            v, a, b = path[i], path[i - 1], path[i + 1]
+            side = self._turn(v, a, b)
+            if side is None:
                 raise ConventionError(
                     "path is not extreme at %r" % (v,))
+            out.append((v, self.sector_face[(v, a if side == "right" else b)]))
         return out
+
+    @cached_property
+    def _segment_by_ends(self):
+        return {s.endpoints: s for s in self.all_segments}
 
 
 def turn(tree, path, i):
@@ -363,14 +369,11 @@ def turn(tree, path, i):
     """
     if not (0 < i < len(path) - 1):
         raise ValueError("turn index must be intermediate")
-    v = path[i]
-    a, b = path[i - 1], path[i + 1]
-    if tree.cw_next(v, a) == b:
-        return "left"
-    if tree.ccw_next(v, a) == b:
-        return "right"
-    raise ValueError(
-        "path exits %r by a ray not adjacent to its entry" % (v,))
+    side = tree._turn(path[i], path[i - 1], path[i + 1])
+    if side is None:
+        raise ValueError(
+            "path exits %r by a ray not adjacent to its entry" % (path[i],))
+    return side
 
 
 def segment_turns(tree, seg):
@@ -381,22 +384,13 @@ def segment_turns(tree, seg):
 
 def compose(tree, s, t):
     """Concatenation of two segments sharing exactly one endpoint, when
-    the concatenation is again a segment; None otherwise."""
-    sv, tv = s.vertices, t.vertices
-    joined = None
-    for a in (sv, sv[::-1]):
-        for b in (tv, tv[::-1]):
-            if a[-1] == b[0]:
-                cand = a + b[1:]
-                if len(set(cand)) != len(cand):
-                    continue
-                if not tree.is_extreme_path(list(cand)):
-                    continue
-                new = Segment.canonical(cand)
-                if joined is not None and new != joined:
-                    return None
-                joined = new
-    return joined
+    the concatenation is again a segment; None otherwise.  Tree paths
+    are unique, so it is the segment joining the two outer endpoints
+    whenever that one's length is the sum of theirs."""
+    # the symmetric difference has two ends, and so can name a segment,
+    # exactly when s and t share one endpoint
+    u = tree._segment_by_ends.get(s.endpoints ^ t.endpoints)
+    return u if u is not None and len(u) == len(s) + len(t) else None
 
 
 def parse_tree(text):

@@ -13,7 +13,27 @@ import itertools
 from fractions import Fraction
 
 from treestab import string_modules
-from treestab.tree_core import Segment, compose
+from treestab.tree_core import Segment
+
+
+def compose_by_join(tree, s, t):
+    """Concatenation of two segments sharing exactly one endpoint, when
+    the concatenation is again a segment; None otherwise."""
+    sv, tv = s.vertices, t.vertices
+    joined = None
+    for a in (sv, sv[::-1]):
+        for b in (tv, tv[::-1]):
+            if a[-1] == b[0]:
+                cand = a + b[1:]
+                if len(set(cand)) != len(cand):
+                    continue
+                if not tree.is_extreme_path(list(cand)):
+                    continue
+                new = Segment.canonical(cand)
+                if joined is not None and new != joined:
+                    return None
+                joined = new
+    return joined
 
 
 def edge_faces(tree, edge):
@@ -134,7 +154,7 @@ def closed_under_graph_maps(tree, members):
     quotient and sub shapes) and under composition of members."""
     for s in members:
         for t in members:
-            u = compose(tree, s, t)
+            u = compose_by_join(tree, s, t)
             if u is not None and u not in members:
                 return False
             for q in indec_quots(tree, s) & indec_subs(tree, t):

@@ -130,7 +130,7 @@ def test_criterion_05_kreweras_stability():
     def body():
         for name in SUITE:
             tree = get_tree(name)
-            report = verify_kreweras_stability(tree, jobs=2)
+            report = verify_kreweras_stability(tree)
             assert report.all_passed, (name, report.summary_line,
                                        report.failures()[:3])
             # stability refinement spot check on every facet of the

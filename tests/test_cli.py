@@ -182,22 +182,44 @@ DOCTORED = {
     "zigzag-dominance": "gc_vectors.zigzag_dominance_check = "
                         "lambda facet, arc: False\n",
     "converse-sweep": "string_modules.is_wide = lambda tree, segs: False\n",
+    "torsion-pairs": "string_modules.hom_dim = lambda tree, M, N: 1\n",
 }
+
+
+def run_doctored(doctor, *args, optimize=True):
+    """`cli.main(args)` in a fresh interpreter after running `doctor`,
+    under `python -O` unless `optimize` is false."""
+    script = (
+        "import sys\n"
+        "from treestab import cli, gc_vectors, string_modules\n"
+        "if sys.flags.optimize != %d:\n"
+        "    sys.exit(3)\n" % optimize
+        + doctor +
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-c", script, *args],
+                          capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("check", sorted(DOCTORED))
 def test_check_all_failures_survive_optimize(check):
     """A doctored check still fails `check-all` under `python -O`."""
-    script = (
-        "import sys\n"
-        "from treestab import cli, gc_vectors, string_modules\n"
-        "if not sys.flags.optimize:\n"
-        "    sys.exit(3)\n"
-        + DOCTORED[check] +
-        "sys.exit(cli.main(sys.argv[1:]))\n")
-    r = subprocess.run(
-        [sys.executable, "-O", "-c", script, "check-all", "--samples", "5",
-         fixture_path("cyc3")], capture_output=True, text=True, timeout=120)
+    r = run_doctored(DOCTORED[check], "check-all", "--samples", "5",
+                     fixture_path("cyc3"))
     assert r.returncode == 1, r.stderr
     line = next(ln for ln in r.stdout.splitlines() if ln.startswith(check))
     assert line.split()[1] == "FAIL", r.stdout
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_convention_error_is_one_line_exit_1(optimize):
+    """A failed internal check escaping a subcommand is reported as one
+    stderr line and exit status 1, never as a traceback."""
+    r = run_doctored(DOCTORED["torsion-pairs"], "torsion",
+                     fixture_path("cyc3"), optimize=optimize)
+    assert r.returncode == 1, r.stderr
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1, r.stderr
+    assert lines[0].startswith("check failed on ")
+    assert "torsion class maps onto its own free class" in lines[0]

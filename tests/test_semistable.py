@@ -54,14 +54,6 @@ def test_facet_weights_verify(suite_tree):
     assert report.summary_line().endswith("facets pass")
 
 
-def test_jobs_give_same_report():
-    tree = get_tree("cyc3")
-    r1 = st.verify_kreweras_stability(tree, jobs=1)
-    r2 = st.verify_kreweras_stability(tree, jobs=2)
-    assert [(r.index, r.theta, r.failures) for r in r1.results] == \
-        [(r.index, r.theta, r.failures) for r in r2.results]
-
-
 def test_semistable_poset_isomorphism(suite_tree):
     po = st.semistable_poset(suite_tree)  # asserts the isomorphism
     assert len(po) == len(facets(suite_tree))

@@ -164,6 +164,24 @@ def test_compose_requires_extreme_result():
     assert compose(tree, s, t) is None
 
 
+def assert_compose_matches_join(tree):
+    segs = tree.all_segments
+    for s in segs:
+        for t in segs:
+            assert compose(tree, s, t) == oracles.compose_by_join(tree, s, t), \
+                (s, t)
+
+
+def test_compose_matches_join_oracle(suite_tree):
+    assert_compose_matches_join(suite_tree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_compose_matches_join_oracle_random(rotation):
+    assert_compose_matches_join(EmbeddedTree(rotation))
+
+
 @settings(max_examples=25, deadline=None)
 @given(randtrees.rotations())
 def test_random_tree_invariants(rotation):
