@@ -281,7 +281,10 @@ def cmd_check_all(tree, args):
     def theorem():
         report = semistable.verify_kreweras_stability(tree)
         if not report.all_passed:
-            raise ConventionError(report.failures()[:3])
+            bad = sum(not r.passed for r in report.results)
+            raise ConventionError("; ".join(
+                ["%d/%d facets fail" % (bad, len(report.results))]
+                + ["facet %d: %s" % f for f in report.failures()[:3]]))
         return report.summary_line()
 
     def posets():

@@ -40,7 +40,12 @@ def g_vector(tree, arc):
     """Entry per interior edge (x, y) traversed by the arc: +1 when the
     arc turns left at x and right at y, -1 when right at x and left at
     y, 0 when it turns the same way at both ends or avoids the edge.
-    Independent of traversal orientation."""
+    Independent of traversal orientation.  Built once per arc and
+    tree."""
+    return tree.memo(("g", arc), _g_vector, arc)
+
+
+def _g_vector(tree, arc):
     path = list(arc.path)
     vec = [0] * tree.n
     turns = {path[i]: turn(tree, path, i) for i in range(1, len(path) - 1)}

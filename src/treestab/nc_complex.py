@@ -1,16 +1,18 @@
 """Arcs, crossing, and the facets of the noncrossing complex.
 
 An arc is a leaf-to-leaf path whose consecutive edges always share a
-face.  Every arc splits the disk into two regions; regions are stored
-as sets of face indices, and since faces biject with boundary gaps the
-region of an arc is always a contiguous cyclic interval of gaps.  That
-makes the crossing test a constant-time interleaving check on boundary
-positions; the definitional region-containment test is kept alongside
-and the two are compared exhaustively in the test suite.
+face.  Faces biject with boundary gaps, so each of the two regions an
+arc splits the disk into is a contiguous cyclic interval of gaps: for
+an arc at boundary positions p < q, gaps p..q-1 on one side and the
+rest on the other.  `Arc.pos` is therefore all the region data there
+is; crossing is a constant-time interleaving check on it, and a region
+is read off it as a bitmask of gaps where one is needed.
 
 Facets carry the combinatorial payload everything downstream feeds on:
 which corner each arc is marked at, the color of each non-boundary
-arc, and the segment joining its two marked corners.
+arc, and the segment joining its two marked corners.  Marking reads
+one per-tree table, each corner's chain of arcs through it ordered by
+their region on the corner's side, largest first.
 """
 
 from __future__ import annotations
@@ -25,58 +27,40 @@ class Arc:
     """Leaf-to-leaf extreme path.
 
     `leaves` is ordered by boundary position, and `pos` holds those
-    positions.  `side` is the pair of face-index sets split off by the
-    arc: side[0] collects the gaps swept from leaves[0] counterclockwise
-    to leaves[1], side[1] the rest.
+    positions.  A boundary arc joins cyclically adjacent leaves.
     """
 
     leaves: tuple
     path: tuple = field(compare=False, repr=False)
     pos: tuple = field(compare=False, repr=False)
-    side: tuple = field(compare=False, repr=False)
-    hugs: frozenset = field(compare=False, repr=False)
-
-    @property
-    def is_boundary(self):
-        p, q = self.pos
-        length = len(self.side[0]) + len(self.side[1])
-        return (q - p) % length == 1 or (p - q) % length == 1
-
-    def region_containing(self, face_index):
-        if face_index in self.side[0]:
-            return self.side[0]
-        return self.side[1]
+    is_boundary: bool = field(compare=False, repr=False)
 
     def __repr__(self):
         return "Arc(%s~%s)" % self.leaves
 
 
-def _build_arc(tree, a, b):
-    pos = {leaf: i for i, leaf in enumerate(tree.boundary_leaves)}
-    if pos[a] > pos[b]:
-        a, b = b, a
-    path = tree.path_between(a, b)
+def _build_arc(tree, p, q):
+    """The arc between boundary leaves p < q, or None when their path
+    is not extreme."""
+    leaves = tree.boundary_leaves
+    path = tree.path_between(leaves[p], leaves[q])
     if not tree.is_extreme_path(path):
         return None
-    L = len(tree.boundary_leaves)
-    p, q = pos[a], pos[b]
-    side0 = frozenset(range(p, q))
-    side1 = frozenset(range(L)) - side0
-    hugs = frozenset(tree.hugged_corners(path))
-    return Arc((a, b), tuple(path), (p, q), (side0, side1), hugs)
+    return Arc((leaves[p], leaves[q]), tuple(path), (p, q),
+               q - p in (1, len(leaves) - 1))
 
 
 def arcs(tree):
-    """All arcs of the tree, sorted by boundary positions."""
-    out = []
-    leaves = tree.boundary_leaves
-    for i in range(len(leaves)):
-        for j in range(i + 1, len(leaves)):
-            arc = _build_arc(tree, leaves[i], leaves[j])
-            if arc is not None:
-                out.append(arc)
-    out.sort(key=lambda d: d.pos)
-    return out
+    """All arcs of the tree, sorted by boundary positions, as a tuple
+    built once per tree."""
+    return tree.memo("arcs", _arcs)
+
+
+def _arcs(tree):
+    L = len(tree.boundary_leaves)
+    built = (_build_arc(tree, p, q)
+             for p in range(L) for q in range(p + 1, L))
+    return tuple(arc for arc in built if arc is not None)
 
 
 def crossing(d1, d2):
@@ -89,30 +73,30 @@ def crossing(d1, d2):
     return (a1 < a2 < b1 < b2) or (a2 < a1 < b2 < b1)
 
 
-def crossing_by_regions(d1, d2):
-    """Definitional version: d1 and d2 cross when no choice of regions
-    nests.  Used as the oracle for `crossing`."""
-    for r1 in d1.side:
-        for r2 in d2.side:
-            if r1 <= r2 or r2 <= r1:
-                return False
-    return True
-
-
 def boundary_arcs(tree):
     """Arcs between cyclically adjacent boundary leaves.  These exist
     for every tree (the face walk certifies the extreme-path condition)
     and cross nothing, so they lie in every facet."""
-    leaves = tree.boundary_leaves
-    out = []
-    for i in range(len(leaves)):
-        arc = _build_arc(tree, leaves[i], leaves[(i + 1) % len(leaves)])
-        if arc is None:
-            raise ConventionError(
-                "boundary pair %r,%r is not an arc"
-                % (leaves[i], leaves[(i + 1) % len(leaves)]))
-        out.append(arc)
+    out = tuple(d for d in arcs(tree) if d.is_boundary)
+    if len(out) != len(tree.boundary_leaves):
+        raise ConventionError("%d boundary arcs for %d boundary leaves"
+                              % (len(out), len(tree.boundary_leaves)))
     return out
+
+
+def _chains(tree):
+    """Per corner (v, fi), the arcs through it paired with their region
+    on the side of gap fi as a gap bitmask, largest region first."""
+    full = (1 << len(tree.boundary_leaves)) - 1
+    through = {corner: [] for corner in tree.corners}
+    for d in arcs(tree):
+        p, q = d.pos
+        inner = (1 << q) - (1 << p)  # gaps p..q-1
+        for corner in tree.hugged_corners(d.path):
+            region = inner if p <= corner[1] < q else full ^ inner
+            through[corner].append((d, region))
+    return {corner: tuple(sorted(chain, key=lambda e: -e[1].bit_count()))
+            for corner, chain in through.items()}
 
 
 def _max_cliques(vertices, adjacent):
@@ -149,22 +133,25 @@ class Facet:
         self._mark()
         self._color()
 
+    def _chain(self, corner, members):
+        """The members through `corner`, with their regions, largest
+        first."""
+        return [e for e in self.tree.memo("chains", _chains)[corner]
+                if e[0] in members]
+
     def _mark(self):
-        tree = self.tree
+        members = frozenset(self.arcs)
         marks = {d: [] for d in self.arcs}
-        for corner in tree.corners:
-            _, fi = corner
-            candidates = [d for d in self.arcs if corner in d.hugs]
-            if not candidates:
+        for corner in self.tree.corners:
+            chain = self._chain(corner, members)
+            if not chain:
                 raise ConventionError("corner %r hugged by no arc" % (corner,))
-            regions = {d: d.region_containing(fi) for d in candidates}
-            # the F-side regions of arcs through one corner form a chain
-            candidates.sort(key=lambda d: len(regions[d]))
-            for small, big in zip(candidates, candidates[1:]):
-                if not regions[small] <= regions[big]:
+            # members cross nothing, so their regions form a chain
+            for (_, big), (_, small) in zip(chain, chain[1:]):
+                if small & ~big:
                     raise ConventionError(
                         "regions at corner %r do not nest" % (corner,))
-            marks[candidates[-1]].append(corner)
+            marks[chain[0][0]].append(corner)
         self.marks = {d: tuple(ms) for d, ms in marks.items()}
         for d in self.arcs:
             want = 1 if d.is_boundary else 2
@@ -173,8 +160,9 @@ class Facet:
                     "%r carries %d marks, expected %d"
                     % (d, len(self.marks[d]), want))
         for d in self.colored:
-            (v, fi), (u, gi) = self.marks[d]
-            if d.region_containing(fi) is d.region_containing(gi):
+            (_, fi), (_, gi) = self.marks[d]
+            p, q = d.pos
+            if (p <= fi < q) == (p <= gi < q):
                 raise ConventionError(
                     "marks of %r fall in the same region" % (d,))
 
@@ -208,16 +196,15 @@ class Facet:
         order."""
         if d.is_boundary:
             raise ValueError("boundary arcs have no supporting arcs")
+        members = frozenset(self.arcs)
         out = []
         for corner in self.marks[d]:
-            _, fi = corner
-            chain = [e for e in self.arcs if corner in e.hugs]
-            chain.sort(key=lambda e: len(e.region_containing(fi)))
+            chain = [e for e, _ in self._chain(corner, members)]
             k = chain.index(d)
-            if k == 0:
+            if k + 1 == len(chain):
                 raise ConventionError(
                     "marked arc cannot be minimal at its corner")
-            out.append(chain[k - 1])
+            out.append(chain[k + 1])
         return tuple(out)
 
     def key(self):
@@ -243,11 +230,8 @@ def _facets(tree):
             if j != i and not crossing(colored[i], colored[j])}
         for i in range(len(colored))
     }
-    cliques = list(_max_cliques(range(len(colored)), adjacency))
-    out = []
-    for clique in cliques:
-        members = bnd + [colored[i] for i in clique]
-        out.append(Facet(tree, members))
+    out = [Facet(tree, bnd + tuple(colored[i] for i in clique))
+           for clique in _max_cliques(range(len(colored)), adjacency)]
     out.sort(key=lambda f: f.key())
     for i, f in enumerate(out):
         f.index = i

@@ -348,7 +348,7 @@ def _sub_quotients(tree, module):
     an indecomposable."""
     out = []
     for sub in string_modules.all_submodules(tree, module):
-        quot = string_modules.quotient_by(tree, module, sub)
+        quot = string_modules._quotient(tree, module, sub)
         out.append((sub, quot, frozenset(m.segment for m in sub),
                     frozenset(m.segment for m in quot)))
     return tuple(out)

@@ -246,12 +246,16 @@ def quotient_by(tree, module, sub):
     of strings on the leftover runs."""
     if sub not in all_submodules(tree, module):
         raise ValueError("%r is not a submodule of %r" % (sub, module))
-    edges = module.segment.edges()
-    used = set()
-    for m in sub:
-        used |= m.support
-    positions = [i for i, e in enumerate(edges) if e not in used]
-    return _run_summands(tree, module.segment, positions)
+    return _quotient(tree, module, sub)
+
+
+def _quotient(tree, module, sub):
+    """Quotient by a known submodule: the strings on the edge positions
+    the submodule leaves out."""
+    used = set().union(*(m.support for m in sub))
+    return _run_summands(tree, module.segment,
+                         [i for i, e in enumerate(module.segment.edges())
+                          if e not in used])
 
 
 # -- Hom spaces ---------------------------------------------------------

@@ -266,10 +266,10 @@ class EmbeddedTree:
                     "vertex %r touches %d faces, expected deg %d"
                     % (v, len(touching), len(self.rotation[v])))
 
-    @property
+    @cached_property
     def corners(self):
         """All (interior vertex, face index) incidences."""
-        return [(v, f.index) for f in self.faces for v in f.vertices]
+        return tuple((v, f.index) for f in self.faces for v in f.vertices)
 
     def sector(self, v, start_neighbor):
         """Face filling the sector of v between ray `start_neighbor` and

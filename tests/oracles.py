@@ -275,6 +275,76 @@ def semistable_full_lattice(tree, theta, segment):
     return True
 
 
+# -- arc regions and corner marks ------------------------------------------
+
+
+def regions(tree, arc):
+    """The two regions of an arc as sets of gap indices: the gaps swept
+    from leaves[0] counterclockwise to leaves[1], and the rest."""
+    p, q = arc.pos
+    inner = frozenset(range(p, q))
+    return inner, frozenset(range(len(tree.boundary_leaves))) - inner
+
+
+def region_containing(tree, arc, face_index):
+    inner, outer = regions(tree, arc)
+    return inner if face_index in inner else outer
+
+
+def crossing_by_regions(tree, d1, d2):
+    """Definitional crossing: d1 and d2 cross when no choice of regions
+    nests."""
+    return not any(r1 <= r2 or r2 <= r1
+                   for r1 in regions(tree, d1) for r2 in regions(tree, d2))
+
+
+def scan_marks(tree, members):
+    """{arc: marked corners in `tree.corners` order}, by scanning every
+    member at every corner: the arcs through a corner, sorted by the
+    size of their region on the corner's side, must nest, and the
+    largest takes the mark."""
+    hugs = {d: frozenset(tree.hugged_corners(d.path)) for d in members}
+    marks = {d: [] for d in members}
+    for corner in tree.corners:
+        _, fi = corner
+        candidates = [d for d in members if corner in hugs[d]]
+        assert candidates, "corner %r hugged by no arc" % (corner,)
+        candidates.sort(key=lambda d: len(region_containing(tree, d, fi)))
+        for small, big in zip(candidates, candidates[1:]):
+            assert region_containing(tree, small, fi) <= \
+                region_containing(tree, big, fi), corner
+        marks[candidates[-1]].append(corner)
+    return {d: tuple(ms) for d, ms in marks.items()}
+
+
+def scan_facet(tree, members):
+    """{colored arc: (color, segment, supporting arcs)} from
+    `scan_marks`: the segment joins the two marked corners along the
+    arc, both flags there give the color, and the supporting arc at a
+    mark is the next smaller member through that corner."""
+    hugs = {d: frozenset(tree.hugged_corners(d.path)) for d in members}
+    marks = scan_marks(tree, members)
+    out = {}
+    for d in members:
+        if d.is_boundary:
+            continue
+        path = list(d.path)
+        (v, fi), (u, gi) = sorted(marks[d],
+                                  key=lambda c: path.index(c[0]))
+        seg = path[path.index(v):path.index(u) + 1]
+        colors = {tree.flag_color(v, seg[1], fi),
+                  tree.flag_color(u, seg[-2], gi)}
+        assert len(colors) == 1, d
+        support = []
+        for corner in marks[d]:
+            chain = sorted((e for e in members if corner in hugs[e]),
+                           key=lambda e: len(region_containing(
+                               tree, e, corner[1])))
+            support.append(chain[chain.index(d) - 1])
+        out[d] = (colors.pop(), Segment.canonical(seg), tuple(support))
+    return out
+
+
 # -- brute-force noncrossing facets --------------------------------------
 
 

@@ -183,6 +183,8 @@ DOCTORED = {
                         "lambda facet, arc: False\n",
     "converse-sweep": "string_modules.is_wide = lambda tree, segs: False\n",
     "torsion-pairs": "string_modules.hom_dim = lambda tree, M, N: 1\n",
+    "kreweras-stability": "semistable.semistable_modules = "
+                          "lambda tree, theta: set()\n",
 }
 
 
@@ -191,7 +193,7 @@ def run_doctored(doctor, *args, optimize=True):
     under `python -O` unless `optimize` is false."""
     script = (
         "import sys\n"
-        "from treestab import cli, gc_vectors, string_modules\n"
+        "from treestab import cli, gc_vectors, semistable, string_modules\n"
         "if sys.flags.optimize != %d:\n"
         "    sys.exit(3)\n" % optimize
         + doctor +
@@ -209,6 +211,24 @@ def test_check_all_failures_survive_optimize(check):
     assert r.returncode == 1, r.stderr
     line = next(ln for ln in r.stdout.splitlines() if ln.startswith(check))
     assert line.split()[1] == "FAIL", r.stdout
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+def test_kreweras_stability_failure_is_one_readable_line(optimize):
+    """The failing facets are counted and the first three reasons
+    spelled out, not printed as a list of tuples."""
+    r = run_doctored(DOCTORED["kreweras-stability"], "check-all",
+                     "--samples", "5", fixture_path("cyc3"),
+                     optimize=optimize)
+    assert r.returncode == 1, r.stderr
+    line = next(ln for ln in r.stdout.splitlines()
+                if ln.startswith("kreweras-stability"))
+    detail = line.split("ConventionError: ", 1)[1]
+    parts = detail.split("; ")
+    assert parts[0] == "13/14 facets fail"
+    assert len(parts) == 4
+    assert all(part.startswith("facet ") and ": semistable set [] differs"
+               in part for part in parts[1:])
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 import oracles
 import randtrees
 from conftest import get_tree, SUITE
+from treestab import nc_complex
 from treestab.nc_complex import (
     arcs,
     boundary_arcs,
     crossing,
-    crossing_by_regions,
     facets,
     flip_neighbors,
 )
@@ -33,7 +33,8 @@ def test_a2_arcs():
 def test_crossing_definitions_agree(small_tree):
     ds = arcs(small_tree)
     for d1, d2 in itertools.combinations(ds, 2):
-        assert crossing(d1, d2) == crossing_by_regions(d1, d2)
+        assert crossing(d1, d2) == \
+            oracles.crossing_by_regions(small_tree, d1, d2)
         assert crossing(d1, d2) == crossing(d2, d1)
     for d in ds:
         assert not crossing(d, d)
@@ -146,6 +147,45 @@ def test_paper_facet_marks():
     marks = {d.leaves: set(target.marks[d]) for d in target.colored}
     assert marks[("l1", "l4")] == {("v3", 1), ("v2", 3)}
     assert marks[("l1", "l5")] == {("v1", 0), ("v3", 3)}
+
+
+def assert_marks_match_scan(tree, fs):
+    for f in fs:
+        assert f.marks == oracles.scan_marks(tree, f.arcs)
+        for d, (color, segment, support) in \
+                oracles.scan_facet(tree, f.arcs).items():
+            assert f.color[d] == color
+            assert f.segment[d] == segment
+            assert f.supporting_arcs(d) == support
+
+
+def test_marks_match_scan(suite_tree):
+    assert_marks_match_scan(suite_tree, facets(suite_tree))
+
+
+@settings(max_examples=15, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_random_tree_marks_match_scan(rotation):
+    tree = EmbeddedTree(rotation)
+    assert_marks_match_scan(tree, facets(tree))
+
+
+@pytest.mark.parametrize("name", ["a2", "cyc3", "big8"])
+def test_arcs_built_once_per_leaf_pair(name, monkeypatch):
+    calls = []
+    real = nc_complex._build_arc
+
+    def counting(tree, p, q):
+        calls.append((p, q))
+        return real(tree, p, q)
+
+    monkeypatch.setattr(nc_complex, "_build_arc", counting)
+    tree = EmbeddedTree(get_tree(name).rotation)
+    facets(tree)
+    assert arcs(tree) is arcs(tree)
+    assert set(boundary_arcs(tree)) <= set(arcs(tree))
+    L = len(tree.boundary_leaves)
+    assert sorted(calls) == list(itertools.combinations(range(L), 2))
 
 
 def test_supporting_arcs_chain():

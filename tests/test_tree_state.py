@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from conftest import SMALL, SUITE, fixture_path, get_tree
-from treestab import cli, nc_complex, partitions
+from treestab import cli, gc_vectors, nc_complex, partitions, string_modules
 from treestab.gc_vectors import quotient_segments, submodule_segments
 from treestab.nc_complex import facets
 from treestab.partitions import (
@@ -130,6 +130,33 @@ def test_facets_dot_builds_flip_index_once(name, monkeypatch, capsys):
     assert cli.main(["facets", "--format", "dot", fixture_path(name)]) == 0
     assert capsys.readouterr().out.startswith("graph flips {")
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("name", ["a2", "cyc3", "big8"])
+def test_verify_thm1_builds_each_g_vector_once(name, monkeypatch, capsys):
+    builds = count_builds(monkeypatch, gc_vectors, "_g_vector")
+    assert cli.main(["verify-thm1", fixture_path(name)]) == 0
+    arcs = nc_complex.arcs(load_tree(fixture_path(name)))
+    assert builds and len(builds) == len(set(builds))
+    assert {arc for arc, in builds} <= set(arcs)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_torsion_decompose_enumerates_submodules_once(name, monkeypatch,
+                                                      capsys):
+    """check-all's torsion step lists each module's submodules once and
+    builds every quotient from them."""
+    calls = []
+    real = string_modules.all_submodules
+
+    def counting(tree, module):
+        calls.append(module)
+        return real(tree, module)
+
+    monkeypatch.setattr(string_modules, "all_submodules", counting)
+    assert cli.main(["check-all", "--samples", "20", fixture_path(name)]) == 0
+    modules = string_modules.indecomposables(load_tree(fixture_path(name)))
+    assert sorted(calls, key=repr) == sorted(modules, key=repr)
 
 
 def naive_closure(tree, segments):
