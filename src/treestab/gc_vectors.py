@@ -9,7 +9,9 @@ dual bases, which `pairing_matrix` asserts outright.
 
 The sub-path families C_s and K_s defined here drive both the module
 theory (indecomposable submodules and quotients) and the stability
-checks.
+checks.  Segments are numbered once per tree by their place in
+`tree.all_segments`, and the layers above keep segment sets as int
+masks of those ids.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from .tree_core import ConventionError, Segment, turn
 
 def zero_vector(tree):
     return tuple(0 for _ in range(tree.n))
-
-
-def add_vectors(u, v):
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def dot(u, v):
@@ -109,10 +107,8 @@ def pairing_matrix(facet):
 
 def kreweras_theta(facet):
     """Sum of the g-vectors of the facet's green arcs."""
-    theta = zero_vector(facet.tree)
-    for d in facet.greens():
-        theta = add_vectors(theta, g_vector(facet.tree, d))
-    return theta
+    gs = [g_vector(facet.tree, d) for d in facet.greens()]
+    return tuple(map(sum, zip(*gs))) if gs else zero_vector(facet.tree)
 
 
 def _subpaths_with_turns(tree, vertices, start_turn, end_turn):
@@ -156,6 +152,47 @@ def _turn_subpaths(tree, seg, start_turn, end_turn):
         raise ConventionError("%s differs between orientations of %r"
                               % (name, seg))
     return frozenset(forward)
+
+
+def _segment_ids(tree):
+    """{segment: id}, the id being its place in `tree.all_segments`;
+    built once per tree."""
+    return tree.memo("segment_ids", _build_segment_ids)
+
+
+def _build_segment_ids(tree):
+    return {s: i for i, s in enumerate(tree.all_segments)}
+
+
+def _id_mask(tree, segments):
+    """The id mask of a collection of the tree's segments."""
+    ids = _segment_ids(tree)
+    mask = 0
+    for s in segments:
+        mask |= 1 << ids[s]
+    return mask
+
+
+def _segment_table(tree):
+    """(steps, proper), built once per tree.  `steps` lists one triple
+    (s, prefix, e) per segment id s, shortest segments first: s is the
+    segment `prefix` (an id, or -1 for none) extended by interior edge
+    e, so a weight per segment is one pass over it.  proper[s] is the
+    id mask of the proper C_s, C_s without s itself."""
+    return tree.memo("segment_table", _build_segment_table)
+
+
+def _build_segment_table(tree):
+    ids = _segment_ids(tree)
+    steps = []
+    for s in sorted(tree.all_segments, key=len):
+        vs = s.vertices
+        steps.append((ids[s],
+                      ids[Segment.canonical(vs[:-1])] if len(s) > 1 else -1,
+                      tree.edge_index[tuple(sorted(vs[-2:]))]))
+    proper = tuple(_id_mask(tree, submodule_segments(tree, s)) & ~(1 << i)
+                   for i, s in enumerate(tree.all_segments))
+    return tuple(steps), proper
 
 
 def zigzag_dominance_check(facet, arc):

@@ -8,12 +8,19 @@ bijections onto the noncrossing partitions, and green-after-red
 inverse is the Kreweras complement.  Red and green segments together
 form a spanning tree on the interior vertices, which is what makes the
 torsion-pair bookkeeping finite and checkable.
+
+Segment sets are worked on as id masks (see `gc_vectors`).  Two
+per-tree tables carry the combinatorics: for every pair of interior
+vertices, the mask of the inner vertices of the tree path between them
+and the id of the segment it is, if any; and the S x S compose table.
+A block's segments, a partition's segments and composition closure
+are mask operations on them; the public functions hand out sets.
 """
 
 from __future__ import annotations
 
 from . import gc_vectors, nc_complex, string_modules
-from .tree_core import ConventionError, Segment, compose
+from .tree_core import ConventionError, _bits, compose
 
 
 class TreePartition:
@@ -50,22 +57,27 @@ def refinement_leq(p, q):
     return all(any(set(bp) <= set(bq) for bq in q.blocks) for bp in p.blocks)
 
 
-def _endpoint_partition(tree, segments):
-    parent = {v: v for v in tree.interior_vertices}
+def _vertex_pairs(tree):
+    """({interior vertex: id}, pairs) with pairs[a][b], for vertex ids
+    a != b, the mask of the inner vertices of the tree path from a to b
+    and the id of the segment it is, or None when it is not one; built
+    once per tree."""
+    return tree.memo("pairs", _build_vertex_pairs)
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
 
-    for s in segments:
-        a, b = s.endpoints
-        parent[find(a)] = find(b)
-    blocks = {}
-    for v in tree.interior_vertices:
-        blocks.setdefault(find(v), []).append(v)
-    return TreePartition(blocks.values())
+def _build_vertex_pairs(tree):
+    ivs = tree.interior_vertices
+    index = {v: i for i, v in enumerate(ivs)}
+    ids = gc_vectors._segment_ids(tree)
+    pairs = [[None] * len(ivs) for _ in ivs]
+    for a in range(len(ivs)):
+        for b in range(a + 1, len(ivs)):
+            path = tree.path_between(ivs[a], ivs[b])
+            seg = tree._segment_by_ends.get(frozenset((ivs[a], ivs[b])))
+            pairs[a][b] = pairs[b][a] = (
+                sum(1 << index[v] for v in path[1:-1]),
+                None if seg is None else ids[seg])
+    return index, pairs
 
 
 def block_segments(tree, block):
@@ -73,34 +85,48 @@ def block_segments(tree, block):
     block whose tree path meets the block only at the ends.  Such a
     pair must be joined by a segment; anything else means the block is
     not realizable and the input was not a noncrossing partition."""
-    block = set(block)
-    out = set()
-    for a in sorted(block):
-        for b in sorted(block):
-            if b <= a:
+    segs = tree.all_segments
+    return {segs[i] for i in _bits(_block_mask(tree, block))}
+
+
+def _block_mask(tree, block):
+    """Id mask of `block_segments(tree, block)`."""
+    index, pairs = _vertex_pairs(tree)
+    ids = sorted({index[v] for v in block})
+    inside = sum(1 << a for a in ids)
+    out = 0
+    for x, a in enumerate(ids):
+        for b in ids[x + 1:]:
+            inner, seg = pairs[a][b]
+            if inner & inside:
                 continue
-            path = tree.path_between(a, b)
-            if any(v in block for v in path[1:-1]):
-                continue
-            if not tree.is_extreme_path(path):
+            if seg is None:
+                ivs = tree.interior_vertices
                 raise ValueError(
                     "block %r needs a curve from %r to %r but no segment "
-                    "joins them" % (sorted(block), a, b))
-            out.add(Segment.canonical(path))
+                    "joins them" % (sorted(block), ivs[a], ivs[b]))
+            out |= 1 << seg
     return out
 
 
 def partition_segments(tree, partition):
-    """Union of block_segments over all blocks; a frozenset, built once
-    per partition and tree."""
-    return tree.memo(("segments", partition), _partition_segments, partition)
+    """Union of block_segments over all blocks, as a frozenset."""
+    segs = tree.all_segments
+    return frozenset(segs[i] for i in _bits(_segment_mask(tree, partition)))
 
 
-def _partition_segments(tree, partition):
-    out = set()
+def _segment_mask(tree, partition):
+    """Id mask of `partition_segments`; built once per partition and
+    tree."""
+    return tree.memo(("segment_mask", partition), _build_segment_mask,
+                     partition)
+
+
+def _build_segment_mask(tree, partition):
+    out = 0
     for b in partition.blocks:
-        out |= block_segments(tree, b)
-    return frozenset(out)
+        out |= _block_mask(tree, b)
+    return out
 
 
 def red_partition(facet):
@@ -114,14 +140,22 @@ def green_partition(facet):
 
 
 def _glued_partition(facet, color):
-    segments = [facet.segment[d] for d in facet.colored
-                if facet.color[d] == color]
-    part = _endpoint_partition(facet.tree, segments)
-    for s in segments:
-        if set(s.vertices[1:-1]) & set(part.block_of(s.vertices[0])):
+    """Blocks are vertex id masks; gluing a segment merges the blocks
+    of its two ends.  A segment must not pass through its own block."""
+    index, pairs = _vertex_pairs(facet.tree)
+    ends = [(index[s.vertices[0]], index[s.vertices[-1]], s)
+            for d, s in facet.segment.items() if facet.color[d] == color]
+    block = [1 << v for v in range(len(index))]
+    for a, b, _ in ends:
+        glued = block[a] | block[b]
+        for v in _bits(glued):
+            block[v] = glued
+    for a, b, s in ends:
+        if pairs[a][b][0] & block[a]:
             raise ConventionError("%s segment %r not minimal in its block"
                                   % (color, s))
-    return part
+    ivs = facet.tree.interior_vertices
+    return TreePartition([ivs[v] for v in _bits(m)] for m in set(block))
 
 
 def _ncp_table(tree):
@@ -165,109 +199,49 @@ def kreweras_orbits(tree):
     return sorted(orbits, reverse=True)
 
 
-# -- red-green trees -----------------------------------------------------
+# -- composition closure -------------------------------------------------
 
 
-class RedGreenTree:
-    """Spanning structure on the interior vertices whose edge set is
-    the disjoint union of the partition's red segments and its
-    Kreweras complement's green segments.  Always a tree."""
-
-    def __init__(self, tree, partition):
-        self.tree = tree
-        self.partition = partition
-        self.complement = kreweras_complement(tree, partition)
-        self.red_segments = sorted(partition_segments(tree, partition),
-                                   key=lambda s: s.vertices)
-        self.green_segments = sorted(
-            partition_segments(tree, self.complement),
-            key=lambda s: s.vertices)
-        overlap = set(self.red_segments) & set(self.green_segments)
-        if overlap:
-            raise ConventionError("segment on both sides: %r" % (overlap,))
-        self.adjacency = {v: [] for v in tree.interior_vertices}
-        edges = 0
-        for color, segs in (("red", self.red_segments),
-                            ("green", self.green_segments)):
-            for s in segs:
-                a, b = s.endpoints
-                self.adjacency[a].append((b, s, color))
-                self.adjacency[b].append((a, s, color))
-                edges += 1
-        if edges != len(tree.interior_vertices) - 1:
-            raise ConventionError("red and green segments miss the tree count")
-        # connectivity makes it a tree
-        glued = _endpoint_partition(tree, self.red_segments
-                                    + self.green_segments)
-        if len(glued.blocks) != 1:
-            raise ConventionError("red-green graph is disconnected")
-
-    def tree_path(self, v, u):
-        """Segments along the unique path from v to u, each tagged with
-        its color."""
-        prev = {v: None}
-        stack = [v]
-        while stack:
-            w = stack.pop()
-            if w == u:
-                break
-            for x, s, color in self.adjacency[w]:
-                if x not in prev:
-                    prev[x] = (w, s, color)
-                    stack.append(x)
-        if u not in prev:
-            raise KeyError("no path from %r to %r" % (v, u))
-        out = []
-        w = u
-        while prev[w] is not None:
-            w2, s, color = prev[w]
-            out.append((s, color))
-            w = w2
-        return list(reversed(out))
+def _compose_table(tree):
+    """Per segment id s, the pairs (t, u) of ids with compose(s, t) = u:
+    the nonempty entries of the S x S compose table, built once per
+    tree."""
+    return tree.memo("compose", _build_compose_table)
 
 
-def redgreen_tree(tree, partition):
-    return RedGreenTree(tree, partition)
+def _build_compose_table(tree):
+    ids = gc_vectors._segment_ids(tree)
+    segs = tree.all_segments
+    table = []
+    for s in segs:
+        row = []
+        for t, seg in enumerate(segs):
+            u = compose(tree, s, seg)
+            if u is not None:
+                row.append((t, ids[u]))
+        table.append(tuple(row))
+    return tuple(table)
 
 
-# -- biclosed sets and closure -------------------------------------------
+def _closure(tree, mask):
+    """Id mask of the smallest composition-closed superset.  Composition
+    is symmetric, so each pair is composed once: when the later of the
+    two is taken off the work list."""
+    table = _compose_table(tree)
+    todo = list(_bits(mask))
+    while todo:
+        for t, u in table[todo.pop()]:
+            if mask >> t & 1 and not mask >> u & 1:
+                mask |= 1 << u
+                todo.append(u)
+    return mask
 
 
 def segment_closure(tree, segments):
-    """Smallest composition-closed superset.  Composition is symmetric,
-    so each pair is composed once: when the later of the two is taken
-    off the work list."""
-    closed = set(segments)
-    todo = list(closed)
-    while todo:
-        s = todo.pop()
-        for t in list(closed):
-            c = compose(tree, s, t) if t != s else None
-            if c is not None and c not in closed:
-                closed.add(c)
-                todo.append(c)
-    return closed
-
-
-def is_closed(tree, segments):
-    segments = set(segments)
-    return segment_closure(tree, segments) == segments
-
-
-def is_biclosed(tree, segments):
-    """Closed under composition, with composition-closed complement."""
-    segments = set(segments)
-    rest = set(tree.all_segments) - segments
-    return is_closed(tree, segments) and is_closed(tree, rest)
-
-
-def join_biclosed(tree, b1, b2):
-    """Join in the biclosed-set order: closure of the union.  The
-    result is checked to be biclosed again."""
-    joined = segment_closure(tree, set(b1) | set(b2))
-    if not is_biclosed(tree, joined):
-        raise ConventionError("join left the biclosed family")
-    return joined
+    """Smallest composition-closed superset, as a set."""
+    segs = tree.all_segments
+    return {segs[i] for i in _bits(
+        _closure(tree, gc_vectors._id_mask(tree, segments)))}
 
 
 # -- torsion pairs -------------------------------------------------------
@@ -276,14 +250,19 @@ def join_biclosed(tree, b1, b2):
 def wide_from_partition(tree, partition):
     """Module set of the composition closure of the partition's
     segments; the subcategory the main theorem pairs with a Kreweras
-    stability condition.  A frozenset, built once per partition and
+    stability condition.  A frozenset."""
+    inds = string_modules.indecomposables(tree)
+    return frozenset(inds[i] for i in _bits(_wide_mask(tree, partition)))
+
+
+def _wide_mask(tree, partition):
+    """Id mask of `wide_from_partition`; built once per partition and
     tree."""
-    return tree.memo(("wide", partition), _wide_from_partition, partition)
+    return tree.memo(("wide_mask", partition), _build_wide_mask, partition)
 
 
-def _wide_from_partition(tree, partition):
-    segs = segment_closure(tree, partition_segments(tree, partition))
-    return frozenset(string_modules.string_module(tree, s) for s in segs)
+def _build_wide_mask(tree, partition):
+    return _closure(tree, _segment_mask(tree, partition))
 
 
 def torsion_pair(tree, partition):
@@ -292,46 +271,45 @@ def torsion_pair(tree, partition):
     sets of the red segments.  Hom(T, F) vanishes and the pair covers
     every simple.  Both are frozensets, built and checked once per
     partition and tree."""
-    return tree.memo(("torsion", partition), _torsion_pair, partition)
+    return tree.memo(("torsion", partition), _torsion_pair, partition)[0]
 
 
 def _torsion_pair(tree, partition):
-    complement = kreweras_complement(tree, partition)
-    tsegs = set()
-    for s in partition_segments(tree, complement):
-        tsegs |= gc_vectors.quotient_segments(tree, s)
-    if tsegs:
-        tsegs = segment_closure(tree, tsegs)
-    fsegs = set()
-    for s in partition_segments(tree, partition):
-        fsegs |= gc_vectors.submodule_segments(tree, s)
-    if fsegs:
-        fsegs = segment_closure(tree, fsegs)
-    T = frozenset(string_modules.string_module(tree, s) for s in tsegs)
-    F = frozenset(string_modules.string_module(tree, s) for s in fsegs)
-    for X in T:
-        for Y in F:
-            if string_modules.hom_dim(tree, X, Y) != 0:
+    """((T, F), id mask of T, id mask of F)."""
+    segs = tree.all_segments
+    tmask = 0
+    for s in _bits(_segment_mask(tree, kreweras_complement(tree, partition))):
+        tmask |= gc_vectors._id_mask(
+            tree, gc_vectors.quotient_segments(tree, segs[s]))
+    tmask = _closure(tree, tmask)
+    proper = gc_vectors._segment_table(tree)[1]
+    fmask = 0
+    for s in _bits(_segment_mask(tree, partition)):
+        fmask |= proper[s] | 1 << s
+    fmask = _closure(tree, fmask)
+    inds = string_modules.indecomposables(tree)
+    for x in _bits(tmask):
+        for y in _bits(fmask):
+            if string_modules.hom_dim(tree, inds[x], inds[y]) != 0:
                 raise ConventionError(
                     "torsion class maps onto its own free class: %r -> %r"
-                    % (X, Y))
-    simples = {s for s in tree.all_segments if len(s) == 1}
-    covered = {m.segment for m in T} | {m.segment for m in F}
-    if not simples <= covered:
+                    % (inds[x], inds[y]))
+    simples = sum(1 << i for i, s in enumerate(segs) if len(s) == 1)
+    if simples & ~(tmask | fmask):
         raise ConventionError("simple module outside both classes")
-    return T, F
+    return ((frozenset(inds[i] for i in _bits(tmask)),
+             frozenset(inds[i] for i in _bits(fmask))), tmask, fmask)
 
 
 def torsion_decompose(tree, partition, module):
     """Canonical sequence of an indecomposable under the partition's
     torsion pair: the submodule in T with quotient in F.  Exactly one
     submodule qualifies."""
-    T, F = torsion_pair(tree, partition)
-    tsegs = {m.segment for m in T}
-    fsegs = {m.segment for m in F}
-    hits = [(sub, quot) for sub, quot, subsegs, quotsegs
+    _, tmask, fmask = tree.memo(("torsion", partition), _torsion_pair,
+                                partition)
+    hits = [(sub, quot) for sub, quot, submask, quotmask
             in tree.memo(("sub_quotients", module), _sub_quotients, module)
-            if subsegs <= tsegs and quotsegs <= fsegs]
+            if not submask & ~tmask and not quotmask & ~fmask]
     if len(hits) != 1:
         raise ConventionError("torsion decomposition of %r not unique: %r"
                               % (module, hits))
@@ -344,25 +322,18 @@ def torsion_decompose(tree, partition, module):
 
 
 def _sub_quotients(tree, module):
-    """(submodule, quotient, their segment sets) for every submodule of
-    an indecomposable."""
+    """(submodule, quotient, their segment id masks) for every submodule
+    of an indecomposable."""
     out = []
     for sub in string_modules.all_submodules(tree, module):
         quot = string_modules._quotient(tree, module, sub)
-        out.append((sub, quot, frozenset(m.segment for m in sub),
-                    frozenset(m.segment for m in quot)))
+        out.append((sub, quot,
+                    gc_vectors._id_mask(tree, (m.segment for m in sub)),
+                    gc_vectors._id_mask(tree, (m.segment for m in quot))))
     return tuple(out)
 
 
 # -- posets --------------------------------------------------------------
-
-
-def _bits(mask):
-    """Indices of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class Poset:

@@ -8,6 +8,13 @@ noncrossing tree partitions; `verify_kreweras_stability` recomputes
 both sides of that statement facet by facet and reports rather than
 throws, so a broken convention shows up as a failed check and not a
 stack trace.
+
+A weight is read as one list of per-segment weights, by segment id.
+Semistability and stability of every indecomposable then come off
+that list and the per-tree id masks of the proper C_s: the sums of
+proper indecomposable submodules exhaust the proper submodules, so
+those suffice.  Segment sets stay id masks (see `gc_vectors`) through
+the whole per-facet check.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import gc_vectors, nc_complex, partitions, string_modules
-from .tree_core import ConventionError
+from .tree_core import ConventionError, _bits
 
 
 def theta_value(tree, theta, thing):
@@ -30,33 +37,38 @@ def theta_value(tree, theta, thing):
     return sum(t * x for t, x in zip(theta, vec))
 
 
-def _proper_submodules(tree, segment):
-    """M(t) for t in C_s other than s, built once per segment and tree."""
-    return tree.memo(("proper_subs", segment), _build_proper_submodules,
-                     segment)
-
-
-def _build_proper_submodules(tree, segment):
-    return tuple(string_modules.string_module(tree, t)
-                 for t in gc_vectors.submodule_segments(tree, segment)
-                 if t != segment)
+def _stability(tree, theta):
+    """(per-segment weights, id mask of the semistable segments, id
+    mask of the stable ones): zero weight, and no proper C_s member of
+    positive weight, or of nonnegative weight for stable."""
+    steps, proper = gc_vectors._segment_table(tree)
+    weights = [0] * len(proper)
+    positive = nonnegative = 0
+    for s, prefix, e in steps:
+        w = weights[s] = theta[e] if prefix < 0 else weights[prefix] + theta[e]
+        if w >= 0:
+            nonnegative |= 1 << s
+            if w > 0:
+                positive |= 1 << s
+    semi = stable = 0
+    for s in _bits(nonnegative & ~positive):
+        if not proper[s] & positive:
+            semi |= 1 << s
+            if not proper[s] & nonnegative:
+                stable |= 1 << s
+    return weights, semi, stable
 
 
 def is_semistable(tree, theta, module):
-    """Zero weight, no positive-weight submodule.  Sums of the proper
-    indecomposable submodules exhaust all proper submodules, so checking
-    the indecomposables suffices."""
-    if theta_value(tree, theta, module) != 0:
-        return False
-    return all(theta_value(tree, theta, t) <= 0
-               for t in _proper_submodules(tree, module.segment))
+    """Zero weight, no positive-weight submodule."""
+    return bool(_stability(tree, theta)[1]
+                >> gc_vectors._segment_ids(tree)[module.segment] & 1)
 
 
 def is_stable(tree, theta, module):
-    if theta_value(tree, theta, module) != 0:
-        return False
-    return all(theta_value(tree, theta, t) < 0
-               for t in _proper_submodules(tree, module.segment))
+    """Zero weight, every proper submodule of negative weight."""
+    return bool(_stability(tree, theta)[2]
+                >> gc_vectors._segment_ids(tree)[module.segment] & 1)
 
 
 def semistable_modules(tree, theta):
@@ -65,8 +77,8 @@ def semistable_modules(tree, theta):
     if len(theta) != tree.n:
         raise ValueError("weight has %d entries, tree has %d interior edges"
                          % (len(theta), tree.n))
-    return {m for m in string_modules.indecomposables(tree)
-            if is_semistable(tree, theta, m)}
+    inds = string_modules.indecomposables(tree)
+    return {inds[s] for s in _bits(_stability(tree, theta)[1])}
 
 
 # -- the main verification -----------------------------------------------
@@ -103,29 +115,36 @@ def _segment_set(mods):
     return {m.segment for m in mods}
 
 
-def _decomposition_lengths(seg, parts):
-    """Lengths of ways to write the segment as an end-to-end chain of
-    the given parts.  Nesting means contained-part counting is wrong;
-    walking prefixes is not."""
-    target = seg.vertices
-    t = len(target)
-    lengths = set()
+def _splits(tree):
+    """Per segment id, per vertex position j >= 1 along the segment: the
+    pairs (i, t) for i < j, t being the id of the part between
+    positions i and j.  A sub-path of a segment is again a segment, so
+    every pair has one.  Built once per tree."""
+    return tree.memo("splits", _build_splits)
 
-    def rec(i, k):
-        if i == t - 1:
-            lengths.add(k)
-            return
-        for g in parts:
-            gl = len(g.vertices)
-            if i + gl > t:
-                continue
-            window = target[i:i + gl]
-            if g.vertices == window or \
-                    g.vertices == tuple(reversed(window)):
-                rec(i + gl - 1, k + 1)
 
-    rec(0, 0)
-    return lengths
+def _build_splits(tree):
+    index, pairs = partitions._vertex_pairs(tree)
+    out = []
+    for seg in tree.all_segments:
+        vs = [index[v] for v in seg.vertices]
+        out.append(tuple(tuple((i, pairs[vs[i]][vs[j]][1]) for i in range(j))
+                         for j in range(1, len(vs))))
+    return tuple(out)
+
+
+def _decomposition_lengths(tree, s, parts):
+    """Lengths of the ways to write segment s as an end-to-end chain of
+    segments from the id mask `parts`: bit k of reach[j] says the first
+    j edges of s split into k parts."""
+    reach = [1]
+    for row in _splits(tree)[s]:
+        r = 0
+        for i, t in row:
+            if parts >> t & 1:
+                r |= reach[i] << 1
+        reach.append(r)
+    return set(_bits(reach[-1]))
 
 
 def check_facet(tree, facet):
@@ -134,46 +153,45 @@ def check_facet(tree, facet):
     semistable but not stable, green composites weigh their length."""
     theta = gc_vectors.kreweras_theta(facet)
     res = FacetResult(facet.index, theta)
+    segs = tree.all_segments
+    weights, semi, stable = _stability(tree, theta)
     ss = semistable_modules(tree, theta)
+    ss_mask = gc_vectors._id_mask(tree, _segment_set(ss))
     part = partitions.noncrossing_partitions(tree)[facet.index]
-    wide = partitions.wide_from_partition(tree, part)
-    if ss != wide:
+    reds = partitions._segment_mask(tree, part)
+    closure = partitions._wide_mask(tree, part)
+    if ss_mask != closure:
         res.failures.append(
             "semistable set %r differs from partition side %r"
-            % (sorted(_segment_set(ss), key=lambda s: s.vertices),
-               sorted(_segment_set(wide), key=lambda s: s.vertices)))
-    reds = partitions.partition_segments(tree, part)
-    closure = _segment_set(wide)
-    for s in sorted(reds, key=lambda s: s.vertices):
-        m = string_modules.string_module(tree, s)
-        if not is_stable(tree, theta, m):
-            res.failures.append("red segment %r not stable" % (s,))
-    for s in sorted(closure - reds, key=lambda s: s.vertices):
-        m = string_modules.string_module(tree, s)
-        if not is_semistable(tree, theta, m):
-            res.failures.append("red composite %r not semistable" % (s,))
-        if is_stable(tree, theta, m):
-            res.failures.append("red composite %r unexpectedly stable" % (s,))
+            % ([segs[i] for i in _bits(ss_mask)],
+               [segs[i] for i in _bits(closure)]))
+    for s in _bits(reds & ~stable):
+        res.failures.append("red segment %r not stable" % (segs[s],))
+    for s in _bits(closure & ~reds):
+        if not semi >> s & 1:
+            res.failures.append("red composite %r not semistable"
+                                % (segs[s],))
+        if stable >> s & 1:
+            res.failures.append("red composite %r unexpectedly stable"
+                                % (segs[s],))
     comp = partitions.kreweras_complement(tree, part)
-    greens = partitions.partition_segments(tree, comp)
-    gclosure = _segment_set(partitions.wide_from_partition(tree, comp))
-    for s in sorted(gclosure, key=lambda s: s.vertices):
-        ks = _decomposition_lengths(s, greens)
+    greens = partitions._segment_mask(tree, comp)
+    for s in _bits(partitions._wide_mask(tree, comp)):
+        ks = _decomposition_lengths(tree, s, greens)
         if len(ks) != 1:
             res.failures.append(
                 "green composite %r has decomposition lengths %r"
-                % (s, sorted(ks)))
+                % (segs[s], sorted(ks)))
             continue
         k = ks.pop()
-        got = theta_value(tree, theta, s)
-        if got != k:
+        if weights[s] != k:
             res.failures.append(
                 "green composite %r weighs %d, composition length is %d"
-                % (s, got, k))
+                % (segs[s], weights[s], k))
     if not facet.greens():
         if any(t != 0 for t in theta):
             res.failures.append("all-red facet weight %r nonzero" % (theta,))
-        if _segment_set(ss) != set(tree.all_segments):
+        if ss_mask != (1 << len(segs)) - 1:
             res.failures.append("all-red facet misses some module")
     if not facet.reds():
         if any(t != 1 for t in theta):
@@ -204,8 +222,8 @@ def semistable_poset(tree):
             semistable_modules(tree, theta))))
     if len(set(table)) != len(table):
         raise ConventionError("facet weights share a semistable set")
-    sid = {s: i for i, s in enumerate(tree.all_segments)}
-    po = partitions.Poset(table, [sum(1 << sid[s] for s in e) for e in table])
+    po = partitions.Poset(table, [gc_vectors._id_mask(tree, e)
+                                  for e in table])
     if not po.isomorphic_by(partitions.ncp_poset(tree), range(len(table))):
         raise ConventionError(
             "semistable order disagrees with refinement order")

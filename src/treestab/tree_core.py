@@ -382,6 +382,14 @@ def segment_turns(tree, seg):
             for i in range(1, len(seg.vertices) - 1)]
 
 
+def _bits(mask):
+    """Indices of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def compose(tree, s, t):
     """Concatenation of two segments sharing exactly one endpoint, when
     the concatenation is again a segment; None otherwise.  Tree paths

