@@ -9,8 +9,8 @@ verification subcommand finds a failing check, 2 for unusable input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import gc_vectors, nc_complex, partitions, semistable, string_modules
 from .tree_core import ConventionError, TreeError, load_tree
@@ -20,7 +20,86 @@ FORMAT_VERSION = 1
 
 def _json_out(payload):
     payload["format_version"] = FORMAT_VERSION
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    print(_dumps(payload))
+
+
+_INDENTS = ["\n"]  # newline plus two spaces per level, grown on demand
+
+
+def _indent(level):
+    while len(_INDENTS) <= level:
+        _INDENTS.append(_INDENTS[-1] + "  ")
+    return _INDENTS[level]
+
+
+def _dumps(payload):
+    """The text of `json.dumps(payload, sort_keys=True, indent=2)`, for
+    payloads of str-keyed dicts, lists, tuples, str, int, bool and None;
+    any other type raises TypeError.  With `indent` set, json.dumps runs
+    its pure-Python encoder; this writer is faster, and renders a
+    container met again at the same depth (an entry shared by many
+    facets) once more, keeps that text and reuses it from then on.  The
+    payload outlives the call, so ids are stable."""
+    out = []
+    met = []  # per depth, the ids of the containers met there
+    shared = {}  # (id, depth) -> text, for containers met twice
+
+    def emit(obj, level):
+        if isinstance(obj, str):
+            out.append(_quote(obj))
+        elif obj is None:
+            out.append("null")
+        elif obj is True:
+            out.append("true")
+        elif obj is False:
+            out.append("false")
+        elif isinstance(obj, int):
+            out.append(int.__repr__(obj))
+        elif isinstance(obj, (list, tuple, dict)):
+            if not obj:
+                out.append("{}" if isinstance(obj, dict) else "[]")
+                return
+            oid = id(obj)
+            text = shared.get((oid, level))
+            if text is not None:
+                out.append(text)
+                return
+            while len(met) <= level:
+                met.append(set())
+            again = oid in met[level]
+            met[level].add(oid)
+            start = len(out)
+            inner = _indent(level + 1)
+            comma = "," + inner
+            if isinstance(obj, dict):
+                out.append("{")
+                sep = inner
+                for k, v in sorted(obj.items()):
+                    if not isinstance(k, str):
+                        raise TypeError("keys must be str, not %s"
+                                        % type(k).__name__)
+                    out.append(sep + _quote(k) + ": ")
+                    emit(v, level + 1)
+                    sep = comma
+                out.append(_indent(level) + "}")
+            else:
+                out.append("[")
+                sep = inner
+                for v in obj:
+                    out.append(sep)
+                    emit(v, level + 1)
+                    sep = comma
+                out.append(_indent(level) + "]")
+            if again:
+                shared[oid, level] = text = "".join(out[start:])
+                del out[start:]
+                out.append(text)
+        else:
+            raise TypeError("Object of type %s is not JSON serializable"
+                            % type(obj).__name__)
+
+    emit(payload, 0)
+    return "".join(out)
 
 
 def _edge_label(edge):
@@ -31,13 +110,19 @@ def _arc_label(arc):
     return "%s~%s" % arc.leaves
 
 
-def _facet_dict(facet):
+def _facet_dict(facet, entries):
+    """`entries` maps (arc, color, segment) to the arc's entry, shared
+    by all facets of one command so that `_dumps` reuses its text."""
     arcs = []
     for d in facet.arcs:
-        entry = {"leaves": list(d.leaves), "boundary": d.is_boundary}
-        if not d.is_boundary:
-            entry["color"] = facet.color[d]
-            entry["segment"] = list(facet.segment[d].vertices)
+        color, segment = facet.color[d], facet.segment.get(d)
+        entry = entries.get((d, color, segment))
+        if entry is None:
+            entry = entries[d, color, segment] = {"leaves": list(d.leaves),
+                                                  "boundary": d.is_boundary}
+            if not d.is_boundary:
+                entry["color"] = color
+                entry["segment"] = list(segment.vertices)
         arcs.append(entry)
     return {"index": facet.index, "arcs": arcs}
 
@@ -48,8 +133,9 @@ def _facet_dict(facet):
 def cmd_facets(tree, args):
     fs = nc_complex.facets(tree)
     if args.format == "json":
+        entries = {}
         _json_out({"command": "facets", "count": len(fs),
-                   "facets": [_facet_dict(f) for f in fs]})
+                   "facets": [_facet_dict(f, entries) for f in fs]})
         return 0
     if args.format == "dot":
         print("graph flips {")
@@ -356,40 +442,45 @@ def _build_parser():
                     "trees embedded in a disk.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, formats=("text", "json"), **extra):
+    def add(name, formats=("text", "json"), **extra):
         p = sub.add_parser(name)
         p.add_argument("tree", help="tree file: lines 'vertex NAME: "
                                     "neighbors ccw'")
         p.add_argument("--format", choices=formats, default="text")
         for argname, kw in extra.items():
             p.add_argument("--" + argname.replace("_", "-"), **kw)
-        p.set_defaults(fn=fn)
         return p
 
-    add("facets", cmd_facets, formats=("text", "json", "dot"))
-    add("vectors", cmd_vectors)
-    add("modules", cmd_modules)
-    add("ncp", cmd_ncp)
-    add("kreweras", cmd_kreweras)
-    add("torsion", cmd_torsion)
-    add("semistable", cmd_semistable,
+    add("facets", formats=("text", "json", "dot"))
+    add("vectors")
+    add("modules")
+    add("ncp")
+    add("kreweras")
+    add("torsion")
+    add("semistable",
         theta={"required": True,
                "help": "comma-separated integer weight, one per interior "
                        "edge"})
     ignored_jobs = {"type": int, "default": 1,
                     "help": "ignored: verification runs in one process"}
-    add("verify-thm1", cmd_verify_thm1, jobs=ignored_jobs)
-    add("poset", cmd_poset, formats=("text", "json", "dot"),
+    add("verify-thm1", jobs=ignored_jobs)
+    add("poset", formats=("text", "json", "dot"),
         which={"choices": ("ncp", "ss"), "default": "ncp"})
-    add("check-all", cmd_check_all,
+    add("check-all",
         jobs=ignored_jobs,
         seed={"type": int, "default": 0},
         samples={"type": int, "default": 200})
     return top
 
 
+_parser = None  # built by the first `main` call, reused by later ones
+
+
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         tree = load_tree(args.tree)
     except OSError as e:
@@ -398,8 +489,10 @@ def main(argv=None):
     except TreeError as e:
         print("bad tree file %s: %s" % (args.tree, e), file=sys.stderr)
         return 2
+    # looked up at call time, so that a replaced `cmd_*` is the one run
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(tree, args)
+        return fn(tree, args)
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 2

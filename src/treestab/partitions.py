@@ -131,17 +131,18 @@ def _build_segment_mask(tree, partition):
 
 def red_partition(facet):
     """Interior vertices glued along the facet's red segments."""
-    return _glued_partition(facet, "red")
+    return _partition(facet.tree, _glued_blocks(facet, "red"))
 
 
 def green_partition(facet):
     """Interior vertices glued along the facet's green segments."""
-    return _glued_partition(facet, "green")
+    return _partition(facet.tree, _glued_blocks(facet, "green"))
 
 
-def _glued_partition(facet, color):
-    """Blocks are vertex id masks; gluing a segment merges the blocks
-    of its two ends.  A segment must not pass through its own block."""
+def _glued_blocks(facet, color):
+    """Frozenset of the vertex id masks of the blocks: gluing a segment
+    merges the blocks of its two ends.  A segment must not pass through
+    its own block."""
     index, pairs = _vertex_pairs(facet.tree)
     ends = [(index[s.vertices[0]], index[s.vertices[-1]], s)
             for d, s in facet.segment.items() if facet.color[d] == color]
@@ -154,20 +155,34 @@ def _glued_partition(facet, color):
         if pairs[a][b][0] & block[a]:
             raise ConventionError("%s segment %r not minimal in its block"
                                   % (color, s))
-    ivs = facet.tree.interior_vertices
-    return TreePartition([ivs[v] for v in _bits(m)] for m in set(block))
+    return frozenset(block)
+
+
+def _partition(tree, blocks):
+    ivs = tree.interior_vertices
+    return TreePartition([ivs[v] for v in _bits(m)] for m in blocks)
 
 
 def _ncp_table(tree):
-    """Red partitions in facet order, and the red-to-green map."""
-    reds, complement = [], {}
-    for facet in nc_complex.facets(tree):
-        red = red_partition(facet)
-        reds.append(red)
-        complement[red] = green_partition(facet)
-    if len(complement) != len(reds):
-        raise ConventionError("red partitions repeat across facets")
-    return tuple(reds), complement
+    """Red partitions in facet order, and the red-to-green map.  Each
+    partition is built once, as a red one; green gluings are looked up
+    among the red partitions by their block masks."""
+    fs = nc_complex.facets(tree)
+    by_blocks = {}
+    for facet in fs:
+        blocks = _glued_blocks(facet, "red")
+        if blocks in by_blocks:
+            raise ConventionError("red partitions repeat across facets")
+        by_blocks[blocks] = _partition(tree, blocks)
+    reds = tuple(by_blocks.values())
+    complement = {}
+    for facet, red in zip(fs, reds):
+        green = by_blocks.get(_glued_blocks(facet, "green"))
+        if green is None:
+            raise ConventionError("green partition of facet %d is no red "
+                                  "partition" % facet.index)
+        complement[red] = green
+    return reds, complement
 
 
 def noncrossing_partitions(tree):

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import fixture_path
+from conftest import SUITE, fixture_path, get_tree
+from treestab import cli
 
 BIN = [sys.executable, "-m", "treestab.cli"]
 
@@ -243,3 +247,121 @@ def test_convention_error_is_one_line_exit_1(optimize):
     assert len(lines) == 1, r.stderr
     assert lines[0].startswith("check failed on ")
     assert "torsion class maps onto its own free class" in lines[0]
+
+
+# -- the JSON writer -----------------------------------------------------
+
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u20ac'
+                                         '\U0001f600'),
+                         st.characters()))
+SCALARS = st.one_of(TEXT, st.integers(),
+                    st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+                    st.booleans(), st.sampled_from([0, 1, True, False]),
+                    st.none())
+PAYLOADS = st.recursive(
+    SCALARS | st.sampled_from([[], {}, ()]),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=25)
+
+
+def _with_shared(payload, shared):
+    """`payload` next to one container met at depth 3, then three times
+    at depth 2, then twice more at depth 3 and once at depth 4."""
+    return {"a": [[shared]], "b": [shared, shared], "c": {"k": shared},
+            "d": [[shared], {"k": [shared]}], "e": payload}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(_with_shared, PAYLOADS,
+                 st.lists(PAYLOADS, min_size=1, max_size=3)
+                 | st.dictionaries(TEXT, PAYLOADS, min_size=1, max_size=3)))
+def test_writer_matches_json_dumps(payload):
+    assert cli._dumps(payload) == json.dumps(payload, sort_keys=True,
+                                             indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": 1.5}, [0.0], {"a": [1, {"b": float("nan")}]}, {1: "a"},
+    {"a": {(1, 2): 3}}, {"a": {1, 2}}, [b"bytes"]])
+def test_writer_rejects_floats_and_non_str_keys(payload):
+    with pytest.raises(TypeError):
+        cli._dumps(payload)
+
+
+def _main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+JSON_COMMANDS = [["facets"], ["vectors"], ["modules"], ["ncp"],
+                 ["kreweras"], ["torsion"], ["semistable"], ["verify-thm1"],
+                 ["poset", "--which", "ncp"], ["poset", "--which", "ss"],
+                 ["check-all", "--samples", "20"]]
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_json_output_is_canonical(name):
+    """Every subcommand's JSON is exactly what json.dumps(sort_keys=True,
+    indent=2) makes of it, on every fixture."""
+    path = fixture_path(name)
+    theta = ",".join(str((-1) ** i * (i + 1))
+                     for i in range(get_tree(name).n))
+    for cmd in JSON_COMMANDS:
+        if cmd == ["semistable"]:
+            cmd = cmd + ["--theta=" + theta]
+        code, out, err = _main(*cmd, "--format", "json", path)
+        assert code == 0, (cmd, err)
+        assert out == json.dumps(json.loads(out), sort_keys=True,
+                                 indent=2) + "\n", cmd
+
+
+def test_facets_json_never_calls_json_dumps(monkeypatch):
+    calls = []
+    monkeypatch.setattr(json, "dumps",
+                        lambda *a, **kw: calls.append(a) or "")
+    code, out, _ = _main("facets", "--format", "json", fixture_path("big8"))
+    assert code == 0 and not calls
+    assert out.count('"index":') == 1074
+
+
+def test_parser_is_built_once_and_dispatch_reads_globals(monkeypatch):
+    """Three calls build one parser; a `cmd_*` replaced after the parser
+    exists is the one that runs; bad arguments still exit 2."""
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda: built.append(1) or build())
+    assert _main("ncp", fixture_path("a2"))[0] == 0
+    ran = []
+    monkeypatch.setattr(cli, "cmd_facets",
+                        lambda tree, args: ran.append(args.format) or 7)
+    assert _main("facets", "--format", "json", fixture_path("a2"))[0] == 7
+    with pytest.raises(SystemExit) as bad:
+        _main("facets", "--format", "xml", fixture_path("a2"))
+    assert bad.value.code == 2
+    assert _main("facets", fixture_path("a2"))[0] == 7
+    assert ran == ["json", "text"]
+    assert len(built) == 1
+
+
+def test_reused_parser_leaks_no_options(monkeypatch):
+    seen = []
+    for name in ("cmd_semistable", "cmd_check_all"):
+        monkeypatch.setattr(cli, name,
+                            lambda tree, args: seen.append(vars(args)) or 0)
+    _main("semistable", "--theta=1,2", "--format", "json", fixture_path("a2"))
+    _main("check-all", fixture_path("a2"))
+    _main("semistable", "--theta=0,0", fixture_path("a2"))
+    path = fixture_path("a2")
+    assert seen == [
+        {"command": "semistable", "tree": path, "format": "json",
+         "theta": "1,2"},
+        {"command": "check-all", "tree": path, "format": "text", "jobs": 1,
+         "seed": 0, "samples": 200},
+        {"command": "semistable", "tree": path, "format": "text",
+         "theta": "0,0"}]

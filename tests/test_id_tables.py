@@ -170,6 +170,25 @@ def test_glued_partition_rejects_segment_through_its_block():
         (("v1",), ("v2",), ("v3",))
 
 
+def test_green_gluing_outside_the_red_partitions_fails(monkeypatch):
+    """The red-to-green map is checked when it is built: a facet whose
+    green segments glue a crossing partition, which is no facet's red
+    partition, fails there, not later in `kreweras_orbits`."""
+    tree = tree_core.load_tree(fixture_path("caterpillar4"))
+    fs = list(facets(tree))
+    k = next(i for i, f in enumerate(fs) if not f.reds())
+    segment = {"x": Segment.canonical(("a", "b", "c")),
+               "y": Segment.canonical(("b", "c", "d"))}
+    fs[k] = SimpleNamespace(tree=tree, index=k, segment=segment,
+                            color=dict.fromkeys(segment, "green"))
+    assert partitions.green_partition(fs[k]).blocks == \
+        (("a", "c"), ("b", "d"))
+    monkeypatch.setattr(nc_complex, "facets", lambda t: tuple(fs))
+    with pytest.raises(ConventionError, match="green partition of facet "
+                       "%d is no red partition" % k):
+        partitions.noncrossing_partitions(tree)
+
+
 @pytest.mark.parametrize("name", ["a2", "cyc3", "deg45", "caterpillar4"])
 def test_check_facet_failures_match_object_route(name, monkeypatch):
     """With every facet handed its neighbour's weight, most claims fail,
