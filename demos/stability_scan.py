@@ -11,9 +11,9 @@ import time
 from treestab import facets, kreweras_theta, load_tree, string_module
 from treestab.gc_vectors import segment_of
 from treestab.semistable import (
-    is_stable,
     semistable_modules,
     semistable_poset,
+    stable_modules,
     verify_kreweras_stability,
 )
 from treestab.partitions import ncp_poset
@@ -34,7 +34,7 @@ print()
 for f in facets(tree)[:4]:
     theta = kreweras_theta(f)
     ss = semistable_modules(tree, theta)
-    stable = [m for m in ss if is_stable(tree, theta, m)]
+    stable = stable_modules(tree, theta)
     reds = {"-".join(segment_of(f, d).vertices) for d in f.reds()}
     print("facet %d  theta=%s" % (f.index, theta))
     print("  semistable: %s" % ", ".join(

@@ -272,7 +272,8 @@ def cmd_semistable(tree, args):
     theta = _parse_theta(args.theta, tree.n)
     mods = sorted(semistable.semistable_modules(tree, theta),
                   key=lambda m: m.segment.vertices)
-    stables = [m for m in mods if semistable.is_stable(tree, theta, m)]
+    stable_set = semistable.stable_modules(tree, theta)
+    stables = [m for m in mods if m in stable_set]
     if args.format == "json":
         _json_out({"command": "semistable", "theta": list(theta),
                    "semistable": [list(m.segment.vertices) for m in mods],
@@ -280,7 +281,6 @@ def cmd_semistable(tree, args):
         return 0
     print("theta %s: %d semistable indecomposables" % (list(theta),
                                                        len(mods)))
-    stable_set = set(stables)
     for m in mods:
         print("  %s%s" % ("-".join(m.segment.vertices),
                           "  (stable)" if m in stable_set else ""))

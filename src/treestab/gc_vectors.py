@@ -9,14 +9,14 @@ dual bases, which `pairing_matrix` asserts outright.
 
 The sub-path families C_s and K_s defined here drive both the module
 theory (indecomposable submodules and quotients) and the stability
-checks.  Segments are numbered once per tree by their place in
-`tree.all_segments`, and the layers above keep segment sets as int
-masks of those ids.
+checks, which read the proper C_s of each segment as one id mask
+(segment ids and the other per-tree segment tables live in
+`tree_core`).
 """
 
 from __future__ import annotations
 
-from .tree_core import ConventionError, Segment, turn
+from .tree_core import ConventionError, Segment, _id_mask, turn
 
 
 def zero_vector(tree):
@@ -154,45 +154,15 @@ def _turn_subpaths(tree, seg, start_turn, end_turn):
     return frozenset(forward)
 
 
-def _segment_ids(tree):
-    """{segment: id}, the id being its place in `tree.all_segments`;
-    built once per tree."""
-    return tree.memo("segment_ids", _build_segment_ids)
+def _proper(tree):
+    """Per segment id, the id mask of the proper C_s, C_s without s
+    itself; built once per tree."""
+    return tree.memo("proper", _build_proper)
 
 
-def _build_segment_ids(tree):
-    return {s: i for i, s in enumerate(tree.all_segments)}
-
-
-def _id_mask(tree, segments):
-    """The id mask of a collection of the tree's segments."""
-    ids = _segment_ids(tree)
-    mask = 0
-    for s in segments:
-        mask |= 1 << ids[s]
-    return mask
-
-
-def _segment_table(tree):
-    """(steps, proper), built once per tree.  `steps` lists one triple
-    (s, prefix, e) per segment id s, shortest segments first: s is the
-    segment `prefix` (an id, or -1 for none) extended by interior edge
-    e, so a weight per segment is one pass over it.  proper[s] is the
-    id mask of the proper C_s, C_s without s itself."""
-    return tree.memo("segment_table", _build_segment_table)
-
-
-def _build_segment_table(tree):
-    ids = _segment_ids(tree)
-    steps = []
-    for s in sorted(tree.all_segments, key=len):
-        vs = s.vertices
-        steps.append((ids[s],
-                      ids[Segment.canonical(vs[:-1])] if len(s) > 1 else -1,
-                      tree.edge_index[tuple(sorted(vs[-2:]))]))
-    proper = tuple(_id_mask(tree, submodule_segments(tree, s)) & ~(1 << i)
-                   for i, s in enumerate(tree.all_segments))
-    return tuple(steps), proper
+def _build_proper(tree):
+    return tuple(_id_mask(tree, submodule_segments(tree, s)) & ~(1 << i)
+                 for i, s in enumerate(tree.all_segments))
 
 
 def zigzag_dominance_check(facet, arc):

@@ -9,18 +9,16 @@ inverse is the Kreweras complement.  Red and green segments together
 form a spanning tree on the interior vertices, which is what makes the
 torsion-pair bookkeeping finite and checkable.
 
-Segment sets are worked on as id masks (see `gc_vectors`).  Two
-per-tree tables carry the combinatorics: for every pair of interior
-vertices, the mask of the inner vertices of the tree path between them
-and the id of the segment it is, if any; and the S x S compose table.
-A block's segments, a partition's segments and composition closure
-are mask operations on them; the public functions hand out sets.
+Segment sets are worked on as id masks.  A block's segments, a
+partition's segments and composition closure are mask operations on
+the vertex pairs and compositions of the tree's segment table (see
+`tree_core`); the public functions hand out sets.
 """
 
 from __future__ import annotations
 
 from . import gc_vectors, nc_complex, string_modules
-from .tree_core import ConventionError, _bits, compose
+from .tree_core import ConventionError, _bits, _id_mask, _segment_table
 
 
 class TreePartition:
@@ -57,29 +55,6 @@ def refinement_leq(p, q):
     return all(any(set(bp) <= set(bq) for bq in q.blocks) for bp in p.blocks)
 
 
-def _vertex_pairs(tree):
-    """({interior vertex: id}, pairs) with pairs[a][b], for vertex ids
-    a != b, the mask of the inner vertices of the tree path from a to b
-    and the id of the segment it is, or None when it is not one; built
-    once per tree."""
-    return tree.memo("pairs", _build_vertex_pairs)
-
-
-def _build_vertex_pairs(tree):
-    ivs = tree.interior_vertices
-    index = {v: i for i, v in enumerate(ivs)}
-    ids = gc_vectors._segment_ids(tree)
-    pairs = [[None] * len(ivs) for _ in ivs]
-    for a in range(len(ivs)):
-        for b in range(a + 1, len(ivs)):
-            path = tree.path_between(ivs[a], ivs[b])
-            seg = tree._segment_by_ends.get(frozenset((ivs[a], ivs[b])))
-            pairs[a][b] = pairs[b][a] = (
-                sum(1 << index[v] for v in path[1:-1]),
-                None if seg is None else ids[seg])
-    return index, pairs
-
-
 def block_segments(tree, block):
     """Segments a partition block requires: endpoint pairs inside the
     block whose tree path meets the block only at the ends.  Such a
@@ -91,13 +66,13 @@ def block_segments(tree, block):
 
 def _block_mask(tree, block):
     """Id mask of `block_segments(tree, block)`."""
-    index, pairs = _vertex_pairs(tree)
-    ids = sorted({index[v] for v in block})
+    table = _segment_table(tree)
+    ids = sorted({table.index[v] for v in block})
     inside = sum(1 << a for a in ids)
     out = 0
     for x, a in enumerate(ids):
         for b in ids[x + 1:]:
-            inner, seg = pairs[a][b]
+            inner, seg = table.pairs[a, b]
             if inner & inside:
                 continue
             if seg is None:
@@ -143,16 +118,16 @@ def _glued_blocks(facet, color):
     """Frozenset of the vertex id masks of the blocks: gluing a segment
     merges the blocks of its two ends.  A segment must not pass through
     its own block."""
-    index, pairs = _vertex_pairs(facet.tree)
-    ends = [(index[s.vertices[0]], index[s.vertices[-1]], s)
+    table = _segment_table(facet.tree)
+    ends = [(table.index[s.vertices[0]], table.index[s.vertices[-1]], s)
             for d, s in facet.segment.items() if facet.color[d] == color]
-    block = [1 << v for v in range(len(index))]
+    block = [1 << v for v in range(len(table.index))]
     for a, b, _ in ends:
         glued = block[a] | block[b]
         for v in _bits(glued):
             block[v] = glued
     for a, b, s in ends:
-        if pairs[a][b][0] & block[a]:
+        if table.pairs[a, b][0] & block[a]:
             raise ConventionError("%s segment %r not minimal in its block"
                                   % (color, s))
     return frozenset(block)
@@ -217,35 +192,14 @@ def kreweras_orbits(tree):
 # -- composition closure -------------------------------------------------
 
 
-def _compose_table(tree):
-    """Per segment id s, the pairs (t, u) of ids with compose(s, t) = u:
-    the nonempty entries of the S x S compose table, built once per
-    tree."""
-    return tree.memo("compose", _build_compose_table)
-
-
-def _build_compose_table(tree):
-    ids = gc_vectors._segment_ids(tree)
-    segs = tree.all_segments
-    table = []
-    for s in segs:
-        row = []
-        for t, seg in enumerate(segs):
-            u = compose(tree, s, seg)
-            if u is not None:
-                row.append((t, ids[u]))
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def _closure(tree, mask):
     """Id mask of the smallest composition-closed superset.  Composition
     is symmetric, so each pair is composed once: when the later of the
     two is taken off the work list."""
-    table = _compose_table(tree)
+    table = _segment_table(tree).compose
     todo = list(_bits(mask))
     while todo:
-        for t, u in table[todo.pop()]:
+        for t, u in table[todo.pop()].items():
             if mask >> t & 1 and not mask >> u & 1:
                 mask |= 1 << u
                 todo.append(u)
@@ -255,8 +209,7 @@ def _closure(tree, mask):
 def segment_closure(tree, segments):
     """Smallest composition-closed superset, as a set."""
     segs = tree.all_segments
-    return {segs[i] for i in _bits(
-        _closure(tree, gc_vectors._id_mask(tree, segments)))}
+    return {segs[i] for i in _bits(_closure(tree, _id_mask(tree, segments)))}
 
 
 # -- torsion pairs -------------------------------------------------------
@@ -294,10 +247,9 @@ def _torsion_pair(tree, partition):
     segs = tree.all_segments
     tmask = 0
     for s in _bits(_segment_mask(tree, kreweras_complement(tree, partition))):
-        tmask |= gc_vectors._id_mask(
-            tree, gc_vectors.quotient_segments(tree, segs[s]))
+        tmask |= _id_mask(tree, gc_vectors.quotient_segments(tree, segs[s]))
     tmask = _closure(tree, tmask)
-    proper = gc_vectors._segment_table(tree)[1]
+    proper = gc_vectors._proper(tree)
     fmask = 0
     for s in _bits(_segment_mask(tree, partition)):
         fmask |= proper[s] | 1 << s
@@ -343,8 +295,8 @@ def _sub_quotients(tree, module):
     for sub in string_modules.all_submodules(tree, module):
         quot = string_modules._quotient(tree, module, sub)
         out.append((sub, quot,
-                    gc_vectors._id_mask(tree, (m.segment for m in sub)),
-                    gc_vectors._id_mask(tree, (m.segment for m in quot))))
+                    _id_mask(tree, (m.segment for m in sub)),
+                    _id_mask(tree, (m.segment for m in quot))))
     return tuple(out)
 
 
@@ -420,7 +372,7 @@ class Poset:
 def ncp_poset(tree):
     """Noncrossing partitions under refinement, which is inclusion of
     the sets of vertex pairs sharing a block."""
-    index = {v: i for i, v in enumerate(tree.interior_vertices)}
+    index = _segment_table(tree).index
     ncps = noncrossing_partitions(tree)
     return Poset(ncps, [sum(1 << len(index) * index[a] + index[b]
                             for block in p.blocks for a in block

@@ -9,12 +9,14 @@ both sides of that statement facet by facet and reports rather than
 throws, so a broken convention shows up as a failed check and not a
 stack trace.
 
-A weight is read as one list of per-segment weights, by segment id.
-Semistability and stability of every indecomposable then come off
-that list and the per-tree id masks of the proper C_s: the sums of
-proper indecomposable submodules exhaust the proper submodules, so
-those suffice.  Segment sets stay id masks (see `gc_vectors`) through
-the whole per-facet check.
+A weight is read as one list of per-segment weights, by segment id,
+summed along the weight steps of the tree's segment table (see
+`tree_core`).  Semistability and stability of every indecomposable
+then come off that list and the per-tree id masks of the proper C_s:
+the sums of proper indecomposable submodules exhaust the proper
+submodules, so those suffice.  Segment sets stay id masks through the
+whole per-facet check, and a green composite's decompositions are read
+off the table's sub-segment splits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import gc_vectors, nc_complex, partitions, string_modules
-from .tree_core import ConventionError, _bits
+from .tree_core import ConventionError, _bits, _id_mask, _segment_table
 
 
 def theta_value(tree, theta, thing):
@@ -41,10 +43,13 @@ def _stability(tree, theta):
     """(per-segment weights, id mask of the semistable segments, id
     mask of the stable ones): zero weight, and no proper C_s member of
     positive weight, or of nonnegative weight for stable."""
-    steps, proper = gc_vectors._segment_table(tree)
+    if len(theta) != tree.n:
+        raise ValueError("weight has %d entries, tree has %d interior edges"
+                         % (len(theta), tree.n))
+    proper = gc_vectors._proper(tree)
     weights = [0] * len(proper)
     positive = nonnegative = 0
-    for s, prefix, e in steps:
+    for s, prefix, e in _segment_table(tree).steps:
         w = weights[s] = theta[e] if prefix < 0 else weights[prefix] + theta[e]
         if w >= 0:
             nonnegative |= 1 << s
@@ -61,24 +66,24 @@ def _stability(tree, theta):
 
 def is_semistable(tree, theta, module):
     """Zero weight, no positive-weight submodule."""
-    return bool(_stability(tree, theta)[1]
-                >> gc_vectors._segment_ids(tree)[module.segment] & 1)
+    return module in semistable_modules(tree, theta)
 
 
 def is_stable(tree, theta, module):
     """Zero weight, every proper submodule of negative weight."""
-    return bool(_stability(tree, theta)[2]
-                >> gc_vectors._segment_ids(tree)[module.segment] & 1)
+    return module in stable_modules(tree, theta)
 
 
 def semistable_modules(tree, theta):
     """Indecomposable semistable modules of an integer weight."""
-    theta = tuple(theta)
-    if len(theta) != tree.n:
-        raise ValueError("weight has %d entries, tree has %d interior edges"
-                         % (len(theta), tree.n))
     inds = string_modules.indecomposables(tree)
     return {inds[s] for s in _bits(_stability(tree, theta)[1])}
+
+
+def stable_modules(tree, theta):
+    """Indecomposable stable modules of an integer weight."""
+    inds = string_modules.indecomposables(tree)
+    return {inds[s] for s in _bits(_stability(tree, theta)[2])}
 
 
 # -- the main verification -----------------------------------------------
@@ -111,34 +116,12 @@ class SemistableReport:
         return [(r.index, f) for r in self.results for f in r.failures]
 
 
-def _segment_set(mods):
-    return {m.segment for m in mods}
-
-
-def _splits(tree):
-    """Per segment id, per vertex position j >= 1 along the segment: the
-    pairs (i, t) for i < j, t being the id of the part between
-    positions i and j.  A sub-path of a segment is again a segment, so
-    every pair has one.  Built once per tree."""
-    return tree.memo("splits", _build_splits)
-
-
-def _build_splits(tree):
-    index, pairs = partitions._vertex_pairs(tree)
-    out = []
-    for seg in tree.all_segments:
-        vs = [index[v] for v in seg.vertices]
-        out.append(tuple(tuple((i, pairs[vs[i]][vs[j]][1]) for i in range(j))
-                         for j in range(1, len(vs))))
-    return tuple(out)
-
-
 def _decomposition_lengths(tree, s, parts):
     """Lengths of the ways to write segment s as an end-to-end chain of
     segments from the id mask `parts`: bit k of reach[j] says the first
     j edges of s split into k parts."""
     reach = [1]
-    for row in _splits(tree)[s]:
+    for row in _segment_table(tree).splits[s]:
         r = 0
         for i, t in row:
             if parts >> t & 1:
@@ -156,7 +139,7 @@ def check_facet(tree, facet):
     segs = tree.all_segments
     weights, semi, stable = _stability(tree, theta)
     ss = semistable_modules(tree, theta)
-    ss_mask = gc_vectors._id_mask(tree, _segment_set(ss))
+    ss_mask = _id_mask(tree, (m.segment for m in ss))
     part = partitions.noncrossing_partitions(tree)[facet.index]
     reds = partitions._segment_mask(tree, part)
     closure = partitions._wide_mask(tree, part)
@@ -218,12 +201,11 @@ def semistable_poset(tree):
     table = []
     for facet in nc_complex.facets(tree):
         theta = gc_vectors.kreweras_theta(facet)
-        table.append(frozenset(_segment_set(
-            semistable_modules(tree, theta))))
+        table.append(frozenset(
+            m.segment for m in semistable_modules(tree, theta)))
     if len(set(table)) != len(table):
         raise ConventionError("facet weights share a semistable set")
-    po = partitions.Poset(table, [gc_vectors._id_mask(tree, e)
-                                  for e in table])
+    po = partitions.Poset(table, [_id_mask(tree, e) for e in table])
     if not po.isomorphic_by(partitions.ncp_poset(tree), range(len(table))):
         raise ConventionError(
             "semistable order disagrees with refinement order")
@@ -233,22 +215,23 @@ def semistable_poset(tree):
 # -- converse sweep ------------------------------------------------------
 
 
-def check_semistable_wide(tree, samples=200, seed=0, bound=10,
-                          scales=(2, 3, 7)):
+SCALES = (2, 3, 7)  # the factors each sampled weight is scaled by
+
+
+def check_semistable_wide(tree, samples=200, seed=0, bound=10):
     """Semistable sets of pseudorandom integer weights are wide, and
-    scaling a weight changes nothing.  Returns (checked, distinct wide
-    sets seen); any failure raises ConventionError with the offending
-    weight, since a counterexample would sink the converse direction."""
+    scaling a weight by each of SCALES changes nothing.  Returns
+    (checked, distinct wide sets seen); any failure raises
+    ConventionError with the offending weight, since a counterexample
+    would sink the converse direction."""
     rng = random.Random(seed)
     seen = set()
     for _ in range(samples):
         theta = tuple(rng.randint(-bound, bound) for _ in range(tree.n))
         ss = semistable_modules(tree, theta)
-        segs = frozenset(_segment_set(ss))
-        for c in scales:
-            scaled = tuple(c * t for t in theta)
-            same = semistable_modules(tree, scaled)
-            if frozenset(_segment_set(same)) != segs:
+        segs = frozenset(m.segment for m in ss)
+        for c in SCALES:
+            if semistable_modules(tree, tuple(c * t for t in theta)) != ss:
                 raise ConventionError(
                     "weight %r changes semistables under scaling by %d"
                     % (theta, c))

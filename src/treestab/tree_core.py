@@ -6,6 +6,9 @@ data needed to recover the boundary order of the leaves, the faces of
 the disk complement, the corners, and the segments that index string
 modules downstream.
 
+Every per-tree fact about segments comes from one table built by one
+walk of the interior subtree (`_SegmentTable`).
+
 Conventions fixed here and relied on everywhere else:
   * rotation lists are counterclockwise;
   * interior edges are indexed lexicographically by endpoint pair;
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class TreeError(Exception):
@@ -271,11 +275,6 @@ class EmbeddedTree:
         """All (interior vertex, face index) incidences."""
         return tuple((v, f.index) for f in self.faces for v in f.vertices)
 
-    def sector(self, v, start_neighbor):
-        """Face filling the sector of v between ray `start_neighbor` and
-        the next ray counterclockwise."""
-        return self.sector_face[(v, start_neighbor)]
-
     def flag_color(self, v, edge_neighbor, face_index):
         """Color of the flag (v, e, F) for e the edge toward
         `edge_neighbor`: green when F is immediately counterclockwise
@@ -328,14 +327,8 @@ class EmbeddedTree:
 
     @cached_property
     def all_segments(self):
-        out = set()
-        ivs = self.interior_vertices
-        for i in range(len(ivs)):
-            for j in range(i + 1, len(ivs)):
-                path = self.path_between(ivs[i], ivs[j])
-                if self.is_extreme_path(path):
-                    out.add(Segment.canonical(path))
-        return tuple(sorted(out, key=lambda s: s.vertices))
+        """Every segment, sorted by vertices; its place here is its id."""
+        return _segment_table(self).segments
 
     def hugged_corners(self, path):
         """Corners (v, face) the path passes through, one per
@@ -349,10 +342,6 @@ class EmbeddedTree:
                     "path is not extreme at %r" % (v,))
             out.append((v, self.sector_face[(v, a if side == "right" else b)]))
         return out
-
-    @cached_property
-    def _segment_by_ends(self):
-        return {s.endpoints: s for s in self.all_segments}
 
 
 def turn(tree, path, i):
@@ -391,14 +380,89 @@ def _bits(mask):
 
 
 def compose(tree, s, t):
-    """Concatenation of two segments sharing exactly one endpoint, when
-    the concatenation is again a segment; None otherwise.  Tree paths
-    are unique, so it is the segment joining the two outer endpoints
-    whenever that one's length is the sum of theirs."""
-    # the symmetric difference has two ends, and so can name a segment,
-    # exactly when s and t share one endpoint
-    u = tree._segment_by_ends.get(s.endpoints ^ t.endpoints)
-    return u if u is not None and len(u) == len(s) + len(t) else None
+    """Concatenation of two of the tree's segments sharing exactly one
+    endpoint, when it is again a segment; None otherwise."""
+    table = _segment_table(tree)
+    u = table.compose[table.ids[s]].get(table.ids[t])
+    return None if u is None else table.segments[u]
+
+
+def _id_mask(tree, segments):
+    """The id mask of a collection of the tree's segments."""
+    ids = _segment_table(tree).ids
+    mask = 0
+    for s in segments:
+        mask |= 1 << ids[s]
+    return mask
+
+
+class _SegmentTable(NamedTuple):
+    """Every per-tree fact about segments.  A segment's id is its place
+    in `segments`, and a vertex's its place in sorted order."""
+
+    segments: tuple  # every segment, sorted by vertices
+    ids: dict  # {segment: id}
+    index: dict  # {interior vertex: id}
+    # pairs[a, b], vertex ids a != b: the inner-vertex mask of the tree
+    # path from a to b, and the id of the segment it is, or None
+    pairs: dict
+    # splits[s]: per vertex position j >= 1 along s, the pairs (i, t)
+    # for i < j, t the id of the part between positions i and j
+    splits: tuple
+    # (s, prefix, e) per segment, shortest first: s is the segment
+    # `prefix` (an id, or -1 for none) extended by interior edge e
+    steps: tuple
+    compose: tuple  # compose[s]: {t: u} for u = s and t end to end
+
+
+def _segment_table(tree):
+    """The tree's `_SegmentTable`, built once per tree."""
+    return tree.memo("segments", _build_segment_table)
+
+
+def _build_segment_table(tree):
+    index = {v: i for i, v in enumerate(tree.interior_vertices)}
+    # (a, b) -> (inner vertex mask, the path a..b if a segment, else ())
+    walked = {}
+
+    def walk(a, x, prev, path, inner):
+        # a path is a segment exactly when its prefix is one and it
+        # turns to a rotation-adjacent ray at the prefix's end
+        for y in tree.rotation[x]:
+            if y != prev and y in index:
+                extreme = prev is None or tree._turn(x, prev, y)
+                extended = path + (y,) if path and extreme else ()
+                walked[index[a], index[y]] = (inner, extended)
+                walk(a, y, x, extended, inner | 1 << index[y])
+
+    for a in index:
+        walk(a, a, None, (a,), 0)
+    # a path leaving a toward a later vertex is in canonical orientation
+    segments = tuple(map(Segment, sorted(
+        p for (a, b), (_, p) in walked.items() if a < b and p)))
+    ids = {s: i for i, s in enumerate(segments)}
+    pairs = {ab: (inner, ids[Segment.canonical(p)] if p else None)
+             for ab, (inner, p) in walked.items()}
+    splits = []
+    for s in segments:
+        vs = [index[v] for v in s.vertices]
+        splits.append(tuple(tuple((i, pairs[vs[i], vs[j]][1])
+                                  for i in range(j))
+                            for j in range(1, len(vs))))
+    steps = []
+    for s in sorted(range(len(segments)), key=lambda s: len(segments[s])):
+        vs = segments[s].vertices
+        prefix = ids[Segment.canonical(vs[:-1])] if len(vs) > 2 else -1
+        steps.append((s, prefix, tree.edge_index[tuple(sorted(vs[-2:]))]))
+    # u split at each of its inner vertices gives the two parts that
+    # compose to it, in either order
+    compose = [{} for _ in segments]
+    for u, rows in enumerate(splits):
+        for k in range(1, len(rows)):
+            s, t = rows[k - 1][0][1], rows[-1][k][1]
+            compose[s][t] = compose[t][s] = u
+    return _SegmentTable(segments, ids, index, pairs, tuple(splits),
+                         tuple(steps), tuple(compose))
 
 
 def parse_tree(text):

@@ -10,11 +10,12 @@ point.
 
 It also keeps the routes the engine used before it moved to integer
 ids, on `Arc` and `Segment` objects: frozenset-membership marking,
-the frozenset closure fixpoint, block segments by walking tree paths,
-semistability by summing weights over edges, and decomposition
-lengths by matching vertex windows.  Tests compare each with its id
-form.  Code that only tests use (red-green trees, biclosed sets,
-supporting arcs) lives here too.
+the frozenset closure fixpoint, block segments and the vertex-pair
+table by walking tree paths, the compose table by endpoint lookup over
+all pairs of segments, semistability by summing weights over edges,
+and decomposition lengths by matching vertex windows.  Tests compare
+each with its id form.  Code that only tests use (red-green trees,
+biclosed sets, supporting arcs) lives here too.
 """
 
 import itertools
@@ -581,6 +582,41 @@ def block_segments_by_paths(tree, block):
             raise ValueError("no segment joins %r and %r" % (a, b))
         out.add(Segment.canonical(path))
     return out
+
+
+def vertex_pairs_by_paths(tree):
+    """The segment table's `pairs`, by walking the tree path between
+    every two interior vertices: pairs[a, b] is the mask of the path's
+    inner vertices and the id of the segment it is, or None."""
+    ivs = tree.interior_vertices
+    index = {v: i for i, v in enumerate(ivs)}
+    ids = {s: i for i, s in enumerate(tree.all_segments)}
+    pairs = {}
+    for a, b in itertools.permutations(range(len(ivs)), 2):
+        path = tree.path_between(ivs[a], ivs[b])
+        pairs[a, b] = (sum(1 << index[v] for v in path[1:-1]),
+                       ids[Segment.canonical(path)]
+                       if tree.is_extreme_path(path) else None)
+    return pairs
+
+
+def compose_table_by_ends(tree):
+    """The segment table's `compose`, by trying all S x S pairs: s and
+    t compose to the segment joining their outer endpoints when they
+    share exactly one endpoint and its length is the sum of theirs."""
+    segs = tree.all_segments
+    by_ends = {s.endpoints: i for i, s in enumerate(segs)}
+    table = []
+    for s in segs:
+        row = {}
+        for t, seg in enumerate(segs):
+            # the symmetric difference has two ends, and so can name a
+            # segment, exactly when s and t share one endpoint
+            u = by_ends.get(s.endpoints ^ seg.endpoints)
+            if u is not None and len(segs[u]) == len(s) + len(seg):
+                row[t] = u
+        table.append(row)
+    return table
 
 
 def _proper_theta_values(tree, theta, module):

@@ -34,6 +34,31 @@ def assert_facets_match_chain_oracle(tree):
                 tree, [s for d, s in segments.items() if colors[d] == color])
 
 
+def assert_segment_table_matches(tree):
+    """The one-walk segment table against the face definition of
+    segments, the path walk for vertex pairs, the S x S endpoint
+    lookup for composition, and vertex slicing for splits and steps."""
+    table = tree_core._segment_table(tree)
+    segs = tree.all_segments
+    assert list(segs) == sorted(oracles.face_extreme_paths(tree),
+                                key=lambda s: s.vertices)
+    assert table.pairs == oracles.vertex_pairs_by_paths(tree)
+    assert list(table.compose) == oracles.compose_table_by_ends(tree)
+    for s, seg in enumerate(segs):
+        vs = seg.vertices
+        assert table.splits[s] == tuple(
+            tuple((i, segs.index(Segment.canonical(vs[i:j + 1])))
+                  for i in range(j)) for j in range(1, len(vs)))
+    done = set()
+    for s, prefix, e in table.steps:
+        assert prefix == -1 or prefix in done
+        assert len(segs[s]) == 1 + (prefix >= 0 and len(segs[prefix]))
+        assert segs[s].edge_set() == {tree.interior_edges[e]} | (
+            segs[prefix].edge_set() if prefix >= 0 else set())
+        done.add(s)
+    assert done == set(range(len(segs)))
+
+
 def assert_partitions_match(tree):
     segs = tree.all_segments
     for s in segs:
@@ -58,6 +83,8 @@ def assert_stability_matches(tree, thetas):
     for theta in thetas:
         semi = {m for m in inds if oracles.theta_semistable(tree, theta, m)}
         assert semistable.semistable_modules(tree, theta) == semi
+        assert semistable.stable_modules(tree, theta) == {
+            m for m in inds if oracles.theta_stable(tree, theta, m)}
         for m in inds:
             assert semistable.is_semistable(tree, theta, m) == (m in semi)
             assert semistable.is_stable(tree, theta, m) == \
@@ -67,14 +94,14 @@ def assert_stability_matches(tree, thetas):
 def assert_decompositions_match(tree, seed=5):
     """On every partition's closure, and on random part sets, where a
     segment may break up in several ways."""
-    ids = gc_vectors._segment_ids(tree)
+    ids = tree_core._segment_table(tree).ids
     rng = random.Random(seed)
     families = [partitions.partition_segments(tree, p)
                 for p in partitions.noncrossing_partitions(tree)]
     families += [{s for s in tree.all_segments if rng.random() < 0.6}
                  for _ in range(10)] + [set(tree.all_segments)]
     for parts in families:
-        mask = gc_vectors._id_mask(tree, parts)
+        mask = tree_core._id_mask(tree, parts)
         for s in partitions.segment_closure(tree, parts):
             assert semistable._decomposition_lengths(tree, ids[s], mask) \
                 == oracles.decomposition_lengths(s, parts)
@@ -91,6 +118,10 @@ def test_facets_match_chain_oracle(suite_tree):
     assert_facets_match_chain_oracle(suite_tree)
 
 
+def test_segment_table_matches_oracles(suite_tree):
+    assert_segment_table_matches(suite_tree)
+
+
 def test_partitions_and_closures_match(suite_tree):
     assert_partitions_match(suite_tree)
     assert_decompositions_match(suite_tree)
@@ -104,6 +135,7 @@ def test_stability_matches_theta_oracle(suite_tree):
 @given(randtrees.rotations(max_interior=6))
 def test_random_tree_id_routes_match(rotation):
     tree = EmbeddedTree(rotation)
+    assert_segment_table_matches(tree)
     assert_facets_match_chain_oracle(tree)
     assert_partitions_match(tree)
     assert_decompositions_match(tree)
@@ -209,11 +241,8 @@ def test_check_facet_failures_match_object_route(name, monkeypatch):
     assert failing > len(fs) // 2
 
 
-ID_TABLES = [(gc_vectors, "_build_segment_ids"),
-             (gc_vectors, "_build_segment_table"),
-             (partitions, "_build_vertex_pairs"),
-             (partitions, "_build_compose_table"),
-             (semistable, "_build_splits"),
+ID_TABLES = [(tree_core, "_build_segment_table"),
+             (gc_vectors, "_build_proper"),
              (nc_complex, "_chains")]
 
 

@@ -3,8 +3,9 @@ import random
 import pytest
 
 import oracles
-from conftest import get_tree
-from treestab import partitions as pt, semistable as st, string_modules as sm
+from conftest import fixture_path, get_tree
+from treestab import cli, partitions as pt, semistable as st
+from treestab import string_modules as sm
 from treestab.gc_vectors import kreweras_theta
 from treestab.nc_complex import facets
 from treestab.tree_core import Segment
@@ -33,6 +34,26 @@ def test_semistable_zero_weight_is_everything():
 def test_semistable_wrong_length_raises():
     with pytest.raises(ValueError):
         st.semistable_modules(get_tree("a2"), (1, 2, 3))
+    with pytest.raises(ValueError):
+        st.stable_modules(get_tree("a2"), (1, 2, 3))
+
+
+def test_semistable_command_weighs_segments_at_most_twice(monkeypatch,
+                                                           capsys):
+    """`semistable` takes both verdicts from a constant number of
+    weight passes, not one per semistable module."""
+    calls = []
+    real = st._stability
+
+    def counting(tree, theta):
+        calls.append(theta)
+        return real(tree, theta)
+
+    monkeypatch.setattr(st, "_stability", counting)
+    assert cli.main(["semistable", "--theta=0,0,0,0,0,0,0",
+                     fixture_path("big8")]) == 0
+    assert "24 semistable indecomposables" in capsys.readouterr().out
+    assert 1 <= len(calls) <= 2
 
 
 def test_semistable_matches_full_lattice_oracle(small_tree):
