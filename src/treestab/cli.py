@@ -13,7 +13,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import gc_vectors, nc_complex, partitions, semistable, string_modules
-from .tree_core import ConventionError, TreeError, load_tree
+from .tree_core import ConventionError, TreeError, _bits, load_tree
 
 FORMAT_VERSION = 1
 
@@ -111,18 +111,24 @@ def _arc_label(arc):
 
 
 def _facet_dict(facet, entries):
-    """`entries` maps (arc, color, segment) to the arc's entry, shared
-    by all facets of one command so that `_dumps` reuses its text."""
+    """`entries` maps an arc's (arc id, segment id, green?) to its
+    entry, with segment id -1 and green None for boundary arcs; it is
+    shared by all facets of one command so that `_dumps` reuses the
+    entries' text.  Colored arcs are read off the facet's payload."""
+    tree = facet.tree
+    every = nc_complex.arcs(tree)
+    colored = iter(facet.payload)
     arcs = []
-    for d in facet.arcs:
-        color, segment = facet.color[d], facet.segment.get(d)
-        entry = entries.get((d, color, segment))
+    for i in _bits(facet._mask):
+        d = every[i]
+        key = (i, -1, None) if d.is_boundary else next(colored)
+        entry = entries.get(key)
         if entry is None:
-            entry = entries[d, color, segment] = {"leaves": list(d.leaves),
-                                                  "boundary": d.is_boundary}
+            entry = entries[key] = {"leaves": list(d.leaves),
+                                    "boundary": d.is_boundary}
             if not d.is_boundary:
-                entry["color"] = color
-                entry["segment"] = list(segment.vertices)
+                entry["color"] = "green" if key[2] else "red"
+                entry["segment"] = list(tree.all_segments[key[1]].vertices)
         arcs.append(entry)
     return {"index": facet.index, "arcs": arcs}
 

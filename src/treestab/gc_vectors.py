@@ -16,6 +16,7 @@ checks, which read the proper C_s of each segment as one id mask
 
 from __future__ import annotations
 
+from . import nc_complex
 from .tree_core import ConventionError, Segment, _id_mask, turn
 
 
@@ -39,8 +40,8 @@ def g_vector(tree, arc):
     arc turns left at x and right at y, -1 when right at x and left at
     y, 0 when it turns the same way at both ends or avoids the edge.
     Independent of traversal orientation.  Built once per arc and
-    tree."""
-    return tree.memo(("g", arc), _g_vector, arc)
+    tree, and kept by arc id."""
+    return tree.memo(("g", arc.id), _g_vector, arc)
 
 
 def _g_vector(tree, arc):
@@ -106,9 +107,12 @@ def pairing_matrix(facet):
 
 
 def kreweras_theta(facet):
-    """Sum of the g-vectors of the facet's green arcs."""
-    gs = [g_vector(facet.tree, d) for d in facet.greens()]
-    return tuple(map(sum, zip(*gs))) if gs else zero_vector(facet.tree)
+    """Sum of the g-vectors of the facet's green arcs, read off its
+    payload."""
+    tree = facet.tree
+    every = nc_complex.arcs(tree)
+    gs = [g_vector(tree, every[i]) for i, _, green in facet.payload if green]
+    return tuple(map(sum, zip(*gs))) if gs else zero_vector(tree)
 
 
 def _subpaths_with_turns(tree, vertices, start_turn, end_turn):

@@ -8,26 +8,35 @@ rest on the other.  `Arc.pos` is therefore all the region data there
 is; crossing is a constant-time interleaving check on it, and a region
 is read off it as a bitmask of gaps where one is needed.
 
-Arcs are numbered once per tree by their place in `arcs(tree)`, and
-corners by their place in `tree.corners`.  A facet is a bitmask of arc
-ids; clique search, marking and the flip index all run on those ids.
-Marking reads one per-tree table: for each arc, the corners it passes
-through, each with the id masks of the arcs through that corner with
-a larger region on the corner's side and of those whose regions there
-do not nest with its own.  A member marks a corner when no member lies
-above it there, and no two members may clash at any corner.  The
-segment and color of a colored arc depend only on the arc and its two
-marked corners, so they are built once per such triple and tree.
-Facets carry the payload everything downstream feeds on, keyed by
-`Arc`: which corners each arc is marked at, the color of each
-non-boundary arc, and the segment joining its two marked corners.
+Arcs are numbered once per tree by their place in `arcs(tree)` (their
+`id`), and corners by their place in `tree.corners`.  A facet is a
+bitmask of arc ids; clique search, marking and the flip index all run
+on those ids.
+
+Marking runs column-wise, over all facets of a tree at once.  For each
+arc, the facets holding it form one int bitmask over facet positions.
+Each corner has a fixed chain, the arcs through it with the largest
+region on the corner's side first; walking it with a running OR of the
+facet sets of the arcs above gives, in one big-int operation per arc,
+the facets in which the arc marks that corner.  Every check is a set
+operation over facets: a corner no member passes, two members whose
+regions there do not nest, a member with other than one mark (boundary
+arcs) or two, two marks in the same region, and flags that disagree.
+The segment and color of a colored arc depend only on the arc and its
+two marked corners, so they are worked out once per such triple and
+tree, and the triple's record (arc id, segment id, green?) is
+scattered to the facets that hold it.  Those records are a facet's
+payload, which everything downstream reads; its arcs, colors, segments
+and marks are views built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
-from .tree_core import ConventionError, Segment, _bits
+from .tree_core import ConventionError, _bits, _segment_table
 
 
 @dataclass(frozen=True)
@@ -35,27 +44,29 @@ class Arc:
     """Leaf-to-leaf extreme path.
 
     `leaves` is ordered by boundary position, and `pos` holds those
-    positions.  A boundary arc joins cyclically adjacent leaves.
+    positions.  A boundary arc joins cyclically adjacent leaves.  `id`
+    is the arc's place in `arcs(tree)`.
     """
 
     leaves: tuple
     path: tuple = field(compare=False, repr=False)
     pos: tuple = field(compare=False, repr=False)
     is_boundary: bool = field(compare=False, repr=False)
+    id: int = field(compare=False, repr=False)
 
     def __repr__(self):
         return "Arc(%s~%s)" % self.leaves
 
 
 def _build_arc(tree, p, q):
-    """The arc between boundary leaves p < q, or None when their path
-    is not extreme."""
+    """The leaves, path, positions and boundary flag of the arc between
+    boundary leaves p < q, or None when their path is not extreme."""
     leaves = tree.boundary_leaves
     path = tree.path_between(leaves[p], leaves[q])
     if not tree.is_extreme_path(path):
         return None
-    return Arc((leaves[p], leaves[q]), tuple(path), (p, q),
-               q - p in (1, len(leaves) - 1))
+    return ((leaves[p], leaves[q]), tuple(path), (p, q),
+            q - p in (1, len(leaves) - 1))
 
 
 def arcs(tree):
@@ -68,7 +79,8 @@ def _arcs(tree):
     L = len(tree.boundary_leaves)
     built = (_build_arc(tree, p, q)
              for p in range(L) for q in range(p + 1, L))
-    return tuple(arc for arc in built if arc is not None)
+    return tuple(Arc(*fields, i) for i, fields in
+                 enumerate(fields for fields in built if fields is not None))
 
 
 def crossing(d1, d2):
@@ -93,30 +105,29 @@ def boundary_arcs(tree):
 
 
 def _chains(tree):
-    """Per arc id: the id mask of the corners it passes through, and
-    per such corner, in `tree.corners` order, a triple (k, above,
-    clash).  Here k is the corner id; `above` holds the ids of the arcs
-    through k whose region on the side of k's gap is larger, and
-    `clash` those whose region there neither contains nor lies in the
-    arc's own."""
+    """Per corner id, the arcs through that corner, larger region on
+    the side of the corner's gap first: per arc, (i, inside, clash).
+    Here i is the arc id; `inside` says whether the corner's gap lies
+    between the arc's ends; and `clash` holds the ids of the later
+    entries whose regions there neither contain nor lie in the arc's
+    own (regions of equal size among them)."""
     full = (1 << len(tree.boundary_leaves)) - 1
     corner_id = {corner: k for k, corner in enumerate(tree.corners)}
     through = [[] for _ in tree.corners]
-    every = arcs(tree)
-    for i, d in enumerate(every):
+    for d in arcs(tree):
         p, q = d.pos
         inner = (1 << q) - (1 << p)  # gaps p..q-1
         for corner in tree.hugged_corners(d.path):
-            region = inner if p <= corner[1] < q else full ^ inner
-            through[corner_id[corner]].append((i, region))
-    hugs = [[] for _ in every]
-    for k, chain in enumerate(through):
-        for i, r in chain:
-            hugs[i].append((k, sum(1 << j for j, o in chain
-                                   if o.bit_count() > r.bit_count()),
-                            sum(1 << j for j, o in chain
-                                if o & ~r and r & ~o)))
-    return tuple((sum(1 << k for k, _, _ in h), tuple(h)) for h in hugs)
+            inside = p <= corner[1] < q
+            through[corner_id[corner]].append(
+                (d.id, inner if inside else full ^ inner, inside))
+    for chain in through:
+        chain.sort(key=lambda e: -e[1].bit_count())
+    return tuple(
+        tuple((i, inside, tuple(j for j, o, _ in chain[x + 1:]
+                                if o & ~r and r & ~o))
+              for x, (i, r, inside) in enumerate(chain))
+        for chain in through)
 
 
 def _max_cliques(vertices, adjacent):
@@ -134,121 +145,198 @@ def _max_cliques(vertices, adjacent):
     yield from expand(set(), set(vertices), set())
 
 
-class Facet:
-    """A maximal set of pairwise-noncrossing arcs, with marks and colors.
+_BIT = bytes.maketrans(b"01", b"\0\1")
 
-    `members` is the bitmask of the member arcs' ids.  Every corner of
-    the tree is marked by exactly one member arc: the maximal arc
-    through that corner, where arcs through a common corner (v, F) are
-    linearly ordered by containment of their F-side regions.  Boundary
-    arcs pick up one mark, the others two, and the flags at the two
-    marks of a non-boundary arc always agree in color.
-    """
 
-    def __init__(self, tree, members, index=None):
-        self.tree = tree
-        self.index = index
-        every = arcs(tree)
-        ids = tuple(_bits(members))
-        self._mask = members
-        self.arcs = tuple(every[i] for i in ids)
-        self.colored = tuple(d for d in self.arcs if not d.is_boundary)
-        self.boundary = tuple(d for d in self.arcs if d.is_boundary)
-        self._colored_mask = sum(1 << i for i, d in zip(ids, self.arcs)
-                                 if not d.is_boundary)
-        self._color(ids, self._mark(ids))
+def _select(items, mask):
+    """The items at the places of the set bits of `mask`."""
+    bits = format(mask, "0%db" % len(items))[::-1]
+    return compress(items, bits.encode().translate(_BIT))
 
-    def _mark(self, ids):
-        """Check the marks and return the ids of the corners each member
-        marks, in `arcs` order.  A member marks the corners where no
-        member has a larger region.  Members cross nothing, so at every
-        corner their regions must form a chain: two members clash there
-        exactly when, in the order by region size, two consecutive ones
-        do not nest."""
-        tree, mask = self.tree, self._mask
-        chains = tree.memo("chains", _chains)
-        covered = clashing = 0
-        marked = []
-        for i in ids:
-            through, hugs = chains[i]
-            covered |= through
-            mine = []
-            for k, above, clash in hugs:
-                if mask & clash:
-                    clashing |= 1 << k
-                if not mask & above:
-                    mine.append(k)
-            marked.append(mine)
-        # the first corner in order that is bare or does not nest
-        bad = ((1 << len(tree.corners)) - 1) & ~covered | clashing
-        if bad:
-            k = (bad & -bad).bit_length() - 1
-            if not covered >> k & 1:
-                raise ConventionError(
-                    "corner %r hugged by no arc" % (tree.corners[k],))
-            raise ConventionError("regions at corner %r do not nest"
-                                  % (tree.corners[k],))
-        for d, ks in zip(self.arcs, marked):
-            want = 1 if d.is_boundary else 2
-            if len(ks) != want:
-                raise ConventionError("%r carries %d marks, expected %d"
-                                      % (d, len(ks), want))
-        for d, ks in zip(self.arcs, marked):
-            if not d.is_boundary:
-                (_, fi), (_, gi) = tree.corners[ks[0]], tree.corners[ks[1]]
-                p, q = d.pos
-                if (p <= fi < q) == (p <= gi < q):
-                    raise ConventionError(
-                        "marks of %r fall in the same region" % (d,))
-        return marked
 
-    def _color(self, ids, marked):
-        self.color = {d: "boundary" for d in self.boundary}
-        self.segment = {}
-        for i, d, ks in zip(ids, self.arcs, marked):
-            if not d.is_boundary:
-                k1, k2 = ks
-                self.segment[d], self.color[d] = self.tree.memo(
-                    ("arc_segment", i, k1, k2), _arc_segment, i, k1, k2)
+def _transpose(rows, width):
+    """The columns of the bit matrix whose rows are the bitmasks `rows`,
+    `width` bits wide: per bit place, lowest first, a bytes string of
+    b"0" and b"1", one per row."""
+    text = "".join(format(r, "0%db" % width)[::-1] for r in rows).encode()
+    return [text[c::width] for c in range(width)]
 
-    @property
-    def marks(self):
-        """{arc: its marked corners, in `tree.corners` order}, worked out
-        again on each read, as `_mark` does: facets are many, and only
-        their colors and segments are kept."""
-        chains = self.tree.memo("chains", _chains)
-        corners = self.tree.corners
-        return {d: tuple(corners[k] for k, above, _ in chains[i][1]
-                         if not self._mask & above)
-                for i, d in zip(_bits(self._mask), self.arcs)}
 
-    def greens(self):
-        return tuple(d for d, c in self.color.items() if c == "green")
-
-    def reds(self):
-        return tuple(d for d, c in self.color.items() if c == "red")
-
-    def key(self):
-        return tuple(d.leaves for d in self.arcs)
+def _mark(tree, masks):
+    """Mark and color the facets with member masks `masks` in one
+    column-wise pass.  Returns the marks, per arc id a list of (corner
+    id, inside, the positions in `masks` where the arc marks that
+    corner) in corner order, and per mask its payload.  Checks fail
+    with a ConventionError for the first failing mask, and for it with
+    the first failing check, in the order listed in the module
+    docstring: corners by id, then arcs by id."""
+    every = arcs(tree)
+    # held[i]: the positions of the masks holding arc i
+    held = [int(col[::-1] or b"0", 2)
+            for col in _transpose(masks, len(every))]
+    everyone = (1 << len(masks)) - 1
+    marked = [[] for _ in every]
+    faults = []  # (positions, message, or message of a position)
+    for k, chain in enumerate(tree.memo("chains", _chains)):
+        # A member marks the corner where no member lies above it.  Two
+        # members of equal region size clash, so where none clash the
+        # members above are those earlier in the chain.
+        above = clashing = 0
+        for i, inside, clash in chain:
+            mine = held[i]
+            marked[i].append((k, inside, mine & ~above))
+            for j in clash:
+                clashing |= mine & held[j]
+            above |= mine
+        if everyone & ~above:
+            faults.append((everyone & ~above, "corner %r hugged by no arc"
+                           % (tree.corners[k],)))
+        if clashing:
+            faults.append((clashing, "regions at corner %r do not nest"
+                           % (tree.corners[k],)))
+    for d in every:
+        # saturating counters of the marks: at least one, two, three
+        once = twice = thrice = 0
+        for _, _, m in marked[d.id]:
+            thrice |= twice & m
+            twice |= once & m
+            once |= m
+        wrong = held[d.id] & ~(once & ~twice if d.is_boundary
+                               else twice & ~thrice)
+        if wrong:
+            def miscount(f, d=d):
+                count = sum(m >> f & 1 for _, _, m in marked[d.id])
+                return "%r carries %d marks, expected %d" % (
+                    d, count, 1 if d.is_boundary else 2)
+            faults.append((wrong, miscount))
+    pairs = []
+    for d in every:
+        if d.is_boundary:
+            continue
+        ms = marked[d.id]
+        for x, (k1, in1, m1) in enumerate(ms):
+            for k2, in2, m2 in ms[x + 1:]:
+                both = m1 & m2
+                if both and in1 == in2:
+                    faults.append((both, "marks of %r fall in the same "
+                                   "region" % (d,)))
+                elif both:
+                    pairs.append((d.id, k1, k2, both))
+    good = everyone
+    for bad, _ in faults:
+        good &= ~bad
+    records = []
+    for i, k1, k2, both in pairs:
+        if both & good:
+            try:
+                records.append((tree.memo(("arc_segment", i, k1, k2),
+                                          _arc_segment, i, k1, k2),
+                                both & good))
+            except ConventionError as e:
+                faults.append((both & good, str(e)))
+    if faults:
+        first = min((bad & -bad).bit_length() - 1 for bad, _ in faults)
+        why = next(why for bad, why in faults if bad >> first & 1)
+        raise ConventionError(why(first) if callable(why) else why)
+    # each mask picks the records of the triples it holds, by arc id
+    triples = [record for record, _ in records]
+    picks = _transpose([held_by for _, held_by in records], len(masks))
+    return marked, [tuple(compress(triples, pick.translate(_BIT)))
+                    for pick in picks]
 
 
 def _arc_segment(tree, i, k1, k2):
-    """(segment, color) of arc i marked at corners k1 and k2: the part
-    of the arc between the two marked vertices, and the color both
-    flags there give."""
+    """Payload record (i, segment id, green?) of arc i marked at
+    corners k1 and k2: the segment is the part of the arc between the
+    two marked vertices, and the color the one both flags there give."""
     d = arcs(tree)[i]
     (v, fi), (u, gi) = tree.corners[k1], tree.corners[k2]
-    path = list(d.path)
-    a, b = path.index(v), path.index(u)
+    a, b = d.path.index(v), d.path.index(u)
     if a > b:
         (v, fi, a), (u, gi, b) = (u, gi, b), (v, fi, a)
-    seg_path = path[a:b + 1]
-    c1 = tree.flag_color(v, seg_path[1], fi)
-    c2 = tree.flag_color(u, seg_path[-2], gi)
+    c1 = tree.flag_color(v, d.path[a + 1], fi)
+    c2 = tree.flag_color(u, d.path[b - 1], gi)
     if c1 != c2:
         raise ConventionError(
             "flags of %r disagree: %s vs %s" % (d, c1, c2))
-    return Segment.canonical(seg_path), c1
+    table = _segment_table(tree)
+    return i, table.pairs[table.index[v], table.index[u]][1], c1 == "green"
+
+
+class Facet:
+    """A maximal set of pairwise-noncrossing arcs, with marks and colors.
+
+    `_mask` is the bitmask of the member arcs' ids, and `payload` holds
+    a record (arc id, segment id, green?) per colored member, by arc
+    id.  Every corner of the tree is marked by exactly one member arc:
+    the maximal arc through that corner, where arcs through a common
+    corner (v, F) are linearly ordered by containment of their F-side
+    regions.  Boundary arcs pick up one mark, the others two, and the
+    flags at the two marks of a non-boundary arc always agree in color;
+    the colored arc's segment joins its two marked vertices.  Marking
+    and its checks run in `_mark`, on this facet alone when it is built
+    directly and on all facets of the tree at once in `facets`.
+
+    `arcs`, `colored`, `boundary`, `color` ({arc: "red", "green" or
+    "boundary"}), `segment` ({colored arc: segment}) and `marks` ({arc:
+    its marked corners, in `tree.corners` order}) are views built from
+    the mask and payload when read; the package's own per-facet work
+    reads the payload.
+    """
+
+    def __init__(self, tree, members, index=None):
+        if not 0 <= members < 1 << len(arcs(tree)):
+            raise ValueError("%r is no arc-id mask of this tree" % (members,))
+        self.tree, self.index, self._mask = tree, index, members
+        (self.payload,) = _mark(tree, [members])[1]
+
+    @cached_property
+    def arcs(self):
+        every = arcs(self.tree)
+        return tuple(every[i] for i in _bits(self._mask))
+
+    @property
+    def colored(self):
+        return tuple(d for d in self.arcs if not d.is_boundary)
+
+    @property
+    def boundary(self):
+        return tuple(d for d in self.arcs if d.is_boundary)
+
+    @property
+    def _colored_mask(self):
+        return sum(1 << i for i, _, _ in self.payload)
+
+    @cached_property
+    def color(self):
+        every = arcs(self.tree)
+        out = dict.fromkeys(self.boundary, "boundary")
+        out.update((every[i], "green" if green else "red")
+                   for i, _, green in self.payload)
+        return out
+
+    @cached_property
+    def segment(self):
+        every, segs = arcs(self.tree), self.tree.all_segments
+        return {every[i]: segs[s] for i, s, _ in self.payload}
+
+    @cached_property
+    def marks(self):
+        every, corners = arcs(self.tree), self.tree.corners
+        marked = _mark(self.tree, [self._mask])[0]
+        return {every[i]: tuple(corners[k] for k, _, m in marked[i] if m)
+                for i in _bits(self._mask)}
+
+    def greens(self):
+        every = arcs(self.tree)
+        return tuple(every[i] for i, _, green in self.payload if green)
+
+    def reds(self):
+        every = arcs(self.tree)
+        return tuple(every[i] for i, _, green in self.payload if not green)
+
+    def key(self):
+        return tuple(d.leaves for d in self.arcs)
 
 
 def facets(tree):
@@ -256,8 +344,10 @@ def facets(tree):
     tree.
 
     Enumeration runs maximal-clique search over the non-boundary arcs
-    only; boundary arcs cross nothing and are appended to every clique.
-    Purity (equal facet sizes) is checked over the full enumeration.
+    only; boundary arcs cross nothing and are added to every clique.
+    The facets are marked in one pass (`_mark`) and sorted by their
+    arcs' leaf pairs, in id order.  Purity (equal facet sizes) is
+    checked over the full enumeration.
     """
     return tree.memo("facets", _facets)
 
@@ -265,24 +355,33 @@ def facets(tree):
 def _facets(tree):
     every = arcs(tree)
     boundary_arcs(tree)  # checks that there is one per boundary leaf
-    bnd = sum(1 << i for i, d in enumerate(every) if d.is_boundary)
-    colored = [i for i, d in enumerate(every) if not d.is_boundary]
+    bnd = sum(1 << d.id for d in every if d.is_boundary)
+    colored = [d for d in every if not d.is_boundary]
     adjacency = {
         a: {b for b in range(len(colored))
-            if b != a and not crossing(every[colored[a]], every[colored[b]])}
+            if b != a and not crossing(colored[a], colored[b])}
         for a in range(len(colored))
     }
-    out = [Facet(tree, bnd | sum(1 << colored[a] for a in clique))
-           for clique in _max_cliques(range(len(colored)), adjacency)]
-    out.sort(key=lambda f: f.key())
-    for i, f in enumerate(out):
-        f.index = i
+    bit = [1 << d.id for d in colored]
+    masks = [bnd | sum(map(bit.__getitem__, clique))
+             for clique in _max_cliques(range(len(colored)), adjacency)]
+    payloads = _mark(tree, masks)[1]
+    rank = [""] * len(every)  # an arc's place in leaf-pair order, as text
+    for r, d in enumerate(sorted(every, key=lambda d: d.leaves)):
+        rank[d.id] = chr(r)
+    order = sorted(range(len(masks)),
+                   key=lambda f: "".join(_select(rank, masks[f])))
     expect = len(tree.leaves) + len(tree.interior_vertices) - 1
-    for f in out:
-        if len(f.arcs) != expect:
+    out = []
+    for index, f in enumerate(order):
+        if masks[f].bit_count() != expect:
             raise ConventionError(
                 "facet %d has %d arcs, expected %d (complex not pure)"
-                % (f.index, len(f.arcs), expect))
+                % (index, masks[f].bit_count(), expect))
+        facet = Facet.__new__(Facet)
+        facet.tree, facet.index = tree, index
+        facet._mask, facet.payload = masks[f], payloads[f]
+        out.append(facet)
     return tuple(out)
 
 
@@ -302,6 +401,7 @@ def _ridges(tree):
     """Facets by the id mask of their colored arcs minus one arc."""
     out = {}
     for f in facets(tree):
-        for i in _bits(f._colored_mask):
-            out.setdefault(f._colored_mask ^ 1 << i, []).append(f)
+        mine = f._colored_mask
+        for i in _bits(mine):
+            out.setdefault(mine ^ 1 << i, []).append(f)
     return out

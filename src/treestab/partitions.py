@@ -106,21 +106,35 @@ def _build_segment_mask(tree, partition):
 
 def red_partition(facet):
     """Interior vertices glued along the facet's red segments."""
-    return _partition(facet.tree, _glued_blocks(facet, "red"))
+    return _partition(facet.tree, _facet_blocks(facet, "red"))
 
 
 def green_partition(facet):
     """Interior vertices glued along the facet's green segments."""
-    return _partition(facet.tree, _glued_blocks(facet, "green"))
+    return _partition(facet.tree, _facet_blocks(facet, "green"))
 
 
-def _glued_blocks(facet, color):
-    """Frozenset of the vertex id masks of the blocks: gluing a segment
-    merges the blocks of its two ends.  A segment must not pass through
-    its own block."""
-    table = _segment_table(facet.tree)
-    ends = [(table.index[s.vertices[0]], table.index[s.vertices[-1]], s)
-            for d, s in facet.segment.items() if facet.color[d] == color]
+def _facet_blocks(facet, color):
+    """`_glued_blocks` of the facet's segments of one color, read off
+    its `segment` and `color`."""
+    return _glued_blocks(facet.tree, _segment_ends(
+        facet.tree, [s for d, s in facet.segment.items()
+                     if facet.color[d] == color]), color)
+
+
+def _segment_ends(tree, segments):
+    """(vertex id, vertex id, segment) per segment: the ids of its two
+    ends, and the segment."""
+    index = _segment_table(tree).index
+    return [(index[s.vertices[0]], index[s.vertices[-1]], s)
+            for s in segments]
+
+
+def _glued_blocks(tree, ends, color):
+    """Frozenset of the vertex id masks of the blocks got by gluing,
+    for each (a, b, segment) of `ends`, the blocks of the vertices with
+    ids a and b.  A segment must not pass through its own block."""
+    table = _segment_table(tree)
     block = [1 << v for v in range(len(table.index))]
     for a, b, _ in ends:
         glued = block[a] | block[b]
@@ -141,18 +155,23 @@ def _partition(tree, blocks):
 def _ncp_table(tree):
     """Red partitions in facet order, and the red-to-green map.  Each
     partition is built once, as a red one; green gluings are looked up
-    among the red partitions by their block masks."""
+    among the red partitions by their block masks.  The segments to
+    glue are read off the facets' payloads."""
     fs = nc_complex.facets(tree)
+    ends = _segment_ends(tree, tree.all_segments)  # by segment id
     by_blocks = {}
     for facet in fs:
-        blocks = _glued_blocks(facet, "red")
+        blocks = _glued_blocks(tree, [ends[s] for _, s, green
+                                      in facet.payload if not green], "red")
         if blocks in by_blocks:
             raise ConventionError("red partitions repeat across facets")
         by_blocks[blocks] = _partition(tree, blocks)
     reds = tuple(by_blocks.values())
     complement = {}
     for facet, red in zip(fs, reds):
-        green = by_blocks.get(_glued_blocks(facet, "green"))
+        green = by_blocks.get(_glued_blocks(
+            tree, [ends[s] for _, s, green in facet.payload if green],
+            "green"))
         if green is None:
             raise ConventionError("green partition of facet %d is no red "
                                   "partition" % facet.index)

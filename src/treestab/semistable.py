@@ -42,7 +42,13 @@ def theta_value(tree, theta, thing):
 def _stability(tree, theta):
     """(per-segment weights, id mask of the semistable segments, id
     mask of the stable ones): zero weight, and no proper C_s member of
-    positive weight, or of nonnegative weight for stable."""
+    positive weight, or of nonnegative weight for stable.  Worked out
+    once per weight and tree."""
+    theta = tuple(theta)
+    return tree.memo(("stability", theta), _build_stability, theta)
+
+
+def _build_stability(tree, theta):
     if len(theta) != tree.n:
         raise ValueError("weight has %d entries, tree has %d interior edges"
                          % (len(theta), tree.n))
@@ -138,7 +144,7 @@ def check_facet(tree, facet):
     res = FacetResult(facet.index, theta)
     segs = tree.all_segments
     weights, semi, stable = _stability(tree, theta)
-    ss = semistable_modules(tree, theta)
+    ss = semistable_modules(tree, theta)  # reads the same weight pass
     ss_mask = _id_mask(tree, (m.segment for m in ss))
     part = partitions.noncrossing_partitions(tree)[facet.index]
     reds = partitions._segment_mask(tree, part)
@@ -171,12 +177,12 @@ def check_facet(tree, facet):
             res.failures.append(
                 "green composite %r weighs %d, composition length is %d"
                 % (segs[s], weights[s], k))
-    if not facet.greens():
+    if not any(green for _, _, green in facet.payload):
         if any(t != 0 for t in theta):
             res.failures.append("all-red facet weight %r nonzero" % (theta,))
         if ss_mask != (1 << len(segs)) - 1:
             res.failures.append("all-red facet misses some module")
-    if not facet.reds():
+    if all(green for _, _, green in facet.payload):
         if any(t != 1 for t in theta):
             res.failures.append("all-green facet weight %r not all ones"
                                 % (theta,))

@@ -23,8 +23,12 @@ from treestab.tree_core import ConventionError, EmbeddedTree, Segment
 
 
 def assert_facets_match_chain_oracle(tree):
+    ids = tree_core._segment_table(tree).ids
     for f in facets(tree):
         marks, colors, segments = oracles.chain_facet(tree, f.arcs)
+        assert f.payload == tuple(
+            (d.id, ids[segments[d]], colors[d] == "green")
+            for d in f.arcs if not d.is_boundary)
         assert f.marks == marks
         assert f.color == colors
         assert f.segment == segments
@@ -187,6 +191,32 @@ def test_marking_rejects_what_the_chain_oracle_rejects(name):
     assert failed or len(facets(tree)) == 1
 
 
+@pytest.mark.parametrize("name", SMALL)
+def test_batch_marking_fails_on_the_first_bad_mask(name):
+    """Marking all facets at once, with one or two of them one arc off,
+    fails with the chain oracle's message for the first mask in list
+    order that the oracle rejects, and succeeds when it rejects none."""
+    tree = get_tree(name)
+    every = arcs(tree)
+    colored = [d.id for d in every if not d.is_boundary]
+    rng = random.Random(7)
+    failed = 0
+    for _ in range(12):
+        masks = [f._mask for f in facets(tree)]
+        for place in rng.sample(range(len(masks)), min(2, len(masks))):
+            if colored and rng.random() < 0.8:
+                masks[place] ^= 1 << rng.choice(colored)
+        want = None
+        for mask in masks:
+            members = [e for e in every if mask >> e.id & 1]
+            want = marking_outcome(lambda: oracles.chain_facet(tree, members))
+            if want is not None:
+                break
+        assert marking_outcome(lambda: nc_complex._mark(tree, masks)) == want
+        failed += want is not None
+    assert failed or not colored
+
+
 def test_glued_partition_rejects_segment_through_its_block():
     """A red segment passing through a vertex of its own block is a
     convention failure, also when the gluing runs on vertex masks."""
@@ -205,14 +235,19 @@ def test_glued_partition_rejects_segment_through_its_block():
 def test_green_gluing_outside_the_red_partitions_fails(monkeypatch):
     """The red-to-green map is checked when it is built: a facet whose
     green segments glue a crossing partition, which is no facet's red
-    partition, fails there, not later in `kreweras_orbits`."""
+    partition, fails there, not later in `kreweras_orbits`.  The fake
+    facet carries its segments both as views and as payload records
+    (with no arc id), which is what the table reads."""
     tree = tree_core.load_tree(fixture_path("caterpillar4"))
     fs = list(facets(tree))
     k = next(i for i, f in enumerate(fs) if not f.reds())
     segment = {"x": Segment.canonical(("a", "b", "c")),
                "y": Segment.canonical(("b", "c", "d"))}
+    ids = tree_core._segment_table(tree).ids
     fs[k] = SimpleNamespace(tree=tree, index=k, segment=segment,
-                            color=dict.fromkeys(segment, "green"))
+                            color=dict.fromkeys(segment, "green"),
+                            payload=tuple((-1, ids[s], True)
+                                          for s in segment.values()))
     assert partitions.green_partition(fs[k]).blocks == \
         (("a", "c"), ("b", "d"))
     monkeypatch.setattr(nc_complex, "facets", lambda t: tuple(fs))
@@ -277,3 +312,35 @@ def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
     assert sorted(built) == sorted(name for _, name in ID_TABLES)
     last = max(i for i, (kind, _) in enumerate(events) if kind == "built")
     assert [e for e in events[last:] if e[0] == "called"] == []
+
+
+VIEWS = ("arcs", "colored", "boundary", "color", "segment", "marks")
+
+
+@pytest.mark.parametrize("argv", [["facets", "--format", "json"],
+                                  ["verify-thm1"]])
+def test_hot_path_reads_payloads_only(argv, monkeypatch, capsys):
+    """`facets --format json` and `verify-thm1` on big8 read facets'
+    payloads: they build no facet view and hash no arc, and they work
+    out each (arc, corner, corner) triple's record once."""
+    events, triples = [], []
+    for name in VIEWS:
+        monkeypatch.setattr(Facet, name, property(
+            lambda self, name=name: events.append(name)))
+    real_hash = nc_complex.Arc.__hash__
+    real_segment = nc_complex._arc_segment
+
+    def hashing(arc):
+        events.append("hash")
+        return real_hash(arc)
+
+    def arc_segment(tree, *triple):
+        triples.append(triple)
+        return real_segment(tree, *triple)
+
+    monkeypatch.setattr(nc_complex.Arc, "__hash__", hashing)
+    monkeypatch.setattr(nc_complex, "_arc_segment", arc_segment)
+    assert cli.main(argv + [fixture_path("big8")]) == 0
+    assert capsys.readouterr().out
+    assert events == []
+    assert triples and len(set(triples)) == len(triples)

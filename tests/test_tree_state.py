@@ -7,7 +7,8 @@ import weakref
 import pytest
 
 from conftest import SMALL, SUITE, fixture_path, get_tree
-from treestab import cli, gc_vectors, nc_complex, partitions, string_modules
+from treestab import (cli, gc_vectors, nc_complex, partitions, semistable,
+                      string_modules)
 from treestab.gc_vectors import quotient_segments, submodule_segments
 from treestab.nc_complex import facets
 from treestab.partitions import (
@@ -139,6 +140,16 @@ def test_verify_thm1_builds_each_g_vector_once(name, monkeypatch, capsys):
     arcs = nc_complex.arcs(load_tree(fixture_path(name)))
     assert builds and len(builds) == len(set(builds))
     assert {arc for arc, in builds} <= set(arcs)
+
+
+def test_verify_thm1_weighs_each_facet_once(monkeypatch, capsys):
+    """check_facet reads its semistable and stable masks and segment
+    weights off one weight pass, shared with `semistable_modules`."""
+    builds = count_builds(monkeypatch, semistable, "_build_stability")
+    assert cli.main(["verify-thm1", fixture_path("big8")]) == 0
+    assert capsys.readouterr().out == "1074/1074 facets pass\n"
+    assert len(builds) <= 1074
+    assert len(set(builds)) == len(builds)
 
 
 @pytest.mark.parametrize("name", SMALL)
