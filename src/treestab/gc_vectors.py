@@ -5,7 +5,9 @@ tree's canonical (lexicographic) edge order.  The g-vector of an arc
 reads off how the arc turns at the two ends of each interior edge it
 uses; the c-vector of a colored arc in a facet is a signed indicator of
 the segment between its marked corners.  Per facet the two families are
-dual bases, which `pairing_matrix` asserts outright.
+dual bases, which `pairing_matrix` asserts outright.  The facet
+weights also come column-wise, for all facets at once
+(`theta_columns`).
 
 The sub-path families C_s and K_s defined here drive both the module
 theory (indecomposable submodules and quotients) and the stability
@@ -113,6 +115,44 @@ def kreweras_theta(facet):
     every = nc_complex.arcs(tree)
     gs = [g_vector(tree, every[i]) for i, _, green in facet.payload if green]
     return tuple(map(sum, zip(*gs))) if gs else zero_vector(tree)
+
+
+def _payload_columns(facets):
+    """{record: the positions in `facets` of the facets whose payload
+    holds it}, over every payload record (arc id, segment id, green?).
+    Each facet is one row of a bit matrix over the distinct records, and
+    the columns come out of one transpose."""
+    payloads = [f.payload for f in facets]
+    records = sorted(set().union(*payloads))
+    bit = {r: 1 << k for k, r in enumerate(records)}
+    rows = [sum(map(bit.__getitem__, p)) for p in payloads]
+    return {r: int(col[::-1] or b"0", 2) for r, col in
+            zip(records, nc_complex._transpose(rows, len(records)))}
+
+
+def theta_columns(tree, facets):
+    """The Kreweras weights of `facets` (see `kreweras_theta`), column-
+    wise: per interior edge, {v: the positions in `facets` of the facets
+    weighing v there}.  Adding an arc's g-vector moves the facets where
+    the arc is green from value v to v + g."""
+    out = [{0: (1 << len(facets)) - 1} for _ in range(tree.n)]
+    every = nc_complex.arcs(tree)
+    for (i, _, green), col in _payload_columns(facets).items():
+        for e, x in enumerate(g_vector(tree, every[i]) if green else ()):
+            if x:
+                out[e] = _sum_columns(out[e], {x: col, 0: ~col})
+    return out
+
+
+def _sum_columns(a, b):
+    """{v + x: the positions in both a[v] and b[x]} over two families of
+    value columns, nonempty columns only."""
+    out = {}
+    for v, c in a.items():
+        for x, d in b.items():
+            if c & d:
+                out[v + x] = out.get(v + x, 0) | c & d
+    return out
 
 
 def _subpaths_with_turns(tree, vertices, start_turn, end_turn):

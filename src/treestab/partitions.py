@@ -9,10 +9,11 @@ inverse is the Kreweras complement.  Red and green segments together
 form a spanning tree on the interior vertices, which is what makes the
 torsion-pair bookkeeping finite and checkable.
 
-Segment sets are worked on as id masks.  A block's segments, a
-partition's segments and composition closure are mask operations on
-the vertex pairs and compositions of the tree's segment table (see
-`tree_core`); the public functions hand out sets.
+Segment sets are worked on as id masks, and the partitions of many
+facets at once as columns, int bitsets over facet positions: a block's
+segments, a partition's segments and composition closure are mask or
+column operations on the vertex pairs and compositions of the tree's
+segment table (see `tree_core`); the public functions hand out sets.
 """
 
 from __future__ import annotations
@@ -33,39 +34,24 @@ class TreePartition:
                     raise ValueError("vertex %r in two blocks" % (v,))
                 seen.add(v)
         self.blocks = tuple(cleaned)
-
-    def block_of(self, v):
-        for b in self.blocks:
-            if v in b:
-                return b
-        raise KeyError(v)
+        self._hash = hash(self.blocks)
 
     def __eq__(self, other):
         return isinstance(other, TreePartition) and self.blocks == other.blocks
 
     def __hash__(self):
-        return hash(self.blocks)
+        return self._hash
 
     def __repr__(self):
         return "/".join("{%s}" % ",".join(b) for b in self.blocks)
 
 
-def refinement_leq(p, q):
-    """Whether p refines q: every block of p sits inside a block of q."""
-    return all(any(set(bp) <= set(bq) for bq in q.blocks) for bp in p.blocks)
-
-
-def block_segments(tree, block):
-    """Segments a partition block requires: endpoint pairs inside the
-    block whose tree path meets the block only at the ends.  Such a
-    pair must be joined by a segment; anything else means the block is
-    not realizable and the input was not a noncrossing partition."""
-    segs = tree.all_segments
-    return {segs[i] for i in _bits(_block_mask(tree, block))}
-
-
 def _block_mask(tree, block):
-    """Id mask of `block_segments(tree, block)`."""
+    """Id mask of the segments a partition block requires: endpoint
+    pairs inside the block whose tree path meets the block only at the
+    ends.  Such a pair must be joined by a segment; anything else means
+    the block is not realizable and the input was not a noncrossing
+    partition."""
     table = _segment_table(tree)
     ids = sorted({table.index[v] for v in block})
     inside = sum(1 << a for a in ids)
@@ -84,15 +70,9 @@ def _block_mask(tree, block):
     return out
 
 
-def partition_segments(tree, partition):
-    """Union of block_segments over all blocks, as a frozenset."""
-    segs = tree.all_segments
-    return frozenset(segs[i] for i in _bits(_segment_mask(tree, partition)))
-
-
 def _segment_mask(tree, partition):
-    """Id mask of `partition_segments`; built once per partition and
-    tree."""
+    """Id mask of the union of the blocks' `_block_mask`; built once per
+    partition and tree."""
     return tree.memo(("segment_mask", partition), _build_segment_mask,
                      partition)
 
@@ -102,24 +82,6 @@ def _build_segment_mask(tree, partition):
     for b in partition.blocks:
         out |= _block_mask(tree, b)
     return out
-
-
-def red_partition(facet):
-    """Interior vertices glued along the facet's red segments."""
-    return _partition(facet.tree, _facet_blocks(facet, "red"))
-
-
-def green_partition(facet):
-    """Interior vertices glued along the facet's green segments."""
-    return _partition(facet.tree, _facet_blocks(facet, "green"))
-
-
-def _facet_blocks(facet, color):
-    """`_glued_blocks` of the facet's segments of one color, read off
-    its `segment` and `color`."""
-    return _glued_blocks(facet.tree, _segment_ends(
-        facet.tree, [s for d, s in facet.segment.items()
-                     if facet.color[d] == color]), color)
 
 
 def _segment_ends(tree, segments):
@@ -179,6 +141,60 @@ def _ncp_table(tree):
     return reds, complement
 
 
+def _glue_columns(tree, facets):
+    """Both gluings of `facets`, red then green, column-wise: per color,
+    `same[a][b]` holds the positions in `facets` of the facets where the
+    interior vertices with ids a and b share a block."""
+    table = _segment_table(tree)
+    ids = range(len(table.index))
+    everyone = (1 << len(facets)) - 1
+    out = [[[everyone if a == b else 0 for b in ids] for a in ids]
+           for _ in "rg"]
+    for (_, s, green), col in gc_vectors._payload_columns(facets).items():
+        vs = table.segments[s].vertices
+        a, b = table.index[vs[0]], table.index[vs[-1]]
+        out[green][a][b] |= col
+        out[green][b][a] |= col
+    for same in out:
+        for k in ids:  # close transitively over the middle vertex k
+            for row in same:
+                via = row[k]
+                if via:
+                    row[:] = [c | via & d for c, d in zip(row, same[k])]
+    return out
+
+
+def side_columns(tree, facets):
+    """Both sides of the main theorem for `facets`, column-wise: for the
+    red and then the green partition, (block, wide), where per segment
+    id `block` holds the positions in `facets` of the facets where the
+    segment is one of the partition's (`_block_mask`), and `wide` those
+    where it lies in their composition closure.  The noncrossing
+    partitions of the tree, glued facet by facet, are checked first."""
+    noncrossing_partitions(tree)
+    glued = _glue_columns(tree, facets)
+    table = _segment_table(tree)
+    out, lost = [], [0, 0]
+    for color, same in enumerate(glued):
+        block = [0] * len(table.segments)
+        for (a, b), (inner, s) in table.pairs.items():
+            col = same[a][b]
+            for v in _bits(inner):
+                col &= ~same[a][v]
+            if s is None:
+                lost[color] |= col
+            elif a < b:
+                block[s] = col
+        out.append((block, _closure_columns(tree, block)))
+    if lost[0] | lost[1]:
+        # raise what the first such facet's partition raises, red first
+        f = ((lost[0] | lost[1]) & -(lost[0] | lost[1])).bit_length() - 1
+        _build_segment_mask(tree, _partition(tree, {
+            sum((c >> f & 1) << b for b, c in enumerate(row))
+            for row in glued[0 if lost[0] >> f & 1 else 1]}))
+    return out
+
+
 def noncrossing_partitions(tree):
     """All noncrossing partitions, in facet order; one per facet."""
     return tree.memo("ncp", _ncp_table)[0]
@@ -225,6 +241,22 @@ def _closure(tree, mask):
     return mask
 
 
+def _closure_columns(tree, columns):
+    """`_closure` column-wise: per segment id, the positions where the
+    segment lies in the closure of the segments `columns` holds there."""
+    wide = list(columns)
+    compose = _segment_table(tree).compose
+    todo = [s for s, col in enumerate(wide) if col]
+    while todo:
+        s = todo.pop()
+        for t, u in compose[s].items():
+            new = wide[s] & wide[t] & ~wide[u]
+            if new:
+                wide[u] |= new
+                todo.append(u)
+    return wide
+
+
 def segment_closure(tree, segments):
     """Smallest composition-closed superset, as a set."""
     segs = tree.all_segments
@@ -232,24 +264,6 @@ def segment_closure(tree, segments):
 
 
 # -- torsion pairs -------------------------------------------------------
-
-
-def wide_from_partition(tree, partition):
-    """Module set of the composition closure of the partition's
-    segments; the subcategory the main theorem pairs with a Kreweras
-    stability condition.  A frozenset."""
-    inds = string_modules.indecomposables(tree)
-    return frozenset(inds[i] for i in _bits(_wide_mask(tree, partition)))
-
-
-def _wide_mask(tree, partition):
-    """Id mask of `wide_from_partition`; built once per partition and
-    tree."""
-    return tree.memo(("wide_mask", partition), _build_wide_mask, partition)
-
-
-def _build_wide_mask(tree, partition):
-    return _closure(tree, _segment_mask(tree, partition))
 
 
 def torsion_pair(tree, partition):

@@ -2,41 +2,32 @@
 
 A weight vector on the interior edges declares a module semistable
 when its own weight vanishes and every proper submodule weighs at most
-zero, stable when strictly less.  The facet weights summing the green
-g-vectors realize exactly the wide subcategories coming from
-noncrossing tree partitions; `verify_kreweras_stability` recomputes
-both sides of that statement facet by facet and reports rather than
-throws, so a broken convention shows up as a failed check and not a
-stack trace.
+zero, stable when strictly less; the proper C_s members suffice, since
+sums of proper indecomposable submodules exhaust the proper
+submodules.  The facet weights summing the green g-vectors realize
+exactly the wide subcategories coming from noncrossing tree
+partitions; `verify_kreweras_stability` recomputes both sides of that
+statement and reports rather than throws, so a broken convention shows
+up as a failed check and not a stack trace.
 
-A weight is read as one list of per-segment weights, by segment id,
-summed along the weight steps of the tree's segment table (see
-`tree_core`).  Semistability and stability of every indecomposable
-then come off that list and the per-tree id masks of the proper C_s:
-the sums of proper indecomposable submodules exhaust the proper
-submodules, so those suffice.  Segment sets stay id masks through the
-whole per-facet check, and a green composite's decompositions are read
-off the table's sub-segment splits.
+One weight is read as a list of per-segment weights, by segment id,
+summed along the weight steps of the tree's segment table, and its
+semistable and stable sets as id masks.  The facet weights run
+column-wise, on int bitsets over facet positions: per edge and per
+segment a column per weight value, per segment the semistable and
+stable columns, per claim a fault column.  Reasons are written out for
+the failing facets only.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_, or_, xor
 
 from . import gc_vectors, nc_complex, partitions, string_modules
-from .tree_core import ConventionError, _bits, _id_mask, _segment_table
-
-
-def theta_value(tree, theta, thing):
-    """Weight of a module, module sum, or segment."""
-    if isinstance(thing, string_modules.ModuleSum):
-        return sum(theta_value(tree, theta, m) for m in thing)
-    if isinstance(thing, string_modules.StringModule):
-        vec = thing.dim_vector
-    else:
-        vec = gc_vectors.indicator(tree, thing.edges())
-    return sum(t * x for t, x in zip(theta, vec))
+from .tree_core import ConventionError, _bits, _segment_table
 
 
 def _stability(tree, theta):
@@ -68,6 +59,34 @@ def _build_stability(tree, theta):
             if not proper[s] & nonnegative:
                 stable |= 1 << s
     return weights, semi, stable
+
+
+def _segment_weights(tree, theta):
+    """Per segment id, {v: positions of weight v} from the per-edge
+    columns `theta` (see `gc_vectors.theta_columns`), summed along the
+    weight steps of the segment table."""
+    weights = [None] * len(tree.all_segments)
+    for s, prefix, e in _segment_table(tree).steps:
+        weights[s] = theta[e] if prefix < 0 else gc_vectors._sum_columns(
+            weights[prefix], theta[e])
+    return weights
+
+
+def _semistable_columns(tree, weights):
+    """(semi, stable): per segment id, the positions where it has zero
+    weight and no proper C_s member of positive weight, or, for
+    stable, of nonnegative weight."""
+    zero = [w.get(0, 0) for w in weights]
+    positive = [sum(c for v, c in w.items() if v > 0) for w in weights]
+    semi, stable = [], []
+    for s, below in enumerate(gc_vectors._proper(tree)):
+        up = ahead = 0
+        for t in _bits(below):
+            up |= positive[t]
+            ahead |= zero[t]
+        semi.append(zero[s] & ~up)
+        stable.append(zero[s] & ~up & ~ahead)
+    return semi, stable
 
 
 def is_semistable(tree, theta, module):
@@ -122,79 +141,120 @@ class SemistableReport:
         return [(r.index, f) for r in self.results for f in r.failures]
 
 
-def _decomposition_lengths(tree, s, parts):
-    """Lengths of the ways to write segment s as an end-to-end chain of
-    segments from the id mask `parts`: bit k of reach[j] says the first
-    j edges of s split into k parts."""
-    reach = [1]
-    for row in _segment_table(tree).splits[s]:
-        r = 0
-        for i, t in row:
-            if parts >> t & 1:
-                r |= reach[i] << 1
-        reach.append(r)
-    return set(_bits(reach[-1]))
+def _length_columns(tree, parts):
+    """Per segment id, {k: the positions where the segment is an
+    end-to-end chain of k segments that `parts` (positions, by segment
+    id) holds there}: along the segment's splits, reach[j] says where
+    its first j edges split into k parts."""
+    out = []
+    for rows in _segment_table(tree).splits:
+        reach = [{0: -1}]  # -1: every position
+        for row in rows:
+            r = {}
+            for i, t in row:
+                for k, c in reach[i].items():
+                    c &= parts[t]
+                    if c:
+                        r[k + 1] = r.get(k + 1, 0) | c
+            reach.append(r)
+        out.append(reach[-1])
+    return out
+
+
+def _check_facets(tree, facets):
+    """A FacetResult per facet of `facets`, every claim of the main
+    theorem worked out for all of them at once, as int bitsets over
+    their positions (columns).  Each claim gives fault columns, in the
+    order the reasons are reported; the reasons are written out for the
+    facets in some fault column only."""
+    segs = tree.all_segments
+    everyone = (1 << len(facets)) - 1
+    theta = gc_vectors.theta_columns(tree, facets)
+    weights = _segment_weights(tree, theta)
+    semi, stable = _semistable_columns(tree, weights)
+    (reds, wide), (greens, green_wide) = partitions.side_columns(tree,
+                                                                 facets)
+    lengths = _length_columns(tree, greens)
+
+    def row(columns, f):
+        return sum((c >> f & 1) << s for s, c in enumerate(columns))
+
+    def value(columns, f):
+        return next(v for v, c in columns.items() if c >> f & 1)
+
+    # (positions, reason, or a function of the position giving it)
+    faults = [(reduce(or_, map(xor, semi, wide), 0), lambda f: (
+        "semistable set %r differs from partition side %r"
+        % ([segs[s] for s in _bits(row(semi, f))],
+           [segs[s] for s in _bits(row(wide, f))])))]
+    faults += [(reds[s] & ~stable[s], "red segment %r not stable" % (seg,))
+               for s, seg in enumerate(segs)]
+    for s, seg in enumerate(segs):
+        composite = wide[s] & ~reds[s]
+        faults += [(composite & ~semi[s],
+                    "red composite %r not semistable" % (seg,)),
+                   (composite & stable[s],
+                    "red composite %r unexpectedly stable" % (seg,))]
+    for s, seg in enumerate(segs):
+        once = twice = fits = 0
+        for k, c in lengths[s].items():
+            twice |= once & c
+            once |= c
+            fits |= c & weights[s].get(k, 0)
+        faults += [
+            (green_wide[s] & ~(once & ~twice), lambda f, s=s: (
+                "green composite %r has decomposition lengths %r"
+                % (segs[s], [k for k, c in sorted(lengths[s].items())
+                             if c >> f & 1]))),
+            (green_wide[s] & once & ~twice & ~fits, lambda f, s=s: (
+                "green composite %r weighs %d, composition length is %d"
+                % (segs[s], value(weights[s], f), value(lengths[s], f))))]
+    # a facet glues along a segment of some color exactly when its
+    # partition of that color has a block segment
+    all_red = everyone & ~reduce(or_, greens, 0)
+    all_green = everyone & ~reduce(or_, reds, 0)
+    thetas = _theta_rows(theta, len(facets))
+    faults += [
+        (all_red & ~reduce(and_, (col.get(0, 0) for col in theta), everyone),
+         lambda f: "all-red facet weight %r nonzero" % (thetas[f],)),
+        (all_red & ~reduce(and_, semi, everyone),
+         "all-red facet misses some module"),
+        (all_green & ~reduce(and_, (col.get(1, 0) for col in theta),
+                             everyone),
+         lambda f: "all-green facet weight %r not all ones" % (thetas[f],)),
+        (all_green & reduce(or_, semi, 0), lambda f: (
+            "all-green facet has semistables %r"
+            % ({string_modules.indecomposables(tree)[s]
+                for s in _bits(row(semi, f))},)))]
+    faults = [(col, why) for col, why in faults if col]
+    results = [FacetResult(facet.index, t) for facet, t in zip(facets, thetas)]
+    for f in _bits(reduce(or_, (col for col, _ in faults), 0)):
+        results[f].failures = [why(f) if callable(why) else why
+                               for col, why in faults if col >> f & 1]
+    return results
+
+
+def _theta_rows(theta, width):
+    """Per position, below `width`, its weight: the value columns
+    `theta` (see `gc_vectors.theta_columns`) transposed."""
+    edges = []
+    for col in theta:
+        value = {b"".join(b"1" if c == d else b"0" for d in col.values()): v
+                 for v, c in col.items()}
+        edges.append(map(value.__getitem__,
+                         nc_complex._transpose(list(col.values()), width)))
+    return list(zip(*edges)) if theta else [()] * width
 
 
 def check_facet(tree, facet):
-    """All per-facet claims: the semistable set matches the partition's
-    wide subcategory, red segments are stable, red composites are
-    semistable but not stable, green composites weigh their length."""
-    theta = gc_vectors.kreweras_theta(facet)
-    res = FacetResult(facet.index, theta)
-    segs = tree.all_segments
-    weights, semi, stable = _stability(tree, theta)
-    ss = semistable_modules(tree, theta)  # reads the same weight pass
-    ss_mask = _id_mask(tree, (m.segment for m in ss))
-    part = partitions.noncrossing_partitions(tree)[facet.index]
-    reds = partitions._segment_mask(tree, part)
-    closure = partitions._wide_mask(tree, part)
-    if ss_mask != closure:
-        res.failures.append(
-            "semistable set %r differs from partition side %r"
-            % ([segs[i] for i in _bits(ss_mask)],
-               [segs[i] for i in _bits(closure)]))
-    for s in _bits(reds & ~stable):
-        res.failures.append("red segment %r not stable" % (segs[s],))
-    for s in _bits(closure & ~reds):
-        if not semi >> s & 1:
-            res.failures.append("red composite %r not semistable"
-                                % (segs[s],))
-        if stable >> s & 1:
-            res.failures.append("red composite %r unexpectedly stable"
-                                % (segs[s],))
-    comp = partitions.kreweras_complement(tree, part)
-    greens = partitions._segment_mask(tree, comp)
-    for s in _bits(partitions._wide_mask(tree, comp)):
-        ks = _decomposition_lengths(tree, s, greens)
-        if len(ks) != 1:
-            res.failures.append(
-                "green composite %r has decomposition lengths %r"
-                % (segs[s], sorted(ks)))
-            continue
-        k = ks.pop()
-        if weights[s] != k:
-            res.failures.append(
-                "green composite %r weighs %d, composition length is %d"
-                % (segs[s], weights[s], k))
-    if not any(green for _, _, green in facet.payload):
-        if any(t != 0 for t in theta):
-            res.failures.append("all-red facet weight %r nonzero" % (theta,))
-        if ss_mask != (1 << len(segs)) - 1:
-            res.failures.append("all-red facet misses some module")
-    if all(green for _, _, green in facet.payload):
-        if any(t != 1 for t in theta):
-            res.failures.append("all-green facet weight %r not all ones"
-                                % (theta,))
-        if ss:
-            res.failures.append("all-green facet has semistables %r" % (ss,))
-    return res
+    """The claims of the main theorem for one facet of the tree: the
+    column route of `verify_kreweras_stability` on it alone."""
+    return _check_facets(tree, (facet,))[0]
 
 
 def verify_kreweras_stability(tree):
-    """Run check_facet over every facet, in facet order."""
-    return SemistableReport([check_facet(tree, f)
-                             for f in nc_complex.facets(tree)])
+    """Check every facet, in facet order, in one column-wise pass."""
+    return SemistableReport(_check_facets(tree, nc_complex.facets(tree)))
 
 
 # -- poset comparison ----------------------------------------------------
@@ -203,16 +263,19 @@ def verify_kreweras_stability(tree):
 def semistable_poset(tree):
     """Semistable sets of the facet weights under inclusion.  The map
     from noncrossing partitions is checked to be an order isomorphism,
-    which is the poset half of the main statement."""
-    table = []
-    for facet in nc_complex.facets(tree):
-        theta = gc_vectors.kreweras_theta(facet)
-        table.append(frozenset(
-            m.segment for m in semistable_modules(tree, theta)))
-    if len(set(table)) != len(table):
+    which is the poset half of the main statement.  Each facet's
+    semistable set is read off the semi columns of all facet weights."""
+    fs = nc_complex.facets(tree)
+    semi, _ = _semistable_columns(tree, _segment_weights(
+        tree, gc_vectors.theta_columns(tree, fs)))
+    masks = [int(r[::-1] or b"0", 2)
+             for r in nc_complex._transpose(semi, len(fs))]
+    if len(set(masks)) != len(masks):
         raise ConventionError("facet weights share a semistable set")
-    po = partitions.Poset(table, [_id_mask(tree, e) for e in table])
-    if not po.isomorphic_by(partitions.ncp_poset(tree), range(len(table))):
+    segs = tree.all_segments
+    po = partitions.Poset([frozenset(segs[s] for s in _bits(m))
+                           for m in masks], masks)
+    if not po.isomorphic_by(partitions.ncp_poset(tree), range(len(fs))):
         raise ConventionError(
             "semistable order disagrees with refinement order")
     return po

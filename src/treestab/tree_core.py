@@ -108,6 +108,9 @@ class Segment:
         return "-".join(str(v) for v in self.vertices)
 
 
+_MISSING = object()  # `memo`'s mark for a key not built yet
+
+
 class EmbeddedTree:
     """Validated tree with a counterclockwise rotation system.
 
@@ -140,10 +143,10 @@ class EmbeddedTree:
         """`build(self, *args)`, computed on the first request for `key`
         and kept for the life of the tree.  Every later caller shares the
         value, so collections handed out are tuples or frozensets."""
-        memo = self._memo
-        if key not in memo:
-            memo[key] = build(self, *args)
-        return memo[key]
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = build(self, *args)
+        return value
 
     # -- validation ----------------------------------------------------
 

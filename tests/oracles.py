@@ -13,7 +13,10 @@ ids, on `Arc` and `Segment` objects: frozenset-membership marking,
 the frozenset closure fixpoint, block segments and the vertex-pair
 table by walking tree paths, the compose table by endpoint lookup over
 all pairs of segments, semistability by summing weights over edges,
-and decomposition lengths by matching vertex windows.  Tests compare
+and decomposition lengths by matching vertex windows.  And it keeps
+the per-facet route of the main theorem's claims that the column-wise
+check replaced: one weight pass per facet, segments, closures and
+decomposition lengths per partition.  Tests compare
 each with its id form.  Code that only tests use (red-green trees,
 biclosed sets, supporting arcs) lives here too.
 """
@@ -23,7 +26,7 @@ import weakref
 from fractions import Fraction
 
 from treestab import gc_vectors, nc_complex, partitions, semistable
-from treestab import string_modules
+from treestab import string_modules, tree_core
 from treestab.tree_core import ConventionError, Segment, compose
 
 
@@ -620,7 +623,7 @@ def compose_table_by_ends(tree):
 
 
 def _proper_theta_values(tree, theta, module):
-    return [semistable.theta_value(tree, theta, string_modules.string_module(
+    return [theta_value(tree, theta, string_modules.string_module(
                 tree, t))
             for t in gc_vectors.submodule_segments(tree, module.segment)
             if t != module.segment]
@@ -629,12 +632,12 @@ def _proper_theta_values(tree, theta, module):
 def theta_semistable(tree, theta, module):
     """Zero weight and no proper indecomposable submodule of positive
     weight, by summing theta over dimension vectors."""
-    return semistable.theta_value(tree, theta, module) == 0 and all(
+    return theta_value(tree, theta, module) == 0 and all(
         v <= 0 for v in _proper_theta_values(tree, theta, module))
 
 
 def theta_stable(tree, theta, module):
-    return semistable.theta_value(tree, theta, module) == 0 and all(
+    return theta_value(tree, theta, module) == 0 and all(
         v < 0 for v in _proper_theta_values(tree, theta, module))
 
 
@@ -697,7 +700,7 @@ def check_facet_by_objects(tree, facet, theta):
                             % (s, sorted(ks)))
             continue
         k = ks.pop()
-        got = semistable.theta_value(tree, theta, s)
+        got = theta_value(tree, theta, s)
         if got != k:
             failures.append("green composite %r weighs %d, composition "
                             "length is %d" % (s, got, k))
@@ -713,6 +716,154 @@ def check_facet_by_objects(tree, facet, theta):
         if ss:
             failures.append("all-green facet has semistables %r" % (ss,))
     return failures
+
+
+# -- helpers only tests call -----------------------------------------------
+
+
+def theta_value(tree, theta, thing):
+    """Weight of a module, module sum, or segment."""
+    if isinstance(thing, string_modules.ModuleSum):
+        return sum(theta_value(tree, theta, m) for m in thing)
+    if isinstance(thing, string_modules.StringModule):
+        vec = thing.dim_vector
+    else:
+        vec = gc_vectors.indicator(tree, thing.edges())
+    return sum(t * x for t, x in zip(theta, vec))
+
+
+def block_of(partition, v):
+    """The block of `partition` that holds v."""
+    for b in partition.blocks:
+        if v in b:
+            return b
+    raise KeyError(v)
+
+
+def refinement_leq(p, q):
+    """Whether p refines q: every block of p sits inside a block of q."""
+    return all(any(set(bp) <= set(bq) for bq in q.blocks) for bp in p.blocks)
+
+
+def block_segments(tree, block):
+    """The segments of `partitions._block_mask`, as a set."""
+    segs = tree.all_segments
+    return {segs[i] for i in
+            tree_core._bits(partitions._block_mask(tree, block))}
+
+
+def partition_segments(tree, partition):
+    """Union of block_segments over all blocks, as a frozenset."""
+    mask = partitions._segment_mask(tree, partition)
+    return frozenset(tree.all_segments[i] for i in tree_core._bits(mask))
+
+
+def wide_from_partition(tree, partition):
+    """Module set of the composition closure of the partition's
+    segments; the subcategory the main theorem pairs with a Kreweras
+    stability condition.  A frozenset."""
+    inds = string_modules.indecomposables(tree)
+    return frozenset(inds[i] for i in tree_core._bits(partitions._closure(
+        tree, partitions._segment_mask(tree, partition))))
+
+
+def red_partition(facet):
+    """Interior vertices glued along the facet's red segments."""
+    return glued_partition(facet, "red")
+
+
+def green_partition(facet):
+    """Interior vertices glued along the facet's green segments."""
+    return glued_partition(facet, "green")
+
+
+def glued_partition(facet, color):
+    """The gluing of the facet's segments of one color, read off its
+    `segment` and `color` views."""
+    tree = facet.tree
+    return partitions._partition(tree, partitions._glued_blocks(
+        tree, partitions._segment_ends(tree, [
+            s for d, s in facet.segment.items() if facet.color[d] == color]),
+        color))
+
+
+# -- the per-facet route of the main theorem -------------------------------
+
+
+def decomposition_length_mask(tree, s, parts):
+    """Lengths of the ways to write segment id s as an end-to-end chain
+    of segments from the id mask `parts`, along the table's splits."""
+    reach = [1]
+    for row in tree_core._segment_table(tree).splits[s]:
+        r = 0
+        for i, t in row:
+            if parts >> t & 1:
+                r |= reach[i] << 1
+        reach.append(r)
+    return set(tree_core._bits(reach[-1]))
+
+
+def check_facets_per_facet(tree):
+    """A FacetResult per facet of the tree, in facet order, from
+    `check_facet_per_facet`."""
+    return [check_facet_per_facet(tree, f) for f in nc_complex.facets(tree)]
+
+
+def check_facet_per_facet(tree, facet):
+    """The main theorem's claims for one facet on segment-id masks: its
+    weight from `kreweras_theta`, that weight's `_stability` pass, its
+    partitions from the noncrossing partition table, their segments and
+    closures per partition.  A FacetResult."""
+    bits = tree_core._bits
+    theta = gc_vectors.kreweras_theta(facet)
+    res = semistable.FacetResult(facet.index, theta)
+    segs = tree.all_segments
+    weights, semi, stable = semistable._stability(tree, theta)
+    part = partitions.noncrossing_partitions(tree)[facet.index]
+    reds = partitions._segment_mask(tree, part)
+    closure = partitions._closure(tree, reds)
+    if semi != closure:
+        res.failures.append(
+            "semistable set %r differs from partition side %r"
+            % ([segs[i] for i in bits(semi)],
+               [segs[i] for i in bits(closure)]))
+    for s in bits(reds & ~stable):
+        res.failures.append("red segment %r not stable" % (segs[s],))
+    for s in bits(closure & ~reds):
+        if not semi >> s & 1:
+            res.failures.append("red composite %r not semistable"
+                                % (segs[s],))
+        if stable >> s & 1:
+            res.failures.append("red composite %r unexpectedly stable"
+                                % (segs[s],))
+    greens = partitions._segment_mask(
+        tree, partitions.kreweras_complement(tree, part))
+    for s in bits(partitions._closure(tree, greens)):
+        ks = decomposition_length_mask(tree, s, greens)
+        if len(ks) != 1:
+            res.failures.append(
+                "green composite %r has decomposition lengths %r"
+                % (segs[s], sorted(ks)))
+            continue
+        k = ks.pop()
+        if weights[s] != k:
+            res.failures.append(
+                "green composite %r weighs %d, composition length is %d"
+                % (segs[s], weights[s], k))
+    inds = string_modules.indecomposables(tree)
+    if not any(green for _, _, green in facet.payload):
+        if any(t != 0 for t in theta):
+            res.failures.append("all-red facet weight %r nonzero" % (theta,))
+        if semi != (1 << len(segs)) - 1:
+            res.failures.append("all-red facet misses some module")
+    if all(green for _, _, green in facet.payload):
+        if any(t != 1 for t in theta):
+            res.failures.append("all-green facet weight %r not all ones"
+                                % (theta,))
+        if semi:
+            res.failures.append("all-green facet has semistables %r"
+                                % ({inds[s] for s in bits(semi)},))
+    return res
 
 
 # -- biclosed sets ---------------------------------------------------------
@@ -771,10 +922,10 @@ class RedGreenTree:
         self.partition = partition
         self.complement = partitions.kreweras_complement(tree, partition)
         self.red_segments = sorted(
-            partitions.partition_segments(tree, partition),
+            partition_segments(tree, partition),
             key=lambda s: s.vertices)
         self.green_segments = sorted(
-            partitions.partition_segments(tree, self.complement),
+            partition_segments(tree, self.complement),
             key=lambda s: s.vertices)
         overlap = set(self.red_segments) & set(self.green_segments)
         if overlap:

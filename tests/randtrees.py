@@ -7,6 +7,8 @@ vary the embedding."""
 
 from hypothesis import strategies as st
 
+from treestab.tree_core import EmbeddedTree
+
 
 @st.composite
 def rotations(draw, max_interior=4):
@@ -33,3 +35,26 @@ def rotations(draw, max_interior=4):
             kids.reverse()
         rotation[promoted] = [parent] + kids
     return {v: tuple(ns) for v, ns in rotation.items()}
+
+
+def grow_full(rng, interior):
+    """A tree grown by the same rule, with choices drawn from `rng` (a
+    `random.Random`), in which every path between two interior vertices
+    is a segment: redrawn until it is one."""
+    while True:
+        rotation = {"i0": ["t0", "t1", "t2"],
+                    "t0": ["i0"], "t1": ["i0"], "t2": ["i0"]}
+        leaves = ["t0", "t1", "t2"]
+        for _ in range(interior - 1):
+            promoted = leaves.pop(rng.randrange(len(leaves)))
+            kids = ["t%d" % (len(rotation) + k)
+                    for k in range(rng.choice((2, 3)))]
+            for name in kids:
+                rotation[name] = [promoted]
+            leaves += kids
+            if rng.random() < 0.5:
+                kids.reverse()
+            rotation[promoted] = rotation[promoted][:1] + kids
+        tree = EmbeddedTree(rotation)
+        if len(tree.all_segments) == interior * (interior - 1) // 2:
+            return tree

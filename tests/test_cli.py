@@ -187,8 +187,10 @@ DOCTORED = {
                         "lambda facet, arc: False\n",
     "converse-sweep": "string_modules.is_wide = lambda tree, segs: False\n",
     "torsion-pairs": "string_modules.hom_dim = lambda tree, M, N: 1\n",
-    "kreweras-stability": "semistable.semistable_modules = "
-                          "lambda tree, theta: set()\n",
+    # every facet weight's semistable set empty, its stable set kept
+    "kreweras-stability": "real = semistable._semistable_columns\n"
+                          "semistable._semistable_columns = lambda tree, w: "
+                          "([0] * len(w), real(tree, w)[1])\n",
 }
 
 
@@ -228,11 +230,12 @@ def test_kreweras_stability_failure_is_one_readable_line(optimize):
     line = next(ln for ln in r.stdout.splitlines()
                 if ln.startswith("kreweras-stability"))
     detail = line.split("ConventionError: ", 1)[1]
-    parts = detail.split("; ")
-    assert parts[0] == "13/14 facets fail"
-    assert len(parts) == 4
-    assert all(part.startswith("facet ") and ": semistable set [] differs"
-               in part for part in parts[1:])
+    assert detail.split("; ") == [
+        "13/14 facets fail",
+        "facet 0: semistable set [] differs from partition side [c-w2]",
+        "facet 1: semistable set [] differs from partition side "
+        "[c-w2, c-w3, w2-c-w3]",
+        "facet 1: red composite w2-c-w3 not semistable"]
 
 
 @pytest.mark.parametrize("optimize", [False, True])

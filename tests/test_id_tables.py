@@ -32,9 +32,11 @@ def assert_facets_match_chain_oracle(tree):
         assert f.marks == marks
         assert f.color == colors
         assert f.segment == segments
-        for color, glued in (("red", partitions.red_partition),
-                             ("green", partitions.green_partition)):
-            assert glued(f) == oracles.endpoint_partition(
+        red = partitions.noncrossing_partitions(tree)[f.index]
+        for color, glued in (
+                ("red", red), ("green", partitions.kreweras_complement(
+                    tree, red))):
+            assert glued == oracles.endpoint_partition(
                 tree, [s for d, s in segments.items() if colors[d] == color])
 
 
@@ -71,14 +73,14 @@ def assert_partitions_match(tree):
             assert partitions.segment_closure(tree, family) == \
                 oracles.closure_by_sets(tree, family)
     for p in partitions.noncrossing_partitions(tree):
-        blocks = [partitions.block_segments(tree, b) for b in p.blocks]
+        blocks = [oracles.block_segments(tree, b) for b in p.blocks]
         assert blocks == [oracles.block_segments_by_paths(tree, b)
                           for b in p.blocks]
-        reds = partitions.partition_segments(tree, p)
+        reds = oracles.partition_segments(tree, p)
         assert reds == set().union(*blocks)
         closure = oracles.closure_by_sets(tree, reds)
         assert partitions.segment_closure(tree, reds) == closure
-        assert {m.segment for m in partitions.wide_from_partition(tree, p)} \
+        assert {m.segment for m in oracles.wide_from_partition(tree, p)} \
             == closure
 
 
@@ -100,15 +102,59 @@ def assert_decompositions_match(tree, seed=5):
     segment may break up in several ways."""
     ids = tree_core._segment_table(tree).ids
     rng = random.Random(seed)
-    families = [partitions.partition_segments(tree, p)
+    families = [oracles.partition_segments(tree, p)
                 for p in partitions.noncrossing_partitions(tree)]
     families += [{s for s in tree.all_segments if rng.random() < 0.6}
                  for _ in range(10)] + [set(tree.all_segments)]
     for parts in families:
         mask = tree_core._id_mask(tree, parts)
+        # one column of width one: position 0 holds the parts
+        lengths = semistable._length_columns(
+            tree, [mask >> t & 1 for t in range(len(tree.all_segments))])
         for s in partitions.segment_closure(tree, parts):
-            assert semistable._decomposition_lengths(tree, ids[s], mask) \
-                == oracles.decomposition_lengths(s, parts)
+            assert {k for k, c in lengths[ids[s]].items() if c} \
+                == oracles.decomposition_lengths(s, parts) \
+                == oracles.decomposition_length_mask(tree, ids[s], mask)
+
+
+def assert_columns_match(tree, seed=5):
+    """The column tables over all facets against their per-facet
+    forms: payload records, weights, gluings and closures."""
+    fs = facets(tree)
+    records = gc_vectors._payload_columns(fs)
+    assert {r for f in fs for r in f.payload} == set(records)
+    for r, col in records.items():
+        assert col == sum(1 << f.index for f in fs if r in f.payload)
+    theta = gc_vectors.theta_columns(tree, fs)
+    for f in fs:
+        assert tuple(next(v for v, c in col.items() if c >> f.index & 1)
+                     for col in theta) == gc_vectors.kreweras_theta(f)
+    ids = range(len(tree.interior_vertices))
+    for same, glued in zip(partitions._glue_columns(tree, fs),
+                           (oracles.red_partition, oracles.green_partition)):
+        for f in fs:
+            blocks = {sum((same[a][b] >> f.index & 1) << b for b in ids)
+                      for a in ids}
+            assert partitions._partition(tree, blocks) == glued(f)
+    rng = random.Random(seed)
+    thetas = weights(tree, count=12, seed=seed)
+    theta = [{} for _ in range(tree.n)]
+    for p, t in enumerate(thetas):
+        for e, v in enumerate(t):
+            theta[e][v] = theta[e].get(v, 0) | 1 << p
+    semi, stable = semistable._semistable_columns(
+        tree, semistable._segment_weights(tree, theta))
+    for p, t in enumerate(thetas):
+        assert [sum((c >> p & 1) << s for s, c in enumerate(cols))
+                for cols in (semi, stable)] == \
+            list(semistable._stability(tree, t)[1:])
+    S = len(tree.all_segments)
+    columns = [rng.getrandbits(12) & rng.getrandbits(12) for _ in range(S)]
+    closed = partitions._closure_columns(tree, columns)
+    for p in range(12):
+        assert sum((c >> p & 1) << s for s, c in enumerate(closed)) == \
+            partitions._closure(
+                tree, sum((c >> p & 1) << s for s, c in enumerate(columns)))
 
 
 def weights(tree, count=8, seed=3):
@@ -129,6 +175,7 @@ def test_segment_table_matches_oracles(suite_tree):
 def test_partitions_and_closures_match(suite_tree):
     assert_partitions_match(suite_tree)
     assert_decompositions_match(suite_tree)
+    assert_columns_match(suite_tree)
 
 
 def test_stability_matches_theta_oracle(suite_tree):
@@ -143,6 +190,7 @@ def test_random_tree_id_routes_match(rotation):
     assert_facets_match_chain_oracle(tree)
     assert_partitions_match(tree)
     assert_decompositions_match(tree)
+    assert_columns_match(tree)
     assert_stability_matches(tree, weights(tree, count=4))
 
 
@@ -158,9 +206,9 @@ def test_block_segments_raise_like_path_walk(name):
                 want = oracles.block_segments_by_paths(tree, block)
             except ValueError:
                 with pytest.raises(ValueError, match="no segment joins"):
-                    partitions.block_segments(tree, block)
+                    oracles.block_segments(tree, block)
             else:
-                assert partitions.block_segments(tree, block) == want
+                assert oracles.block_segments(tree, block) == want
 
 
 def marking_outcome(build):
@@ -227,8 +275,8 @@ def test_glued_partition_rejects_segment_through_its_block():
                            color={"a": "red", "b": "red"})
     with pytest.raises(ConventionError,
                        match="red segment v1-v2-v3 not minimal in its block"):
-        partitions.red_partition(fake)
-    assert partitions.green_partition(fake).blocks == \
+        oracles.red_partition(fake)
+    assert oracles.green_partition(fake).blocks == \
         (("v1",), ("v2",), ("v3",))
 
 
@@ -248,7 +296,7 @@ def test_green_gluing_outside_the_red_partitions_fails(monkeypatch):
                             color=dict.fromkeys(segment, "green"),
                             payload=tuple((-1, ids[s], True)
                                           for s in segment.values()))
-    assert partitions.green_partition(fs[k]).blocks == \
+    assert oracles.green_partition(fs[k]).blocks == \
         (("a", "c"), ("b", "d"))
     monkeypatch.setattr(nc_complex, "facets", lambda t: tuple(fs))
     with pytest.raises(ConventionError, match="green partition of facet "
@@ -256,23 +304,46 @@ def test_green_gluing_outside_the_red_partitions_fails(monkeypatch):
         partitions.noncrossing_partitions(tree)
 
 
+def test_unrealizable_gluing_fails_like_partition_route():
+    """A facet whose red segments glue a block no segment set can draw
+    (v1 and v4 of big8 share a block, and their path is no segment)
+    fails the column route with the per-partition route's error."""
+    tree = get_tree("big8")
+    ids = tree_core._segment_table(tree).ids
+    glued = [Segment.canonical(vs) for vs in (("v1", "v2", "v3", "v6"),
+                                              ("v4", "v3", "v6"))]
+    fake = SimpleNamespace(index=0, payload=tuple((-1, ids[s], False)
+                                                  for s in glued))
+    with pytest.raises(ValueError, match="no segment joins them") as want:
+        partitions._build_segment_mask(
+            tree, oracles.endpoint_partition(tree, glued))
+    with pytest.raises(ValueError) as got:
+        semistable.check_facet(tree, fake)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("name", ["a2", "cyc3", "deg45", "caterpillar4"])
 def test_check_facet_failures_match_object_route(name, monkeypatch):
     """With every facet handed its neighbour's weight, most claims fail,
-    and check_facet reports the same failures, in the same words and
-    order, as the route on segment and module sets."""
+    and check_facet, on the facet alone or among all facets, reports the
+    same failures, in the same words and order, as the route on segment
+    and module sets.  The weight is shifted where the column route reads
+    it, in `theta_columns`."""
     tree = get_tree(name)
     fs = facets(tree)
     shifted = {f.index: gc_vectors.kreweras_theta(fs[f.index - 1])
                for f in fs}
-    monkeypatch.setattr(gc_vectors, "kreweras_theta",
-                        lambda f: shifted[f.index])
+    real = gc_vectors.theta_columns
+    monkeypatch.setattr(gc_vectors, "theta_columns", lambda tree, facets:
+                        real(tree, [fs[f.index - 1] for f in facets]))
     failing = 0
+    every = semistable.verify_kreweras_stability(tree).results
     for f in fs:
-        got = semistable.check_facet(tree, f).failures
-        assert got == oracles.check_facet_by_objects(
-            tree, f, shifted[f.index])
-        failing += bool(got)
+        got = semistable.check_facet(tree, f)
+        assert got.theta == every[f.index].theta == shifted[f.index]
+        assert got.failures == every[f.index].failures \
+            == oracles.check_facet_by_objects(tree, f, shifted[f.index])
+        failing += bool(got.failures)
     assert failing > len(fs) // 2
 
 
@@ -283,7 +354,7 @@ ID_TABLES = [(tree_core, "_build_segment_table"),
 
 def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
     """One verify-thm1 on big8 builds each id table once; after the last
-    one exists it never sums a weight with theta_value, composes two
+    one exists it never sums a weight over edges (`indicator`), composes two
     segments or walks a tree path."""
     events = []
 
@@ -297,8 +368,8 @@ def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
     for module, name in ID_TABLES:
         monkeypatch.setattr(module, name,
                             spy("built", name, getattr(module, name)))
-    monkeypatch.setattr(semistable, "theta_value",
-                        spy("called", "theta_value", semistable.theta_value))
+    monkeypatch.setattr(gc_vectors, "indicator",
+                        spy("called", "indicator", gc_vectors.indicator))
     compose = spy("called", "compose", tree_core.compose)
     for module in (tree_core, partitions, string_modules):
         if getattr(module, "compose", None) is tree_core.compose:
