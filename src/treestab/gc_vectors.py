@@ -130,14 +130,14 @@ def _payload_columns(facets):
             zip(records, nc_complex._transpose(rows, len(records)))}
 
 
-def theta_columns(tree, facets):
-    """The Kreweras weights of `facets` (see `kreweras_theta`), column-
-    wise: per interior edge, {v: the positions in `facets` of the facets
-    weighing v there}.  Adding an arc's g-vector moves the facets where
-    the arc is green from value v to v + g."""
-    out = [{0: (1 << len(facets)) - 1} for _ in range(tree.n)]
+def theta_columns(tree, records, width):
+    """The Kreweras weights (see `kreweras_theta`) column-wise, from the
+    payload columns `records` of `width` facets: per interior edge, {v:
+    the positions of the facets weighing v there}.  Adding an arc's
+    g-vector moves the facets where the arc is green from v to v + g."""
+    out = [{0: (1 << width) - 1} for _ in range(tree.n)]
     every = nc_complex.arcs(tree)
-    for (i, _, green), col in _payload_columns(facets).items():
+    for (i, _, green), col in records.items():
         for e, x in enumerate(g_vector(tree, every[i]) if green else ()):
             if x:
                 out[e] = _sum_columns(out[e], {x: col, 0: ~col})

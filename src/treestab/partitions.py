@@ -9,14 +9,24 @@ inverse is the Kreweras complement.  Red and green segments together
 form a spanning tree on the interior vertices, which is what makes the
 torsion-pair bookkeeping finite and checkable.
 
-Segment sets are worked on as id masks, and the partitions of many
-facets at once as columns, int bitsets over facet positions: a block's
-segments, a partition's segments and composition closure are mask or
-column operations on the vertex pairs and compositions of the tree's
-segment table (see `tree_core`); the public functions hand out sets.
+There is one gluing, column-wise: int bitsets over facet positions
+(columns) say per color where two interior vertices share a block and
+where a segment is a block segment.  The tree's facets are glued, and
+every gluing check is run, once per tree.  Transposed, the same-block
+columns give each facet a row per color, its partition as vertex
+pairs: red rows tell partitions apart and are what the partitions and
+their refinement order are built from, green ones are looked up among
+them (the Kreweras map).  The torsion pairs start from the block
+columns.  Closures run on the compositions of the segment table (see
+`tree_core`); public functions hand out sets.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import compress
+from operator import or_
+from typing import NamedTuple
 
 from . import gc_vectors, nc_complex, string_modules
 from .tree_core import ConventionError, _bits, _id_mask, _segment_table
@@ -46,153 +56,121 @@ class TreePartition:
         return "/".join("{%s}" % ",".join(b) for b in self.blocks)
 
 
-def _block_mask(tree, block):
-    """Id mask of the segments a partition block requires: endpoint
-    pairs inside the block whose tree path meets the block only at the
-    ends.  Such a pair must be joined by a segment; anything else means
-    the block is not realizable and the input was not a noncrossing
-    partition."""
+class _Gluing(NamedTuple):
+    """Both gluings of F facets, as columns over 2F positions: position
+    f stands for the red partition of facet f, F + f for its green one."""
+
+    records: dict  # the facets' `gc_vectors._payload_columns`
+    # blocks[color][s], by facet: where segment id s is a block segment
+    # (its ends share a block, no inner vertex of its path does)
+    blocks: tuple
+    # of the tree's facets only: rows[p], the same-block relation at
+    # position p as b"0"/b"1" with vertex ids (a, b) at place V * a + b;
+    # complement[f], the facet whose red partition is facet f's green one
+    rows: tuple
+    complement: tuple
+
+
+def _gluing(tree):
+    """The `_Gluing` of the tree's facets, built and checked once per
+    tree.  Other facet lists, such as a lone or doctored facet, are
+    glued by `_glue_columns` directly."""
+    return tree.memo("gluing", _glue_columns, nc_complex.facets(tree), True)
+
+
+def _glue_columns(tree, facets, whole):
+    """Glue the segments' end pairs, off the payload columns, and close
+    them transitively over the middle vertex.  The first failing check
+    at the lowest failing position raises, so red comes before green: a
+    segment through its own block, a block that no segment can draw,
+    then, for the tree's facets (`whole`), a red partition that repeats
+    or a green one that is no red one."""
     table = _segment_table(tree)
-    ids = sorted({table.index[v] for v in block})
-    inside = sum(1 << a for a in ids)
-    out = 0
-    for x, a in enumerate(ids):
-        for b in ids[x + 1:]:
-            inner, seg = table.pairs[a, b]
-            if inner & inside:
-                continue
-            if seg is None:
-                ivs = tree.interior_vertices
-                raise ValueError(
-                    "block %r needs a curve from %r to %r but no segment "
-                    "joins them" % (sorted(block), ivs[a], ivs[b]))
-            out |= 1 << seg
-    return out
+    ivs, segs = tree.interior_vertices, table.segments
+    ids, width = range(len(ivs)), len(facets)
+    records = gc_vectors._payload_columns(facets)
+    glued = [0] * len(segs)  # per segment id, the positions holding it
+    for (_, s, green), col in records.items():
+        glued[s] |= col << width * green
+    same = [[(1 << 2 * width) - 1 if a == b else 0 for b in ids]
+            for a in ids]
+    for (a, b), (_, s) in table.pairs.items():
+        if s is not None:
+            same[a][b] = glued[s]
+    for k, pivot in enumerate(same):
+        for row in same:
+            via = row[k]
+            if via and row is not pivot:
+                row[:] = [c | via & d for c, d in zip(row, pivot)]
+    block, through, lost = [0] * len(segs), [0] * len(segs), {}
+    for (a, b), (inner, s) in table.pairs.items():
+        if a < b:
+            # where the path meets a's block
+            meets = reduce(or_, (same[a][v] for v in _bits(inner)), 0)
+            if s is None:
+                lost[a, b] = same[a][b] & ~meets
+            else:
+                block[s] = same[a][b] & ~meets
+                through[s] = glued[s] & meets
 
+    def crossing(p):  # the first such segment in the facet's payload
+        s = next(s for _, s, g in facets[p % width].payload
+                 if g == (p >= width) and through[s] >> p & 1)
+        return ConventionError("%s segment %r not minimal in its block"
+                               % (("red", "green")[p >= width], segs[s]))
 
-def _segment_mask(tree, partition):
-    """Id mask of the union of the blocks' `_block_mask`; built once per
-    partition and tree."""
-    return tree.memo(("segment_mask", partition), _build_segment_mask,
-                     partition)
+    def undrawn(p):  # the first lost pair, blocks in canonical order
+        names = [[ivs[v] for v in ids if row[v] >> p & 1] for row in same]
+        a, b = min((ab for ab, col in lost.items() if col >> p & 1),
+                   key=lambda ab: (names[ab[0]], ab))
+        return ValueError("block %r needs a curve from %r to %r but no "
+                          "segment joins them" % (names[a], ivs[a], ivs[b]))
 
-
-def _build_segment_mask(tree, partition):
-    out = 0
-    for b in partition.blocks:
-        out |= _block_mask(tree, b)
-    return out
-
-
-def _segment_ends(tree, segments):
-    """(vertex id, vertex id, segment) per segment: the ids of its two
-    ends, and the segment."""
-    index = _segment_table(tree).index
-    return [(index[s.vertices[0]], index[s.vertices[-1]], s)
-            for s in segments]
-
-
-def _glued_blocks(tree, ends, color):
-    """Frozenset of the vertex id masks of the blocks got by gluing,
-    for each (a, b, segment) of `ends`, the blocks of the vertices with
-    ids a and b.  A segment must not pass through its own block."""
-    table = _segment_table(tree)
-    block = [1 << v for v in range(len(table.index))]
-    for a, b, _ in ends:
-        glued = block[a] | block[b]
-        for v in _bits(glued):
-            block[v] = glued
-    for a, b, s in ends:
-        if table.pairs[a, b][0] & block[a]:
-            raise ConventionError("%s segment %r not minimal in its block"
-                                  % (color, s))
-    return frozenset(block)
-
-
-def _partition(tree, blocks):
-    ivs = tree.interior_vertices
-    return TreePartition([ivs[v] for v in _bits(m)] for m in blocks)
+    faults = [(reduce(or_, through, 0), crossing),
+              (reduce(or_, lost.values(), 0), undrawn)]
+    rows = complement = ()
+    if whole:
+        rows = nc_complex._transpose([c for row in same for c in row],
+                                     2 * width)
+        first = dict(zip(reversed(rows[:width]), range(width - 1, -1, -1)))
+        complement = tuple(map(first.get, rows[width:]))
+        faults += [
+            (sum(1 << f for f, r in enumerate(rows[:width]) if first[r] != f),
+             lambda p: ConventionError("red partitions repeat across "
+                                       "facets")),
+            (sum(1 << width + f for f, g in enumerate(complement)
+                 if g is None),
+             lambda p: ConventionError("green partition of facet %d is no "
+                                       "red partition" % facets[p % width]
+                                       .index))]
+    failing = reduce(or_, (col for col, _ in faults), 0)
+    if failing:
+        p = (failing & -failing).bit_length() - 1
+        raise next(error(p) for col, error in faults if col >> p & 1)
+    red = (1 << width) - 1
+    return _Gluing(records, ([c & red for c in block],
+                             [c >> width for c in block]), rows, complement)
 
 
 def _ncp_table(tree):
-    """Red partitions in facet order, and the red-to-green map.  Each
-    partition is built once, as a red one; green gluings are looked up
-    among the red partitions by their block masks.  The segments to
-    glue are read off the facets' payloads."""
-    fs = nc_complex.facets(tree)
-    ends = _segment_ends(tree, tree.all_segments)  # by segment id
-    by_blocks = {}
-    for facet in fs:
-        blocks = _glued_blocks(tree, [ends[s] for _, s, green
-                                      in facet.payload if not green], "red")
-        if blocks in by_blocks:
-            raise ConventionError("red partitions repeat across facets")
-        by_blocks[blocks] = _partition(tree, blocks)
-    reds = tuple(by_blocks.values())
-    complement = {}
-    for facet, red in zip(fs, reds):
-        green = by_blocks.get(_glued_blocks(
-            tree, [ends[s] for _, s, green in facet.payload if green],
-            "green"))
-        if green is None:
-            raise ConventionError("green partition of facet %d is no red "
-                                  "partition" % facet.index)
-        complement[red] = green
-    return reds, complement
-
-
-def _glue_columns(tree, facets):
-    """Both gluings of `facets`, red then green, column-wise: per color,
-    `same[a][b]` holds the positions in `facets` of the facets where the
-    interior vertices with ids a and b share a block."""
-    table = _segment_table(tree)
-    ids = range(len(table.index))
-    everyone = (1 << len(facets)) - 1
-    out = [[[everyone if a == b else 0 for b in ids] for a in ids]
-           for _ in "rg"]
-    for (_, s, green), col in gc_vectors._payload_columns(facets).items():
-        vs = table.segments[s].vertices
-        a, b = table.index[vs[0]], table.index[vs[-1]]
-        out[green][a][b] |= col
-        out[green][b][a] |= col
-    for same in out:
-        for k in ids:  # close transitively over the middle vertex k
-            for row in same:
-                via = row[k]
-                if via:
-                    row[:] = [c | via & d for c, d in zip(row, same[k])]
-    return out
-
-
-def side_columns(tree, facets):
-    """Both sides of the main theorem for `facets`, column-wise: for the
-    red and then the green partition, (block, wide), where per segment
-    id `block` holds the positions in `facets` of the facets where the
-    segment is one of the partition's (`_block_mask`), and `wide` those
-    where it lies in their composition closure.  The noncrossing
-    partitions of the tree, glued facet by facet, are checked first."""
-    noncrossing_partitions(tree)
-    glued = _glue_columns(tree, facets)
-    table = _segment_table(tree)
-    out, lost = [], [0, 0]
-    for color, same in enumerate(glued):
-        block = [0] * len(table.segments)
-        for (a, b), (inner, s) in table.pairs.items():
-            col = same[a][b]
-            for v in _bits(inner):
-                col &= ~same[a][v]
-            if s is None:
-                lost[color] |= col
-            elif a < b:
-                block[s] = col
-        out.append((block, _closure_columns(tree, block)))
-    if lost[0] | lost[1]:
-        # raise what the first such facet's partition raises, red first
-        f = ((lost[0] | lost[1]) & -(lost[0] | lost[1])).bit_length() - 1
-        _build_segment_mask(tree, _partition(tree, {
-            sum((c >> f & 1) << b for b, c in enumerate(row))
-            for row in glued[0 if lost[0] >> f & 1 else 1]}))
-    return out
+    """Red partitions in facet order, and the position of each, built
+    from the gluing's red same-block rows: each block is the part of a
+    row at its least vertex."""
+    glued = _gluing(tree)
+    ivs, bits = tree.interior_vertices, nc_complex._BIT
+    k = len(ivs)
+    names = {}  # a row part: its first vertex id, and its vertices
+    reds = []
+    for row in glued.rows[:len(glued.complement)]:
+        blocks = []
+        for a in range(k):
+            m = row[k * a:k * a + k]
+            first, block = names.get(m) or names.setdefault(m, (
+                m.find(b"1"), tuple(compress(ivs, m.translate(bits)))))
+            if first == a:
+                blocks.append(block)
+        reds.append(TreePartition(blocks))
+    return tuple(reds), dict(zip(reds, range(len(reds))))
 
 
 def noncrossing_partitions(tree):
@@ -200,13 +178,19 @@ def noncrossing_partitions(tree):
     return tree.memo("ncp", _ncp_table)[0]
 
 
-def kreweras_complement(tree, partition):
-    """Green partition of the facet whose red partition this is."""
+def _position(tree, partition):
+    """The position of the facet whose red partition this is."""
     try:
         return tree.memo("ncp", _ncp_table)[1][partition]
     except KeyError:
         raise ValueError("%r is not a noncrossing partition of this tree"
                          % (partition,)) from None
+
+
+def kreweras_complement(tree, partition):
+    """Green partition of the facet whose red partition this is."""
+    return noncrossing_partitions(tree)[
+        _gluing(tree).complement[_position(tree, partition)]]
 
 
 def kreweras_orbits(tree):
@@ -276,15 +260,19 @@ def torsion_pair(tree, partition):
 
 
 def _torsion_pair(tree, partition):
-    """((T, F), id mask of T, id mask of F)."""
+    """((T, F), id mask of T, id mask of F), from the red and green
+    block columns of the partition's facet."""
+    f = _position(tree, partition)
+    red, green = (sum((c >> f & 1) << s for s, c in enumerate(columns))
+                  for columns in _gluing(tree).blocks)
     segs = tree.all_segments
     tmask = 0
-    for s in _bits(_segment_mask(tree, kreweras_complement(tree, partition))):
+    for s in _bits(green):
         tmask |= _id_mask(tree, gc_vectors.quotient_segments(tree, segs[s]))
     tmask = _closure(tree, tmask)
     proper = gc_vectors._proper(tree)
     fmask = 0
-    for s in _bits(_segment_mask(tree, partition)):
+    for s in _bits(red):
         fmask |= proper[s] | 1 << s
     fmask = _closure(tree, fmask)
     inds = string_modules.indecomposables(tree)
@@ -404,9 +392,7 @@ class Poset:
 
 def ncp_poset(tree):
     """Noncrossing partitions under refinement, which is inclusion of
-    the sets of vertex pairs sharing a block."""
-    index = _segment_table(tree).index
-    ncps = noncrossing_partitions(tree)
-    return Poset(ncps, [sum(1 << len(index) * index[a] + index[b]
-                            for block in p.blocks for a in block
-                            for b in block) for p in ncps])
+    the sets of vertex pairs sharing a block (the same-block rows)."""
+    reds = noncrossing_partitions(tree)
+    return Poset(reds, [int(r[::-1], 2)
+                        for r in _gluing(tree).rows[:len(reds)]])

@@ -161,19 +161,20 @@ def _length_columns(tree, parts):
     return out
 
 
-def _check_facets(tree, facets):
+def _check_facets(tree, facets, glued):
     """A FacetResult per facet of `facets`, every claim of the main
     theorem worked out for all of them at once, as int bitsets over
-    their positions (columns).  Each claim gives fault columns, in the
+    their positions (columns), from their gluing `glued` (see
+    `partitions._glue_columns`).  Each claim gives fault columns, in the
     order the reasons are reported; the reasons are written out for the
     facets in some fault column only."""
     segs = tree.all_segments
     everyone = (1 << len(facets)) - 1
-    theta = gc_vectors.theta_columns(tree, facets)
+    theta = gc_vectors.theta_columns(tree, glued.records, len(facets))
     weights = _segment_weights(tree, theta)
     semi, stable = _semistable_columns(tree, weights)
-    (reds, wide), (greens, green_wide) = partitions.side_columns(tree,
-                                                                 facets)
+    (reds, greens), close = glued.blocks, partitions._closure_columns
+    wide, green_wide = close(tree, reds), close(tree, greens)
     lengths = _length_columns(tree, greens)
 
     def row(columns, f):
@@ -248,13 +249,16 @@ def _theta_rows(theta, width):
 
 def check_facet(tree, facet):
     """The claims of the main theorem for one facet of the tree: the
-    column route of `verify_kreweras_stability` on it alone."""
-    return _check_facets(tree, (facet,))[0]
+    column route of `verify_kreweras_stability` on it alone, glued by
+    itself: the checks across the tree's facets are not run."""
+    return _check_facets(tree, (facet,), partitions._glue_columns(
+        tree, (facet,), False))[0]
 
 
 def verify_kreweras_stability(tree):
     """Check every facet, in facet order, in one column-wise pass."""
-    return SemistableReport(_check_facets(tree, nc_complex.facets(tree)))
+    return SemistableReport(_check_facets(tree, nc_complex.facets(tree),
+                                          partitions._gluing(tree)))
 
 
 # -- poset comparison ----------------------------------------------------
@@ -267,7 +271,8 @@ def semistable_poset(tree):
     semistable set is read off the semi columns of all facet weights."""
     fs = nc_complex.facets(tree)
     semi, _ = _semistable_columns(tree, _segment_weights(
-        tree, gc_vectors.theta_columns(tree, fs)))
+        tree, gc_vectors.theta_columns(
+            tree, partitions._gluing(tree).records, len(fs))))
     masks = [int(r[::-1] or b"0", 2)
              for r in nc_complex._transpose(semi, len(fs))]
     if len(set(masks)) != len(masks):

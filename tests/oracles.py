@@ -14,10 +14,12 @@ the frozenset closure fixpoint, block segments and the vertex-pair
 table by walking tree paths, the compose table by endpoint lookup over
 all pairs of segments, semistability by summing weights over edges,
 and decomposition lengths by matching vertex windows.  And it keeps
-the per-facet route of the main theorem's claims that the column-wise
-check replaced: one weight pass per facet, segments, closures and
-decomposition lengths per partition.  Tests compare
-each with its id form.  Code that only tests use (red-green trees,
+the per-facet routes that the column-wise passes replaced: the main
+theorem's claims with one weight pass per facet, segments, closures
+and decomposition lengths per partition; and the partition table
+glued facet by facet, with block segments per partition block and the
+gluing checks in the column route's order.  Tests compare each with
+its id or column form.  Code that only tests use (red-green trees,
 biclosed sets, supporting arcs) lives here too.
 """
 
@@ -745,16 +747,47 @@ def refinement_leq(p, q):
     return all(any(set(bp) <= set(bq) for bq in q.blocks) for bp in p.blocks)
 
 
+def block_mask(tree, block):
+    """Id mask of the segments a partition block requires: endpoint
+    pairs inside the block whose tree path meets the block only at the
+    ends.  Such a pair must be joined by a segment; anything else means
+    the block is not realizable and the input was not a noncrossing
+    partition."""
+    table = tree_core._segment_table(tree)
+    ids = sorted({table.index[v] for v in block})
+    inside = sum(1 << a for a in ids)
+    out = 0
+    for x, a in enumerate(ids):
+        for b in ids[x + 1:]:
+            inner, seg = table.pairs[a, b]
+            if inner & inside:
+                continue
+            if seg is None:
+                ivs = tree.interior_vertices
+                raise ValueError(
+                    "block %r needs a curve from %r to %r but no segment "
+                    "joins them" % (sorted(block), ivs[a], ivs[b]))
+            out |= 1 << seg
+    return out
+
+
+def segment_mask(tree, partition):
+    """Id mask of the union of the blocks' `block_mask`."""
+    out = 0
+    for b in partition.blocks:
+        out |= block_mask(tree, b)
+    return out
+
+
 def block_segments(tree, block):
-    """The segments of `partitions._block_mask`, as a set."""
+    """The segments of `block_mask`, as a set."""
     segs = tree.all_segments
-    return {segs[i] for i in
-            tree_core._bits(partitions._block_mask(tree, block))}
+    return {segs[i] for i in tree_core._bits(block_mask(tree, block))}
 
 
 def partition_segments(tree, partition):
     """Union of block_segments over all blocks, as a frozenset."""
-    mask = partitions._segment_mask(tree, partition)
+    mask = segment_mask(tree, partition)
     return frozenset(tree.all_segments[i] for i in tree_core._bits(mask))
 
 
@@ -764,7 +797,39 @@ def wide_from_partition(tree, partition):
     stability condition.  A frozenset."""
     inds = string_modules.indecomposables(tree)
     return frozenset(inds[i] for i in tree_core._bits(partitions._closure(
-        tree, partitions._segment_mask(tree, partition))))
+        tree, segment_mask(tree, partition))))
+
+
+def segment_ends(tree, segments):
+    """(vertex id, vertex id, segment) per segment: the ids of its two
+    ends, and the segment."""
+    index = tree_core._segment_table(tree).index
+    return [(index[s.vertices[0]], index[s.vertices[-1]], s)
+            for s in segments]
+
+
+def glued_blocks(tree, ends, color):
+    """Frozenset of the vertex id masks of the blocks got by gluing,
+    for each (a, b, segment) of `ends`, the blocks of the vertices with
+    ids a and b.  A segment must not pass through its own block."""
+    table = tree_core._segment_table(tree)
+    block = [1 << v for v in range(len(table.index))]
+    for a, b, _ in ends:
+        glued = block[a] | block[b]
+        for v in tree_core._bits(glued):
+            block[v] = glued
+    for a, b, s in ends:
+        if table.pairs[a, b][0] & block[a]:
+            raise ConventionError("%s segment %r not minimal in its block"
+                                  % (color, s))
+    return frozenset(block)
+
+
+def vertex_partition(tree, blocks):
+    """The TreePartition of vertex id masks."""
+    ivs = tree.interior_vertices
+    return partitions.TreePartition([ivs[v] for v in tree_core._bits(m)]
+                                    for m in blocks)
 
 
 def red_partition(facet):
@@ -779,12 +844,38 @@ def green_partition(facet):
 
 def glued_partition(facet, color):
     """The gluing of the facet's segments of one color, read off its
-    `segment` and `color` views."""
+    payload records, facet by facet."""
     tree = facet.tree
-    return partitions._partition(tree, partitions._glued_blocks(
-        tree, partitions._segment_ends(tree, [
-            s for d, s in facet.segment.items() if facet.color[d] == color]),
-        color))
+    segs = tree.all_segments
+    return vertex_partition(tree, glued_blocks(tree, segment_ends(tree, [
+        segs[s] for _, s, green in facet.payload
+        if green == (color == "green")]), color))
+
+
+def partition_table(tree):
+    """Red partitions in facet order and the red-to-green map, glued
+    facet by facet (`glued_partition`).  All red checks run before the
+    green ones, facet by facet, in the column route's order: a segment
+    through its own block, a block no segment draws (`segment_mask`),
+    then a red partition that repeats or a green one that is no red
+    one."""
+    fs = nc_complex.facets(tree)
+    reds = {}
+    for f in fs:
+        red = glued_partition(f, "red")
+        segment_mask(tree, red)
+        if red in reds:
+            raise ConventionError("red partitions repeat across facets")
+        reds[red] = f
+    complement = {}
+    for f, red in zip(fs, reds):
+        green = glued_partition(f, "green")
+        segment_mask(tree, green)
+        if green not in reds:
+            raise ConventionError("green partition of facet %d is no red "
+                                  "partition" % f.index)
+        complement[red] = green
+    return tuple(reds), complement
 
 
 # -- the per-facet route of the main theorem -------------------------------
@@ -805,22 +896,24 @@ def decomposition_length_mask(tree, s, parts):
 
 def check_facets_per_facet(tree):
     """A FacetResult per facet of the tree, in facet order, from
-    `check_facet_per_facet`."""
-    return [check_facet_per_facet(tree, f) for f in nc_complex.facets(tree)]
+    `check_facet_per_facet` on the facet-by-facet `partition_table`."""
+    table = partition_table(tree)
+    return [check_facet_per_facet(tree, f, table)
+            for f in nc_complex.facets(tree)]
 
 
-def check_facet_per_facet(tree, facet):
+def check_facet_per_facet(tree, facet, table):
     """The main theorem's claims for one facet on segment-id masks: its
     weight from `kreweras_theta`, that weight's `_stability` pass, its
-    partitions from the noncrossing partition table, their segments and
+    partitions from `table` (see `partition_table`), their segments and
     closures per partition.  A FacetResult."""
     bits = tree_core._bits
     theta = gc_vectors.kreweras_theta(facet)
     res = semistable.FacetResult(facet.index, theta)
     segs = tree.all_segments
     weights, semi, stable = semistable._stability(tree, theta)
-    part = partitions.noncrossing_partitions(tree)[facet.index]
-    reds = partitions._segment_mask(tree, part)
+    part = table[0][facet.index]
+    reds = segment_mask(tree, part)
     closure = partitions._closure(tree, reds)
     if semi != closure:
         res.failures.append(
@@ -836,8 +929,7 @@ def check_facet_per_facet(tree, facet):
         if stable >> s & 1:
             res.failures.append("red composite %r unexpectedly stable"
                                 % (segs[s],))
-    greens = partitions._segment_mask(
-        tree, partitions.kreweras_complement(tree, part))
+    greens = segment_mask(tree, table[1][part])
     for s in bits(partitions._closure(tree, greens)):
         ks = decomposition_length_mask(tree, s, greens)
         if len(ks) != 1:

@@ -121,21 +121,29 @@ def assert_columns_match(tree, seed=5):
     """The column tables over all facets against their per-facet
     forms: payload records, weights, gluings and closures."""
     fs = facets(tree)
-    records = gc_vectors._payload_columns(fs)
+    glued = partitions._gluing(tree)
+    records = glued.records
+    assert records == gc_vectors._payload_columns(fs)
     assert {r for f in fs for r in f.payload} == set(records)
     for r, col in records.items():
         assert col == sum(1 << f.index for f in fs if r in f.payload)
-    theta = gc_vectors.theta_columns(tree, fs)
+    theta = gc_vectors.theta_columns(tree, records, len(fs))
     for f in fs:
         assert tuple(next(v for v, c in col.items() if c >> f.index & 1)
                      for col in theta) == gc_vectors.kreweras_theta(f)
-    ids = range(len(tree.interior_vertices))
-    for same, glued in zip(partitions._glue_columns(tree, fs),
-                           (oracles.red_partition, oracles.green_partition)):
+    ivs = tree.interior_vertices
+    ids = range(len(ivs))
+    for green, color in enumerate(("red", "green")):
         for f in fs:
-            blocks = {sum((same[a][b] >> f.index & 1) << b for b in ids)
-                      for a in ids}
-            assert partitions._partition(tree, blocks) == glued(f)
+            want = oracles.glued_partition(f, color)
+            p = f.index + len(fs) * green
+            mask = oracles.segment_mask(tree, want)
+            assert sum((c >> f.index & 1) << s for s, c
+                       in enumerate(glued.blocks[green])) == mask
+            assert glued.rows[p] == bytes(
+                b"01"[any({ivs[a], ivs[b]} <= set(block)
+                          for block in want.blocks)]
+                for a in ids for b in ids)
     rng = random.Random(seed)
     thetas = weights(tree, count=12, seed=seed)
     theta = [{} for _ in range(tree.n)]
@@ -157,6 +165,16 @@ def assert_columns_match(tree, seed=5):
                 tree, sum((c >> p & 1) << s for s, c in enumerate(columns)))
 
 
+def assert_table_matches_oracle(tree):
+    """The partition table built from the gluing's rows, and the
+    Kreweras map on it, against gluing facet by facet, in facet
+    order."""
+    reds, complement = oracles.partition_table(tree)
+    assert partitions.noncrossing_partitions(tree) == reds
+    assert [partitions.kreweras_complement(tree, p) for p in reds] == \
+        [complement[p] for p in reds]
+
+
 def weights(tree, count=8, seed=3):
     rng = random.Random(seed)
     return ([gc_vectors.kreweras_theta(f) for f in facets(tree)]
@@ -173,6 +191,7 @@ def test_segment_table_matches_oracles(suite_tree):
 
 
 def test_partitions_and_closures_match(suite_tree):
+    assert_table_matches_oracle(suite_tree)
     assert_partitions_match(suite_tree)
     assert_decompositions_match(suite_tree)
     assert_columns_match(suite_tree)
@@ -188,6 +207,7 @@ def test_random_tree_id_routes_match(rotation):
     tree = EmbeddedTree(rotation)
     assert_segment_table_matches(tree)
     assert_facets_match_chain_oracle(tree)
+    assert_table_matches_oracle(tree)
     assert_partitions_match(tree)
     assert_decompositions_match(tree)
     assert_columns_match(tree)
@@ -265,17 +285,26 @@ def test_batch_marking_fails_on_the_first_bad_mask(name):
     assert failed or not colored
 
 
+def test_nine_vertex_table_matches_oracle():
+    assert_table_matches_oracle(randtrees.grow_full(random.Random(9), 9))
+
+
 def test_glued_partition_rejects_segment_through_its_block():
     """A red segment passing through a vertex of its own block is a
-    convention failure, also when the gluing runs on vertex masks."""
+    convention failure, in the gluing facet by facet on vertex masks
+    and in the column gluing, where it fails a lone facet too."""
     tree = get_tree("a2")
+    ids = tree_core._segment_table(tree).ids
     short, long = (Segment.canonical(vs) for vs in
                    (("v1", "v2"), ("v1", "v2", "v3")))
-    fake = SimpleNamespace(tree=tree, segment={"a": short, "b": long},
-                           color={"a": "red", "b": "red"})
-    with pytest.raises(ConventionError,
-                       match="red segment v1-v2-v3 not minimal in its block"):
-        oracles.red_partition(fake)
+    fake = SimpleNamespace(tree=tree, index=0, payload=(
+        (-1, ids[short], False), (-1, ids[long], False)))
+    for route in (oracles.red_partition,
+                  lambda f: partitions._glue_columns(tree, (f,), False),
+                  lambda f: semistable.check_facet(tree, f)):
+        with pytest.raises(ConventionError, match="red segment v1-v2-v3 "
+                           "not minimal in its block"):
+            route(fake)
     assert oracles.green_partition(fake).blocks == \
         (("v1",), ("v2",), ("v3",))
 
@@ -315,11 +344,144 @@ def test_unrealizable_gluing_fails_like_partition_route():
     fake = SimpleNamespace(index=0, payload=tuple((-1, ids[s], False)
                                                   for s in glued))
     with pytest.raises(ValueError, match="no segment joins them") as want:
-        partitions._build_segment_mask(
-            tree, oracles.endpoint_partition(tree, glued))
+        oracles.segment_mask(tree, oracles.endpoint_partition(tree, glued))
     with pytest.raises(ValueError) as got:
         semistable.check_facet(tree, fake)
     assert str(got.value) == str(want.value)
+
+
+def doctored(tree, payloads):
+    """The tree's facets, with the payload of facet k replaced by
+    payloads[k]."""
+    out = []
+    for f in facets(tree):
+        g = Facet.__new__(Facet)
+        g.tree, g.index, g._mask = tree, f.index, f._mask
+        g.payload = payloads.get(f.index, f.payload)
+        out.append(g)
+    return tuple(out)
+
+
+def gluing_outcome(name, payloads, monkeypatch):
+    """The partition table and its Kreweras map of a fresh tree whose
+    facets carry `payloads` (see `doctored`), from the column gluing and
+    facet by facet: both must agree, or both raise the same error,
+    which is returned in words."""
+    tree = tree_core.load_tree(fixture_path(name))
+    fs = doctored(tree, payloads)
+
+    def columns():
+        reds = partitions.noncrossing_partitions(tree)
+        return reds, [partitions.kreweras_complement(tree, p) for p in reds]
+
+    def per_facet():
+        reds, complement = oracles.partition_table(tree)
+        return reds, [complement[p] for p in reds]
+
+    outcomes = []
+    with monkeypatch.context() as m:
+        m.setattr(nc_complex, "facets", lambda t: fs)
+        for run in (per_facet, columns):
+            try:
+                outcomes.append(run())
+            except (ConventionError, ValueError) as e:
+                outcomes.append("%s: %s" % (type(e).__name__, e))
+    assert outcomes[1] == outcomes[0]
+    return outcomes[0]
+
+
+GLUING_FAILURES = {"not minimal in its block": "minimal",
+                   "no segment joins them": "undrawn",
+                   "red partitions repeat": "repeat",
+                   "is no red partition": "no-red"}
+
+
+def test_gluing_failures_match_facet_by_facet_route(monkeypatch):
+    """One or two facets' payloads doctored (a record's color flipped, a
+    record dropped, a record added, another facet's payload copied):
+    the column gluing raises each of its four failures exactly when the
+    gluing facet by facet does, with the same message, or gives the
+    same table."""
+    rng = random.Random(12)
+    seen = set()
+    for name in SMALL + ["big8"]:
+        fs = facets(get_tree(name))
+        segments = len(get_tree(name).all_segments)
+        for _ in range(8 if name == "big8" else 30):
+            payloads = {}
+            for k in rng.sample(range(len(fs)), min(2, len(fs))):
+                records = list(fs[k].payload)
+                move = rng.randrange(4)
+                if move == 0 and records:
+                    i, s, green = records.pop(rng.randrange(len(records)))
+                    records.append((i, s, not green))
+                elif move == 1 and records:
+                    records.pop(rng.randrange(len(records)))
+                elif move == 2 and segments:
+                    records.append((-1, rng.randrange(segments),
+                                    rng.random() < 0.5))
+                else:
+                    records = list(rng.choice(fs).payload)
+                payloads[k] = tuple(records)
+            got = gluing_outcome(name, payloads, monkeypatch)
+            seen.add(next((kind for words, kind in GLUING_FAILURES.items()
+                           if words in got), "other")
+                     if isinstance(got, str) else "pass")
+    assert seen == {"pass", *GLUING_FAILURES.values()}
+
+
+def test_gluing_failure_precedence(monkeypatch):
+    """All red checks come before the green ones, the lowest failing
+    facet first; at one facet a segment through its own block comes
+    before a block no segment draws or a repeated partition; and an
+    undrawable partition names the first such pair of its first such
+    block.  On a2, the last facet (4) glues all three vertices red along
+    v1-v2 and v2-v3, and the first glues them green, so v1-v2-v3 passes
+    through its own block."""
+    fs = facets(get_tree("a2"))
+    ids = tree_core._segment_table(get_tree("a2")).ids
+    through = ids[Segment.canonical(("v1", "v2", "v3"))]
+    assert [len(b) for b in
+            oracles.glued_partition(fs[4], "red").blocks] == [3]
+    assert [len(b) for b in
+            oracles.glued_partition(fs[0], "green").blocks] == [3]
+    red_through = fs[4].payload + ((-1, through, False),)
+    crossing = "ConventionError: red segment v1-v2-v3 not minimal in " \
+        "its block"
+    # green fault at facet 0, red fault at facet 3
+    assert gluing_outcome("a2", {0: fs[0].payload + ((-1, through, True),),
+                                 3: red_through},
+                          monkeypatch) == crossing
+    # a repeat at facet 2, a segment through its block at facet 4
+    assert gluing_outcome("a2", {2: fs[0].payload, 4: red_through},
+                          monkeypatch) == \
+        "ConventionError: red partitions repeat across facets"
+    # both at facet 4, which glues what facet 2 now glues
+    assert gluing_outcome("a2", {2: fs[4].payload, 4: red_through},
+                          monkeypatch) == crossing
+    # big8: blocks v1/v5/v7 and v2/v4/v6, neither drawable; the first
+    # block names its pair, and a segment through its block comes first
+    ids = tree_core._segment_table(get_tree("big8")).ids
+    undrawn = tuple((-1, ids[Segment.canonical(vs)], False) for vs in (
+        ("v1", "v2", "v3", "v6", "v7"), ("v5", "v4", "v3", "v6", "v7"),
+        ("v2", "v3", "v6"), ("v4", "v3", "v6")))
+    assert gluing_outcome("big8", {7: undrawn}, monkeypatch) == (
+        "ValueError: block ['v1', 'v5', 'v7'] needs a curve from 'v1' to "
+        "'v5' but no segment joins them")
+    assert gluing_outcome("big8", {7: undrawn[2:] + (
+        (-1, ids[Segment.canonical(("v2", "v3", "v6", "v7"))], False),)},
+        monkeypatch) == ("ConventionError: red segment v2-v3-v6-v7 not "
+                         "minimal in its block")
+    # green faults only, at two facets of caterpillar4 that keep their
+    # red records and glue the crossing partition ac/bd green
+    fs = facets(get_tree("caterpillar4"))
+    ids = tree_core._segment_table(get_tree("caterpillar4")).ids
+    ac_bd = tuple((-1, ids[Segment.canonical(vs)], True)
+                  for vs in (("a", "b", "c"), ("b", "c", "d")))
+    assert gluing_outcome("caterpillar4", {
+        k: tuple(r for r in fs[k].payload if not r[2]) + ac_bd
+        for k in (9, 4)}, monkeypatch) == \
+        "ConventionError: green partition of facet 4 is no red partition"
 
 
 @pytest.mark.parametrize("name", ["a2", "cyc3", "deg45", "caterpillar4"])
@@ -328,14 +490,22 @@ def test_check_facet_failures_match_object_route(name, monkeypatch):
     and check_facet, on the facet alone or among all facets, reports the
     same failures, in the same words and order, as the route on segment
     and module sets.  The weight is shifted where the column route reads
-    it, in `theta_columns`."""
+    it, in `theta_columns`: the facet at each position, known by its
+    payload records, hands over the records of the facet before it."""
     tree = get_tree(name)
     fs = facets(tree)
     shifted = {f.index: gc_vectors.kreweras_theta(fs[f.index - 1])
                for f in fs}
     real = gc_vectors.theta_columns
-    monkeypatch.setattr(gc_vectors, "theta_columns", lambda tree, facets:
-                        real(tree, [fs[f.index - 1] for f in facets]))
+    index = {frozenset(f.payload): f.index for f in fs}
+
+    def theta_columns(tree, records, width):
+        held = [frozenset(r for r, col in records.items() if col >> p & 1)
+                for p in range(width)]
+        return real(tree, gc_vectors._payload_columns(
+            [fs[index[h] - 1] for h in held]), width)
+
+    monkeypatch.setattr(gc_vectors, "theta_columns", theta_columns)
     failing = 0
     every = semistable.verify_kreweras_stability(tree).results
     for f in fs:
@@ -353,9 +523,10 @@ ID_TABLES = [(tree_core, "_build_segment_table"),
 
 
 def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
-    """One verify-thm1 on big8 builds each id table once; after the last
-    one exists it never sums a weight over edges (`indicator`), composes two
-    segments or walks a tree path."""
+    """One verify-thm1 on big8 builds each id table once and transposes
+    the payloads once; after the last table exists it never sums a
+    weight over edges (`indicator`), composes two segments or walks a
+    tree path, and it builds no noncrossing partition."""
     events = []
 
     def spy(kind, name, real):
@@ -370,6 +541,12 @@ def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
                             spy("built", name, getattr(module, name)))
     monkeypatch.setattr(gc_vectors, "indicator",
                         spy("called", "indicator", gc_vectors.indicator))
+    monkeypatch.setattr(gc_vectors, "_payload_columns",
+                        spy("payload", "_payload_columns",
+                            gc_vectors._payload_columns))
+    partition = partitions.TreePartition
+    monkeypatch.setattr(partition, "__init__", spy(
+        "called", "TreePartition", partition.__init__))
     compose = spy("called", "compose", tree_core.compose)
     for module in (tree_core, partitions, string_modules):
         if getattr(module, "compose", None) is tree_core.compose:
@@ -381,6 +558,8 @@ def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
     assert capsys.readouterr().out == "1074/1074 facets pass\n"
     built = [name for kind, name in events if kind == "built"]
     assert sorted(built) == sorted(name for _, name in ID_TABLES)
+    assert [kind for kind, _ in events].count("payload") == 1
+    assert ("called", "TreePartition") not in events
     last = max(i for i, (kind, _) in enumerate(events) if kind == "built")
     assert [e for e in events[last:] if e[0] == "called"] == []
 
