@@ -387,7 +387,6 @@ def cmd_check_all(tree, args):
         count = 0
         inds = string_modules.indecomposables(tree)
         for p in partitions.noncrossing_partitions(tree):
-            partitions.torsion_pair(tree, p)
             for m in inds:
                 partitions.torsion_decompose(tree, p, m)
                 count += 1

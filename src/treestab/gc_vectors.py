@@ -235,24 +235,12 @@ def zigzag_dominance_check(facet, arc):
     seg = facet.segment[arc]
     if len(seg) < 2:
         raise ValueError("segment of the red arc has fewer than two edges")
-    cset = submodule_segments(tree, seg)
-    proper = [t for t in cset if t != seg]
-
-    def counts(delta, t):
-        plus, minus = zigzag(tree, delta)
+    zigzags = [zigzag(tree, delta) for delta in greens]
+    counts = {}  # per member t of C_s, per green arc: plus and minus in t
+    for t in submodule_segments(tree, seg):
         edges = t.edge_set()
-        return len(plus & edges), len(minus & edges)
-
-    for delta in greens:
-        for t in cset:
-            p, m = counts(delta, t)
-            if m < p:
-                return False
-    for t in proper:
-        for delta in greens:
-            p, m = counts(delta, t)
-            if p + m > 0 and m == p + 1:
-                break
-        else:
-            return False
-    return True
+        counts[t] = [(len(plus & edges), len(minus & edges))
+                     for plus, minus in zigzags]
+    return (all(m >= p for row in counts.values() for p, m in row)
+            and all(any(m == p + 1 for p, m in row)
+                    for t, row in counts.items() if t != seg))

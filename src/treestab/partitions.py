@@ -16,16 +16,17 @@ every gluing check is run, once per tree.  Transposed, the same-block
 columns give each facet a row per color, its partition as vertex
 pairs: red rows tell partitions apart and are what the partitions and
 their refinement order are built from, green ones are looked up among
-them (the Kreweras map).  The torsion pairs start from the block
-columns.  Closures run on the compositions of the segment table (see
-`tree_core`); public functions hand out sets.
+them (the Kreweras map).  The torsion pairs of all partitions come from
+the block columns too, as per-segment columns of T and F, checked once
+per tree.  Closures run column-wise on the compositions of the segment
+table (see `tree_core`); public functions hand out sets.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import and_, or_
 from typing import NamedTuple
 
 from . import gc_vectors, nc_complex, string_modules
@@ -211,23 +212,11 @@ def kreweras_orbits(tree):
 # -- composition closure -------------------------------------------------
 
 
-def _closure(tree, mask):
-    """Id mask of the smallest composition-closed superset.  Composition
-    is symmetric, so each pair is composed once: when the later of the
-    two is taken off the work list."""
-    table = _segment_table(tree).compose
-    todo = list(_bits(mask))
-    while todo:
-        for t, u in table[todo.pop()].items():
-            if mask >> t & 1 and not mask >> u & 1:
-                mask |= 1 << u
-                todo.append(u)
-    return mask
-
-
 def _closure_columns(tree, columns):
-    """`_closure` column-wise: per segment id, the positions where the
-    segment lies in the closure of the segments `columns` holds there."""
+    """Per segment id, the positions where the segment lies in the
+    smallest composition-closed superset of the segments `columns` holds
+    there.  Composition is symmetric, so a pair is composed again only
+    when one of the two is taken off the work list after it grew."""
     wide = list(columns)
     compose = _segment_table(tree).compose
     todo = [s for s, col in enumerate(wide) if col]
@@ -242,9 +231,11 @@ def _closure_columns(tree, columns):
 
 
 def segment_closure(tree, segments):
-    """Smallest composition-closed superset, as a set."""
-    segs = tree.all_segments
-    return {segs[i] for i in _bits(_closure(tree, _id_mask(tree, segments)))}
+    """Smallest composition-closed superset, as a set: the column
+    closure at a single position."""
+    segs, mask = tree.all_segments, _id_mask(tree, segments)
+    closed = _closure_columns(tree, [mask >> s & 1 for s in range(len(segs))])
+    return {seg for seg, col in zip(segs, closed) if col}
 
 
 # -- torsion pairs -------------------------------------------------------
@@ -254,67 +245,82 @@ def torsion_pair(tree, partition):
     """(T, F) for a noncrossing partition: T joins the quotient-closed
     sets of the complement's green segments, F joins the sub-closed
     sets of the red segments.  Hom(T, F) vanishes and the pair covers
-    every simple.  Both are frozensets, built and checked once per
-    partition and tree."""
-    return tree.memo(("torsion", partition), _torsion_pair, partition)[0]
+    every simple.  Both are frozensets, built once per partition from
+    the tree's torsion table, which checks every partition's pair."""
+    return tree.memo(("torsion_pair", partition), _torsion_sets, partition)
 
 
-def _torsion_pair(tree, partition):
-    """((T, F), id mask of T, id mask of F), from the red and green
-    block columns of the partition's facet."""
+def _torsion_sets(tree, partition):
     f = _position(tree, partition)
-    red, green = (sum((c >> f & 1) << s for s, c in enumerate(columns))
-                  for columns in _gluing(tree).blocks)
-    segs = tree.all_segments
-    tmask = 0
-    for s in _bits(green):
-        tmask |= _id_mask(tree, gc_vectors.quotient_segments(tree, segs[s]))
-    tmask = _closure(tree, tmask)
-    proper = gc_vectors._proper(tree)
-    fmask = 0
-    for s in _bits(red):
-        fmask |= proper[s] | 1 << s
-    fmask = _closure(tree, fmask)
     inds = string_modules.indecomposables(tree)
-    for x in _bits(tmask):
-        for y in _bits(fmask):
-            if string_modules.hom_dim(tree, inds[x], inds[y]) != 0:
-                raise ConventionError(
-                    "torsion class maps onto its own free class: %r -> %r"
-                    % (inds[x], inds[y]))
-    simples = sum(1 << i for i, s in enumerate(segs) if len(s) == 1)
-    if simples & ~(tmask | fmask):
-        raise ConventionError("simple module outside both classes")
-    return ((frozenset(inds[i] for i in _bits(tmask)),
-             frozenset(inds[i] for i in _bits(fmask))), tmask, fmask)
+    return tuple(frozenset(inds[i] for i in _bits(mask))
+                 for mask in tree.memo("torsion", _torsion_table)[f])
+
+
+def _torsion_table(tree):
+    """Per position of the gluing (a red partition, in facet order) the
+    id masks (T, F) of its torsion pair, built and checked column-wise
+    once per tree: T closes the K_s of the green block segments s, F
+    the C_s of the red ones.  Hom is read once per segment pair (x, y)
+    with x in T and y in F somewhere; each nonzero one gives a fault
+    column, and so does a simple outside both.  The lowest failing
+    position raises, with its first failing pair, Hom before simples."""
+    glued = _gluing(tree)
+    width, segs = len(glued.complement), tree.all_segments
+    proper = gc_vectors._proper(tree)
+    T, F = [0] * len(segs), [0] * len(segs)
+    for s, (red, green) in enumerate(zip(*glued.blocks)):
+        for q in _bits(_id_mask(tree, gc_vectors.quotient_segments(
+                tree, segs[s]))):
+            T[q] |= green
+        for t in _bits(proper[s] | 1 << s):
+            F[t] |= red
+    T, F = _closure_columns(tree, T), _closure_columns(tree, F)
+    inds = string_modules.indecomposables(tree)
+    faults = [(T[x] & F[y], "torsion class maps onto its own free class: "
+               "%r -> %r" % (inds[x], inds[y]))
+              for x in range(len(segs)) for y in range(len(segs))
+              if T[x] & F[y]
+              and string_modules.hom_dim(tree, inds[x], inds[y]) != 0]
+    everyone = (1 << width) - 1
+    covered = reduce(and_, (T[s] | F[s] for s, seg in enumerate(segs)
+                            if len(seg) == 1), everyone)
+    faults.append((everyone & ~covered, "simple module outside both classes"))
+    failing = reduce(or_, (col for col, _ in faults), 0)
+    if failing:
+        p = (failing & -failing).bit_length() - 1
+        raise ConventionError(next(m for col, m in faults if col >> p & 1))
+    tmasks, fmasks = ([int(row[::-1] or b"0", 2) for row
+                       in nc_complex._transpose(cols, width)]
+                      for cols in (T, F))
+    return tuple(zip(tmasks, fmasks))
 
 
 def torsion_decompose(tree, partition, module):
     """Canonical sequence of an indecomposable under the partition's
     torsion pair: the submodule in T with quotient in F.  Exactly one
     submodule qualifies."""
-    _, tmask, fmask = tree.memo(("torsion", partition), _torsion_pair,
-                                partition)
+    f = _position(tree, partition)
+    tmask, fmask = tree.memo("torsion", _torsion_table)[f]
     hits = [(sub, quot) for sub, quot, submask, quotmask
             in tree.memo(("sub_quotients", module), _sub_quotients, module)
             if not submask & ~tmask and not quotmask & ~fmask]
     if len(hits) != 1:
         raise ConventionError("torsion decomposition of %r not unique: %r"
                               % (module, hits))
-    sub, quot = hits[0]
-    total = tuple(a + b for a, b in zip(sub.dim_vector(tree),
-                                        quot.dim_vector(tree)))
-    if total != module.dim_vector:
-        raise ConventionError("dimension mismatch in decomposition")
     return hits[0]
 
 
 def _sub_quotients(tree, module):
     """(submodule, quotient, their segment id masks) for every submodule
-    of an indecomposable."""
+    of an indecomposable, each pair's dimension vectors checked to add
+    up to the module's."""
     out = []
     for sub in string_modules.all_submodules(tree, module):
         quot = string_modules._quotient(tree, module, sub)
+        dims = map(sum, zip(sub.dim_vector(tree), quot.dim_vector(tree)))
+        if tuple(dims) != module.dim_vector:
+            raise ConventionError("dimension mismatch in decomposition")
         out.append((sub, quot,
                     _id_mask(tree, (m.segment for m in sub)),
                     _id_mask(tree, (m.segment for m in quot))))

@@ -18,9 +18,11 @@ the per-facet routes that the column-wise passes replaced: the main
 theorem's claims with one weight pass per facet, segments, closures
 and decomposition lengths per partition; and the partition table
 glued facet by facet, with block segments per partition block and the
-gluing checks in the column route's order.  Tests compare each with
-its id or column form.  Code that only tests use (red-green trees,
-biclosed sets, supporting arcs) lives here too.
+gluing checks in the column route's order; and each partition's torsion
+pair, built and checked by itself, with the work-list closure on one id
+mask.  Tests compare each with its id or column form.  Code that only
+tests use (red-green trees, biclosed sets, supporting arcs) lives here
+too.
 """
 
 import itertools
@@ -796,7 +798,7 @@ def wide_from_partition(tree, partition):
     segments; the subcategory the main theorem pairs with a Kreweras
     stability condition.  A frozenset."""
     inds = string_modules.indecomposables(tree)
-    return frozenset(inds[i] for i in tree_core._bits(partitions._closure(
+    return frozenset(inds[i] for i in tree_core._bits(closure_mask(
         tree, segment_mask(tree, partition))))
 
 
@@ -878,6 +880,55 @@ def partition_table(tree):
     return tuple(reds), complement
 
 
+# -- per-partition closures and torsion pairs -----------------------------
+
+
+def closure_mask(tree, mask):
+    """Id mask of the smallest composition-closed superset of the id
+    mask `mask`, by a work list.  Composition is symmetric, so each pair
+    is composed once: when the later of the two is taken off the list."""
+    table = tree_core._segment_table(tree).compose
+    todo = list(tree_core._bits(mask))
+    while todo:
+        for t, u in table[todo.pop()].items():
+            if mask >> t & 1 and not mask >> u & 1:
+                mask |= 1 << u
+                todo.append(u)
+    return mask
+
+
+def torsion_masks_by_partition(tree, partition):
+    """Id masks (T, F) of one partition's torsion pair, built and
+    checked by itself: T closes the K_s of the Kreweras complement's
+    block segments, F the C_s of the partition's own (`segment_mask`),
+    then Hom is tested over all of T x F, and every simple must lie in
+    T or F, with the column route's messages."""
+    bits = tree_core._bits
+    segs = tree.all_segments
+    tmask = 0
+    for s in bits(segment_mask(
+            tree, partitions.kreweras_complement(tree, partition))):
+        tmask |= tree_core._id_mask(
+            tree, gc_vectors.quotient_segments(tree, segs[s]))
+    tmask = closure_mask(tree, tmask)
+    fmask = 0
+    for s in bits(segment_mask(tree, partition)):
+        fmask |= tree_core._id_mask(
+            tree, gc_vectors.submodule_segments(tree, segs[s]))
+    fmask = closure_mask(tree, fmask)
+    inds = string_modules.indecomposables(tree)
+    for x in bits(tmask):
+        for y in bits(fmask):
+            if string_modules.hom_dim(tree, inds[x], inds[y]) != 0:
+                raise ConventionError(
+                    "torsion class maps onto its own free class: %r -> %r"
+                    % (inds[x], inds[y]))
+    simples = sum(1 << i for i, s in enumerate(segs) if len(s) == 1)
+    if simples & ~(tmask | fmask):
+        raise ConventionError("simple module outside both classes")
+    return tmask, fmask
+
+
 # -- the per-facet route of the main theorem -------------------------------
 
 
@@ -914,7 +965,7 @@ def check_facet_per_facet(tree, facet, table):
     weights, semi, stable = semistable._stability(tree, theta)
     part = table[0][facet.index]
     reds = segment_mask(tree, part)
-    closure = partitions._closure(tree, reds)
+    closure = closure_mask(tree, reds)
     if semi != closure:
         res.failures.append(
             "semistable set %r differs from partition side %r"
@@ -930,7 +981,7 @@ def check_facet_per_facet(tree, facet, table):
             res.failures.append("red composite %r unexpectedly stable"
                                 % (segs[s],))
     greens = segment_mask(tree, table[1][part])
-    for s in bits(partitions._closure(tree, greens)):
+    for s in bits(closure_mask(tree, greens)):
         ks = decomposition_length_mask(tree, s, greens)
         if len(ks) != 1:
             res.failures.append(

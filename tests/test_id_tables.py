@@ -1,13 +1,14 @@
 """The Theorem-1 path on integer ids against the routes on objects.
 
-Facets mark corners through arc-id masks, and partitions, closures and
-stability run on segment-id masks.  Each is compared with the route it
-replaced (kept in `oracles`) on every fixture and on hypothesis trees,
-and one `verify-thm1` is checked to build each id table once and then
-to stop calling the object-level helpers."""
+Facets mark corners through arc-id masks, and partitions, closures,
+torsion pairs and stability run on segment-id masks.  Each is compared
+with the route it replaced (kept in `oracles`) on every fixture and on
+hypothesis trees, and one `verify-thm1` is checked to build each id
+table once and then to stop calling the object-level helpers."""
 
 import itertools
 import random
+import zlib
 from types import SimpleNamespace
 
 import pytest
@@ -161,7 +162,7 @@ def assert_columns_match(tree, seed=5):
     closed = partitions._closure_columns(tree, columns)
     for p in range(12):
         assert sum((c >> p & 1) << s for s, c in enumerate(closed)) == \
-            partitions._closure(
+            oracles.closure_mask(
                 tree, sum((c >> p & 1) << s for s, c in enumerate(columns)))
 
 
@@ -173,6 +174,21 @@ def assert_table_matches_oracle(tree):
     assert partitions.noncrossing_partitions(tree) == reds
     assert [partitions.kreweras_complement(tree, p) for p in reds] == \
         [complement[p] for p in reds]
+
+
+def assert_torsion_matches(tree):
+    """The torsion table's T and F masks, and the frozensets
+    `torsion_pair` builds from them, against each partition's pair built
+    and checked by itself."""
+    inds = string_modules.indecomposables(tree)
+    rows = tree.memo("torsion", partitions._torsion_table)
+    ncps = partitions.noncrossing_partitions(tree)
+    assert len(rows) == len(ncps)
+    for row, p in zip(rows, ncps):
+        want = oracles.torsion_masks_by_partition(tree, p)
+        assert row == want
+        assert partitions.torsion_pair(tree, p) == tuple(
+            frozenset(inds[i] for i in tree_core._bits(m)) for m in want)
 
 
 def weights(tree, count=8, seed=3):
@@ -195,6 +211,7 @@ def test_partitions_and_closures_match(suite_tree):
     assert_partitions_match(suite_tree)
     assert_decompositions_match(suite_tree)
     assert_columns_match(suite_tree)
+    assert_torsion_matches(suite_tree)
 
 
 def test_stability_matches_theta_oracle(suite_tree):
@@ -211,6 +228,7 @@ def test_random_tree_id_routes_match(rotation):
     assert_partitions_match(tree)
     assert_decompositions_match(tree)
     assert_columns_match(tree)
+    assert_torsion_matches(tree)
     assert_stability_matches(tree, weights(tree, count=4))
 
 
@@ -287,6 +305,46 @@ def test_batch_marking_fails_on_the_first_bad_mask(name):
 
 def test_nine_vertex_table_matches_oracle():
     assert_table_matches_oracle(randtrees.grow_full(random.Random(9), 9))
+
+
+def test_nine_vertex_torsion_matches_oracle():
+    assert_torsion_matches(randtrees.grow_full(random.Random(9), 9))
+
+
+# Hom predicates for doctored `hom_dim`: every pair, a long segment into
+# a much shorter one, and a sparse pseudo-random choice of pairs
+HOM_DOCTORS = {
+    "every": lambda tree, M, N: 1,
+    "longer": lambda tree, M, N: len(M.segment) > len(N.segment) + 1,
+    "sparse": lambda tree, M, N: zlib.crc32(repr((M, N)).encode()) % 7 == 0,
+}
+
+
+@pytest.mark.parametrize("name", ["subseg", "cyc3", "deg45", "caterpillar4"])
+def test_torsion_failures_match_partition_route(name, monkeypatch):
+    """Under doctored Hom, and with each K_s cut down to s itself (which
+    leaves some simple outside both classes), one `torsion_pair` call
+    raises the message of the first partition, in facet order, whose
+    pair fails by itself: its first failing Hom pair, and a missing
+    simple only when no Hom pair fails there."""
+    seen = set()
+    for hom, cut in itertools.product([None, *HOM_DOCTORS], (False, True)):
+        with monkeypatch.context() as m:
+            if hom:
+                m.setattr(string_modules, "hom_dim", HOM_DOCTORS[hom])
+            if cut:
+                m.setattr(gc_vectors, "quotient_segments",
+                          lambda tree, seg: frozenset({seg}))
+            tree = tree_core.load_tree(fixture_path(name))
+            ncps = partitions.noncrossing_partitions(tree)
+            want = next(filter(None, (marking_outcome(
+                lambda: oracles.torsion_masks_by_partition(tree, p))
+                for p in ncps)), None)
+            assert marking_outcome(
+                lambda: partitions.torsion_pair(tree, ncps[-1])) == want
+            seen.add(want and want.split(":")[0])
+    assert seen == {None, "torsion class maps onto its own free class",
+                    "simple module outside both classes"}
 
 
 def test_glued_partition_rejects_segment_through_its_block():

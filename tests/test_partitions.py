@@ -1,10 +1,10 @@
 import pytest
 
 import oracles
-from conftest import get_tree
+from conftest import fixture_path, get_tree
 from treestab import gc_vectors, partitions as pt, string_modules as sm
 from treestab.nc_complex import facets
-from treestab.tree_core import Segment
+from treestab.tree_core import ConventionError, Segment, load_tree
 
 
 def test_partition_construction():
@@ -164,6 +164,19 @@ def test_torsion_pairs_orthogonal_and_decompose(small_tree):
         pt.torsion_pair(small_tree, p)
         for m in inds:
             pt.torsion_decompose(small_tree, p, m)
+
+
+def test_torsion_decompose_checks_dimensions(monkeypatch):
+    """Each (module, submodule) pair's dimensions are checked once, when
+    the module's submodules are listed: a quotient that loses a summand
+    fails there."""
+    tree = load_tree(fixture_path("a2"))
+    monkeypatch.setattr(sm, "_quotient", lambda tree, module, sub:
+                        sm.ModuleSum())
+    B = pt.noncrossing_partitions(tree)[0]
+    with pytest.raises(ConventionError,
+                       match="dimension mismatch in decomposition"):
+        pt.torsion_decompose(tree, B, sm.indecomposables(tree)[0])
 
 
 def test_wide_from_partition_a2():

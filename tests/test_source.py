@@ -41,6 +41,7 @@ def test_each_memo_family_has_one_builder():
     """Each fact computed per tree is built in exactly one place."""
     builders = memo_builders()
     assert {"facets", "arcs", "chains", "arc_segment", "g", "hom",
-            "segments", "proper", "gluing", "stability"} <= set(builders)
+            "segments", "proper", "gluing", "stability",
+            "torsion"} <= set(builders)
     shared = {k: v for k, v in builders.items() if len(v) != 1}
     assert not shared, shared

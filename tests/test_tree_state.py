@@ -133,14 +133,37 @@ def test_verify_thm1_builds_facets_once(name, monkeypatch, capsys):
 @pytest.mark.parametrize("name", SMALL)
 def test_check_all_builds_facets_and_torsion_pairs_once(name, monkeypatch,
                                                          capsys):
+    """check-all builds the torsion table, every partition's T and F,
+    once per tree, through its first decomposition (a tree with no
+    interior edge has no module to decompose), and no partition's
+    frozenset pair."""
     facet_builds = count_builds(monkeypatch, nc_complex, "_facets")
-    pair_builds = count_builds(monkeypatch, partitions, "_torsion_pair")
+    table_builds = count_builds(monkeypatch, partitions, "_torsion_table")
+    pair_builds = count_builds(monkeypatch, partitions, "_torsion_sets")
     assert cli.main(["check-all", "--samples", "20", fixture_path(name)]) == 0
     assert "all checks pass" in capsys.readouterr().out
     assert len(facet_builds) == 1
-    ncps = noncrossing_partitions(load_tree(fixture_path(name)))
-    assert sorted(pair_builds, key=repr) == sorted(((p,) for p in ncps),
-                                                   key=repr)
+    modules = string_modules.indecomposables(load_tree(fixture_path(name)))
+    assert table_builds == ([()] if modules else [])
+    assert pair_builds == []
+
+
+def test_torsion_reads_hom_once_per_segment_pair(monkeypatch, capsys):
+    """`torsion` checks Hom(T, F) = 0 for every partition at once, so it
+    asks for each Hom space at most once: at most S^2 calls."""
+    calls = []
+    real = string_modules.hom_dim
+
+    def counting(tree, M, N):
+        calls.append((M, N))
+        return real(tree, M, N)
+
+    monkeypatch.setattr(string_modules, "hom_dim", counting)
+    assert cli.main(["torsion", fixture_path("big8")]) == 0
+    S = len(load_tree(fixture_path("big8")).all_segments)
+    assert S == 24
+    assert 0 < len(calls) <= S * S
+    assert len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("name", SMALL)
