@@ -343,6 +343,8 @@ def cmd_poset(tree, args):
 
 
 def cmd_check_all(tree, args):
+    if args.samples < 0:
+        raise _UsageError("--samples must be >= 0, got %d" % args.samples)
     checks = []
 
     def run(name, fn):

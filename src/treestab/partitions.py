@@ -25,8 +25,8 @@ table (see `tree_core`); public functions hand out sets.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress
-from operator import and_, or_
+from itertools import compress, groupby
+from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from . import gc_vectors, nc_complex, string_modules
@@ -336,6 +336,7 @@ class Poset:
 
     def __init__(self, elements, masks):
         self.elements = list(elements)
+        self._covers = None
         masks = list(masks)
         # having[p]: the elements whose mask holds bit p
         having = [sum(1 << j for j, m in enumerate(masks) if m >> p & 1)
@@ -350,8 +351,6 @@ class Poset:
                     down &= ~h
             self.up.append(up)
             self.down.append(down)
-            if not up & down & 1 << i:
-                raise ValueError("order must be reflexive")
             if up & down != 1 << i:
                 raise ValueError("elements %d and %d are order-equal"
                                  % (i, next(_bits(up & down ^ 1 << i))))
@@ -363,26 +362,28 @@ class Poset:
         return bool(self.up[i] >> j & 1)
 
     def covers(self):
-        """Pairs (i, j) with i covered by j, in lexicographic order: the
-        strict up-set of i minus everything strictly above a member."""
-        out = []
-        for i, up in enumerate(self.up):
-            strict = up ^ 1 << i
-            above = 0
-            for j in _bits(strict):
-                above |= self.up[j] ^ 1 << j
-            out.extend((i, j) for j in _bits(strict & ~above))
-        return out
+        """Pairs (i, j) with i covered by j, in lexicographic order, scanned
+        once: the strict up-set of i minus all strictly above a member."""
+        if self._covers is None:
+            self._covers = []
+            for i, up in enumerate(self.up):
+                strict = up ^ 1 << i
+                above = reduce(or_, (self.up[j] ^ 1 << j
+                                     for j in _bits(strict)), 0)
+                self._covers.extend((i, j) for j in _bits(strict & ~above))
+        return self._covers
 
     def is_lattice(self):
-        """Every pair has a join and a meet: its common up-set is some
-        element's up-set, and its common down-set some down-set."""
-        for rows in (self.up, self.down):
-            principal = set(rows)
-            if not all(principal.issuperset(map(a.__and__, rows[i + 1:]))
-                       for i, a in enumerate(rows)):
-                return False
-        return True
+        """A bottom, a top, and a join for any two upper covers of one
+        element: their common up-set is some element's up-set.  That
+        suffices (Bjorner, Edelman and Ziegler 1990, Lemma 2.1)."""
+        full, principal = (1 << len(self)) - 1, set(self.up)
+        if self.up and (full not in principal or full not in self.down):
+            return False
+        uppers = ([self.up[j] for _, j in pairs]
+                  for _, pairs in groupby(self.covers(), itemgetter(0)))
+        return all(principal.issuperset(a & b for i, a in enumerate(ups)
+                                        for b in ups[:i]) for ups in uppers)
 
     def isomorphic_by(self, other, mapping):
         """Whether the index map i -> mapping[i] is an order

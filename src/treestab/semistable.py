@@ -298,6 +298,8 @@ def check_semistable_wide(tree, samples=200, seed=0, bound=10):
     (checked, distinct wide sets seen); any failure raises
     ConventionError with the offending weight, since a counterexample
     would sink the converse direction."""
+    if samples < 0:
+        raise ValueError("samples must be >= 0, got %d" % samples)
     rng = random.Random(seed)
     seen = set()
     for _ in range(samples):

@@ -220,13 +220,9 @@ def all_submodules(tree, module):
     seg = module.segment
     k = len(seg)
     pairs = _action_pairs(tree, seg)
-    out = []
-    for bits in itertools.product((False, True), repeat=k):
-        if any(bits[i] and not bits[j] for i, j in pairs):
-            continue
-        out.append(_run_summands(tree, seg,
-                                 [i for i in range(k) if bits[i]]))
-    return out
+    return [_run_summands(tree, seg, [i for i in range(k) if bits[i]])
+            for bits in itertools.product((False, True), repeat=k)
+            if not any(bits[i] and not bits[j] for i, j in pairs)]
 
 
 def indecomposable_submodules(tree, module):

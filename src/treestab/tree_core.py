@@ -226,7 +226,6 @@ class EmbeddedTree:
         self.boundary_leaves = tuple(order[shift:] + order[:shift])
 
         L = len(self.boundary_leaves)
-        pos = {leaf: i for i, leaf in enumerate(self.boundary_leaves)}
         gap_index = {}
         for i in range(L):
             gap_index[(self.boundary_leaves[i],

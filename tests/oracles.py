@@ -20,9 +20,9 @@ and decomposition lengths per partition; and the partition table
 glued facet by facet, with block segments per partition block and the
 gluing checks in the column route's order; and each partition's torsion
 pair, built and checked by itself, with the work-list closure on one id
-mask.  Tests compare each with its id or column form.  Code that only
-tests use (red-green trees, biclosed sets, supporting arcs) lives here
-too.
+mask; and the lattice verdict from every pair of poset elements.
+Tests compare each with its id or column form.  Code that only tests
+use (red-green trees, biclosed sets, supporting arcs) lives here too.
 """
 
 import itertools
@@ -468,6 +468,19 @@ class DensePoset:
                 if self.matrix[i][j] != other.matrix[mapping[i]][mapping[j]]:
                     return False
         return True
+
+
+def lattice_by_rows(poset):
+    """Lattice verdict of a `partitions.Poset` from every pair of its
+    elements, the route `Poset.is_lattice` took before the cover-pair
+    test: each pair's common up-set must be some element's up-set (a
+    join) and its common down-set some element's down-set (a meet)."""
+    for rows in (poset.up, poset.down):
+        principal = set(rows)
+        if not all(principal.issuperset(map(a.__and__, rows[i + 1:]))
+                   for i, a in enumerate(rows)):
+            return False
+    return True
 
 
 # -- routes on objects, from before integer ids --------------------------

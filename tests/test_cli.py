@@ -156,6 +156,13 @@ def test_check_all_seed_changes_weights_not_verdict():
     assert r1.returncode == r2.returncode == 0
 
 
+def test_check_all_negative_samples_exits_2():
+    r = run("check-all", "--samples", "-3", fixture_path("a2"))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr == "--samples must be >= 0, got -3\n"
+
+
 def test_kreweras_text():
     r = run("kreweras", fixture_path("a2"))
     assert "orbit lengths: [3, 2]" in r.stdout

@@ -1,11 +1,15 @@
 """Up-set bitmask posets against the dense-matrix oracle, and the
 poset checks that must hold under `python -O`."""
 
+import contextlib
+import io
 import os
 import pathlib
 import random
 import subprocess
 import sys
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +17,17 @@ from hypothesis import given, settings
 import oracles
 import randtrees
 from conftest import SMALL, SUITE, fixture_path, get_tree
-from treestab import partitions as pt, semistable as st
+from treestab import cli, partitions as pt, semistable as st
 from treestab.tree_core import EmbeddedTree
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
-def assert_matches_oracle(fast, dense, lattice=None):
+def assert_matches_oracle(fast, dense, dense_lattice=True):
     """Same order, covers, lattice verdict and isomorphism verdicts.
-    `lattice` stands in for the oracle's verdict where it is too slow."""
+    The lattice verdict is checked against the row-intersection oracle,
+    and against the dense oracle unless `dense_lattice` is false (it
+    takes about a minute on big8)."""
     k = len(dense)
     assert len(fast) == k
     assert [[fast.leq(i, j) for j in range(k)]
@@ -29,9 +35,10 @@ def assert_matches_oracle(fast, dense, lattice=None):
     assert [[bool(fast.down[j] >> i & 1) for j in range(k)]
             for i in range(k)] == dense.matrix
     assert fast.covers() == dense.covers()
-    if lattice is None:
-        lattice = dense.is_lattice()
+    lattice = oracles.lattice_by_rows(fast)
     assert fast.is_lattice() == lattice
+    if dense_lattice:
+        assert dense.is_lattice() == lattice
     # a shuffled copy of each; relabel maps an element to its new index
     perm = list(range(k))
     random.Random(k).shuffle(perm)
@@ -57,16 +64,15 @@ def test_ncp_poset_matches_oracle(name):
     tree = get_tree(name)
     dense = oracles.DensePoset(pt.noncrossing_partitions(tree),
                                oracles.refinement_leq)
-    # the oracle's lattice check takes about a minute on big8
     assert_matches_oracle(pt.ncp_poset(tree), dense,
-                          lattice=True if name == "big8" else None)
+                          dense_lattice=name != "big8")
 
 
 @pytest.mark.parametrize("name", SUITE)
 def test_semistable_poset_matches_oracle(name):
     po = st.semistable_poset(get_tree(name))
     dense = oracles.DensePoset(po.elements, lambda a, b: a <= b)
-    assert_matches_oracle(po, dense, lattice=True if name == "big8" else None)
+    assert_matches_oracle(po, dense, dense_lattice=name != "big8")
 
 
 @settings(max_examples=20, deadline=None)
@@ -90,12 +96,23 @@ def test_ncp_order_is_refinement(name):
 
 # masks as sets of bits: the bowtie has two minimal and two maximal
 # elements; "vee" has a top but no meet of its two atoms; "wedge" has a
-# bottom but no join of its two coatoms
+# bottom but no join of its two coatoms.  The bounded ones have a bottom
+# and a top, so only the join of two upper covers of one element can
+# fail: the bowtie's two atoms in "bounded-bowtie"; in "high-bowtie" the
+# atoms have a join, and its two upper covers have none; in "skew" the
+# atoms have no join, though any two elements that one element covers
+# have one
 NOT_LATTICES = {
     "antichain": ([0b1, 0b10], (False, False)),
     "bowtie": ([0b1, 0b10, 0b111, 0b1011], (False, False)),
     "vee": ([0b1, 0b10, 0b11], (True, False)),
     "wedge": ([0, 0b1, 0b10], (False, True)),
+    "bounded-bowtie": ([0, 0b1, 0b10, 0b111, 0b1011, 0b1111],
+                       (False, False)),
+    "high-bowtie": ([0, 0b1, 0b10, 0b11, 0b111, 0b1011, 0b11111,
+                     0b101111, 0b111111], (False, False)),
+    "skew": ([0, 0b1, 0b11, 0b100, 0b1100, 0b10111, 0b101101, 0b111111],
+             (False, False)),
 }
 
 
@@ -112,6 +129,80 @@ def test_non_lattices(name):
                for i, j in pairs) == meets
     assert_matches_oracle(fast, dense)
     assert not fast.is_lattice()
+
+
+def random_families(rng, count):
+    """`count` families of distinct masks: half are up to 8 random masks
+    over up to 5 bits, which can hit every poset on up to 5 elements
+    (each is the inclusion order of its down-sets); half are the
+    down-sets of a random order on up to 6 elements with the empty and
+    the full set added, which are bounded, so that only cover pairs can
+    fail there."""
+    for n in range(count):
+        if n % 2:
+            bits = rng.randint(1, 5)
+            yield list(dict.fromkeys(rng.getrandbits(bits)
+                                     for _ in range(rng.randint(0, 8))))
+            continue
+        down = []  # element j is above i < j with probability 1/2
+        for j in range(rng.randint(0, 6)):
+            down.append(reduce(or_, (down[i] for i in range(j)
+                                     if rng.random() < 0.5), 1 << j))
+        yield list(dict.fromkeys([0] + down + [(1 << len(down)) - 1]))
+
+
+def test_random_mask_families_match_dense_oracle():
+    verdicts = []
+    for masks in random_families(random.Random(14), 2000):
+        fast = pt.Poset(range(len(masks)), masks)
+        dense = oracles.DensePoset(masks, lambda a, b: a & ~b == 0)
+        verdict = fast.is_lattice()
+        assert verdict == dense.is_lattice() \
+            == oracles.lattice_by_rows(fast), masks
+        full = (1 << len(masks)) - 1
+        verdicts.append((verdict, full in fast.up and full in fast.down))
+    # lattices, unbounded non-lattices and bounded ones all occur
+    assert min(map(verdicts.count, [(True, True), (False, False),
+                                    (False, True)])) >= 20
+
+
+@pytest.mark.parametrize("which", ["ncp", "ss"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_poset_command_scans_covers_once(monkeypatch, which, fmt):
+    """`poset` prints the covers and the lattice verdict, which reads
+    the covers too: both get the one list scanned for the poset."""
+    calls = []
+    scan = pt.Poset.covers
+
+    def spy(self):
+        out = scan(self)
+        calls.append((self, out))
+        return out
+
+    monkeypatch.setattr(pt.Poset, "covers", spy)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["poset", "--which", which, "--format", fmt,
+                         fixture_path("cyc3")]) == 0
+    assert len(calls) == 2
+    (po, first), (again, second) = calls
+    assert again is po and second is first
+
+
+def test_nine_vertex_posets_are_lattices(tmp_path):
+    """Both posets of a 9-vertex tree (4,862 elements) are lattices.
+    The row-intersection route takes about 13 s per poset on a 2-core
+    VM, the cover-pair test about 0.1 s."""
+    tree = randtrees.grow_full(random.Random(1), 9)
+    path = tmp_path / "full9.tree"
+    path.write_text("".join("vertex %s: %s\n" % (v, " ".join(ns))
+                            for v, ns in tree.rotation.items()))
+    for which in ("ncp", "ss"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["poset", "--which", which, str(path)]) == 0
+        assert out.getvalue().partition("\n")[0] == \
+            "4862 elements, lattice: True"
 
 
 DOCTORED = {

@@ -134,6 +134,13 @@ def test_converse_sweep_small(small_tree):
     assert distinct >= 1
 
 
+def test_converse_sweep_rejects_negative_count():
+    tree = get_tree("a2")
+    assert st.check_semistable_wide(tree, samples=0) == (0, 0)
+    with pytest.raises(ValueError, match="samples must be >= 0, got -3"):
+        st.check_semistable_wide(tree, samples=-3)
+
+
 def test_sweep_scaling_guard():
     """Scaling by a positive constant never changes the semistable set;
     the sweep asserts this internally, spot-check one weight here."""
