@@ -361,15 +361,16 @@ def cmd_check_all(tree, args):
         return "%d facets" % len(fs)
 
     def dominance():
-        fs = nc_complex.facets(tree)
+        every, segs = nc_complex.arcs(tree), tree.all_segments
         count = 0
-        for f in fs:
-            for d in f.reds():
-                if len(f.segment[d]) >= 2:
-                    if not gc_vectors.zigzag_dominance_check(f, d):
-                        raise ConventionError("facet %d arc %s"
-                                              % (f.index, _arc_label(d)))
-                    count += 1
+        for f in nc_complex.facets(tree):
+            for i, s, green in f.payload:
+                if green or len(segs[s]) < 2:
+                    continue
+                if not gc_vectors.zigzag_dominance_check(f, every[i]):
+                    raise ConventionError("facet %d arc %s"
+                                          % (f.index, _arc_label(every[i])))
+                count += 1
         return "%d qualifying pairs" % count
 
     def theorem():

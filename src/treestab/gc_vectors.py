@@ -5,8 +5,10 @@ tree's canonical (lexicographic) edge order.  The g-vector of an arc
 reads off how the arc turns at the two ends of each interior edge it
 uses; the c-vector of a colored arc in a facet is a signed indicator of
 the segment between its marked corners.  Per facet the two families are
-dual bases, which `pairing_matrix` asserts outright.  The facet
-weights also come column-wise, for all facets at once
+dual bases.  `pairing_matrix` checks that and `zigzag_dominance_check`
+counts zigzags on one per-tree table, of the +1 and -1 entries of each
+arc's g-vector on each segment (`_arc_counts`), with no vector built.  The
+facet weights also come column-wise, for all facets at once
 (`theta_columns`).
 
 The sub-path families C_s and K_s defined here drive both the module
@@ -19,15 +21,8 @@ checks, which read the proper C_s of each segment as one id mask
 from __future__ import annotations
 
 from . import nc_complex
-from .tree_core import ConventionError, Segment, _id_mask, turn
-
-
-def zero_vector(tree):
-    return tuple(0 for _ in range(tree.n))
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+from .tree_core import ConventionError, Segment, _bits, _id_mask, \
+    _segment_table, turn
 
 
 def indicator(tree, edges):
@@ -88,23 +83,44 @@ def c_vector(facet, arc):
     return tuple(vec)
 
 
-def pairing_matrix(facet):
-    """Gram matrix <g(row), c(col)> over the facet's colored arcs.
+def _arc_counts(tree):
+    """Per arc id, per segment id, (plus, minus): how many of the
+    segment's edges carry +1, and how many -1, in the arc's g-vector.
+    Summed along the weight steps of the segment table, once per
+    tree."""
+    return tree.memo("arc_counts", _build_arc_counts)
 
-    Asserted to be the identity; a failure is a convention bug and
+
+def _build_arc_counts(tree):
+    steps = _segment_table(tree).steps
+    out = []
+    for arc in nc_complex.arcs(tree):
+        g, counts = g_vector(tree, arc), [None] * len(steps)
+        for s, prefix, e in steps:
+            p, m = counts[prefix] if prefix >= 0 else (0, 0)
+            counts[s] = (p + (g[e] == 1), m + (g[e] == -1))
+        out.append(tuple(counts))
+    return tuple(out)
+
+
+def pairing_matrix(facet):
+    """Gram matrix <g(row), c(col)> over the facet's colored arcs, read
+    off its payload: <g(a), c(b)> is plus - minus of a on the segment of
+    b (see `_arc_counts`), negated for red b.
+
+    Checked to be the identity; a failure is a convention bug and
     names the offending pair."""
-    tree = facet.tree
-    colored = facet.colored
-    gs = [g_vector(tree, d) for d in colored]
-    cs = [c_vector(facet, d) for d in colored]
-    matrix = [[dot(g, c) for c in cs] for g in gs]
-    for i, drow in enumerate(colored):
-        for j, dcol in enumerate(colored):
-            want = 1 if i == j else 0
-            if matrix[i][j] != want:
+    counts, payload = _arc_counts(facet.tree), facet.payload
+    columns = [(s, 1 if green else -1) for _, s, green in payload]
+    matrix = [[sign * (row[s][0] - row[s][1]) for s, sign in columns]
+              for row in (counts[a] for a, _, _ in payload)]
+    every = nc_complex.arcs(facet.tree)
+    for i, (row, (a, _, _)) in enumerate(zip(matrix, payload)):
+        for j, (x, (b, _, _)) in enumerate(zip(row, payload)):
+            if x != (i == j):
                 raise ConventionError(
                     "pairing <g(%r), c(%r)> = %d, expected %d"
-                    % (drow, dcol, matrix[i][j], want))
+                    % (every[a], every[b], x, i == j))
     return matrix
 
 
@@ -114,7 +130,7 @@ def kreweras_theta(facet):
     tree = facet.tree
     every = nc_complex.arcs(tree)
     gs = [g_vector(tree, every[i]) for i, _, green in facet.payload if green]
-    return tuple(map(sum, zip(*gs))) if gs else zero_vector(tree)
+    return tuple(map(sum, zip(*gs))) if gs else (0,) * tree.n
 
 
 def _payload_columns(facets):
@@ -226,21 +242,20 @@ def zigzag_dominance_check(facet, arc):
     for-all-t variant is false in general: a four-edge red segment over
     a degree-5 vertex splits its proper sub-segments between two green
     arcs, one per kept end."""
-    tree = facet.tree
-    greens = facet.greens()
+    tree, payload = facet.tree, facet.payload
+    greens = [a for a, _, green in payload if green]
     if not greens:
         raise ValueError("facet has no green arc")
-    if facet.color.get(arc) != "red":
+    s = next((s for a, s, green in payload if a == arc.id and not green),
+             None)
+    if s is None:
         raise ValueError("arc is not red in this facet")
-    seg = facet.segment[arc]
-    if len(seg) < 2:
+    if len(tree.all_segments[s]) < 2:
         raise ValueError("segment of the red arc has fewer than two edges")
-    zigzags = [zigzag(tree, delta) for delta in greens]
-    counts = {}  # per member t of C_s, per green arc: plus and minus in t
-    for t in submodule_segments(tree, seg):
-        edges = t.edge_set()
-        counts[t] = [(len(plus & edges), len(minus & edges))
-                     for plus, minus in zigzags]
-    return (all(m >= p for row in counts.values() for p, m in row)
+    counts = _arc_counts(tree)
+    # per member t of C_s, per green arc: plus and minus in t
+    rows = {t: [counts[a][t] for a in greens]
+            for t in _bits(_proper(tree)[s] | 1 << s)}
+    return (all(m >= p for row in rows.values() for p, m in row)
             and all(any(m == p + 1 for p, m in row)
-                    for t, row in counts.items() if t != seg))
+                    for t, row in rows.items() if t != s))

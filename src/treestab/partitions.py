@@ -331,29 +331,23 @@ def _sub_quotients(tree, module):
 
 
 class Poset:
-    """Inclusion order of masks[i], kept as up-set bitmasks (bit j of
-    up[i] says i <= j) and their transpose, the down-sets."""
+    """Inclusion order of masks[i], kept as up-set bitmasks: bit j of
+    up[i] says i <= j."""
 
     def __init__(self, elements, masks):
         self.elements = list(elements)
         self._covers = None
         masks = list(masks)
+        if len(set(masks)) < len(masks):  # the first element with a twin
+            i = next(i for i, m in enumerate(masks) if masks.count(m) > 1)
+            raise ValueError("elements %d and %d are order-equal"
+                             % (i, masks.index(masks[i], i + 1)))
         # having[p]: the elements whose mask holds bit p
         having = [sum(1 << j for j, m in enumerate(masks) if m >> p & 1)
                   for p in range(max(masks, default=0).bit_length())]
-        self.up, self.down = [], []
-        for i, m in enumerate(masks):
-            up = down = (1 << len(masks)) - 1
-            for p, h in enumerate(having):
-                if m >> p & 1:
-                    up &= h
-                else:
-                    down &= ~h
-            self.up.append(up)
-            self.down.append(down)
-            if up & down != 1 << i:
-                raise ValueError("elements %d and %d are order-equal"
-                                 % (i, next(_bits(up & down ^ 1 << i))))
+        full = (1 << len(masks)) - 1
+        self.up = [reduce(and_, (h for p, h in enumerate(having)
+                                 if m >> p & 1), full) for m in masks]
 
     def __len__(self):
         return len(self.elements)
@@ -374,11 +368,12 @@ class Poset:
         return self._covers
 
     def is_lattice(self):
-        """A bottom, a top, and a join for any two upper covers of one
-        element: their common up-set is some element's up-set.  That
-        suffices (Bjorner, Edelman and Ziegler 1990, Lemma 2.1)."""
+        """A bottom (a full up-set), a top (in every up-set), and a join
+        for any two upper covers of one element: their common up-set is
+        some element's up-set.  That suffices (Bjorner, Edelman and
+        Ziegler 1990, Lemma 2.1)."""
         full, principal = (1 << len(self)) - 1, set(self.up)
-        if self.up and (full not in principal or full not in self.down):
+        if self.up and (full not in principal or not reduce(and_, self.up)):
             return False
         uppers = ([self.up[j] for _, j in pairs]
                   for _, pairs in groupby(self.covers(), itemgetter(0)))

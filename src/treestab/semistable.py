@@ -267,8 +267,9 @@ def verify_kreweras_stability(tree):
 def semistable_poset(tree):
     """Semistable sets of the facet weights under inclusion.  The map
     from noncrossing partitions is checked to be an order isomorphism,
-    which is the poset half of the main statement.  Each facet's
-    semistable set is read off the semi columns of all facet weights."""
+    the poset half of the main statement: both list the facets in
+    order, so their up-rows agree.  Each facet's semistable set is read
+    off the semi columns of all facet weights."""
     fs = nc_complex.facets(tree)
     semi, _ = _semistable_columns(tree, _segment_weights(
         tree, gc_vectors.theta_columns(
@@ -280,7 +281,7 @@ def semistable_poset(tree):
     segs = tree.all_segments
     po = partitions.Poset([frozenset(segs[s] for s in _bits(m))
                            for m in masks], masks)
-    if not po.isomorphic_by(partitions.ncp_poset(tree), range(len(fs))):
+    if po.up != partitions.ncp_poset(tree).up:
         raise ConventionError(
             "semistable order disagrees with refinement order")
     return po
@@ -297,23 +298,23 @@ def check_semistable_wide(tree, samples=200, seed=0, bound=10):
     scaling a weight by each of SCALES changes nothing.  Returns
     (checked, distinct wide sets seen); any failure raises
     ConventionError with the offending weight, since a counterexample
-    would sink the converse direction."""
+    would sink the converse direction.  Each distinct semistable id
+    mask is tested for wideness once."""
     if samples < 0:
         raise ValueError("samples must be >= 0, got %d" % samples)
     rng = random.Random(seed)
-    seen = set()
+    segs, seen = tree.all_segments, set()
     for _ in range(samples):
         theta = tuple(rng.randint(-bound, bound) for _ in range(tree.n))
-        ss = semistable_modules(tree, theta)
-        segs = frozenset(m.segment for m in ss)
+        semi = _stability(tree, theta)[1]
         for c in SCALES:
-            if semistable_modules(tree, tuple(c * t for t in theta)) != ss:
+            if _stability(tree, tuple(c * t for t in theta))[1] != semi:
                 raise ConventionError(
                     "weight %r changes semistables under scaling by %d"
                     % (theta, c))
-        if not tree.memo(("is_wide", segs), string_modules.is_wide, segs):
-            raise ConventionError(
-                "semistable set of %r is not wide: %r"
-                % (theta, sorted(segs, key=lambda s: s.vertices)))
-        seen.add(segs)
+        members = [segs[s] for s in _bits(semi)]
+        if semi not in seen and not string_modules.is_wide(tree, members):
+            raise ConventionError("semistable set of %r is not wide: %r"
+                                  % (theta, members))
+        seen.add(semi)
     return samples, len(seen)

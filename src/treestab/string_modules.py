@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gc_vectors
-from .tree_core import ConventionError, Segment, compose
+from .tree_core import ConventionError, Segment, compose, segment_turns
 
 
 @dataclass(frozen=True)
@@ -70,27 +70,12 @@ class TilingAlgebra:
 
     def dimension(self):
         """Number of paths with no relation sub-path, trivial paths
-        included."""
-        n = self.tree.n
-        total = n
-        outgoing = {}
-        for ar in self.arrows:
-            outgoing.setdefault(ar.source, []).append(ar)
-        forbidden = set(self.relations)
-
-        def extend(path):
-            count = 0
-            for nxt in outgoing.get(path[-1].target, []):
-                if (path[-1], nxt) in forbidden:
-                    continue
-                if len(path) >= n:
-                    raise ConventionError("path length exceeds edge count")
-                count += 1 + extend(path + [nxt])
-            return count
-
-        for ar in self.arrows:
-            total += 1 + extend([ar])
-        return total
+        included.  Consecutive arrows of such a path pivot at different
+        vertices, so it runs along a segment whose arrows all point one
+        way, which is a segment that turns the same way at every inner
+        vertex; each such segment with two or more edges carries one."""
+        return self.tree.n + sum(len(set(segment_turns(self.tree, s))) == 1
+                                 for s in self.tree.all_segments)
 
 
 def tiling_algebra(tree):

@@ -20,9 +20,13 @@ and decomposition lengths per partition; and the partition table
 glued facet by facet, with block segments per partition block and the
 gluing checks in the column route's order; and each partition's torsion
 pair, built and checked by itself, with the work-list closure on one id
-mask; and the lattice verdict from every pair of poset elements.
-Tests compare each with its id or column form.  Code that only tests
-use (red-green trees, biclosed sets, supporting arcs) lives here too.
+mask; and the lattice verdict from every pair of poset elements, with
+the down-rows transposed from the up-rows.  The vector routes that
+counting replaced are here too: the pairing matrix as dot products of
+g- and c-vectors, zigzag dominance on edge sets, and the algebra
+dimension by depth-first search over arrow paths.  Tests compare each
+with its id or column form.  Code that only tests use (red-green trees,
+biclosed sets, supporting arcs) lives here too.
 """
 
 import itertools
@@ -470,12 +474,19 @@ class DensePoset:
         return True
 
 
+def down_rows(poset):
+    """The down-set bitmasks of a `partitions.Poset`, bit i of the row
+    of j saying i <= j: its up-rows transposed."""
+    return [int(col[::-1] or b"0", 2)
+            for col in nc_complex._transpose(poset.up, len(poset))]
+
+
 def lattice_by_rows(poset):
     """Lattice verdict of a `partitions.Poset` from every pair of its
     elements, the route `Poset.is_lattice` took before the cover-pair
     test: each pair's common up-set must be some element's up-set (a
     join) and its common down-set some element's down-set (a meet)."""
-    for rows in (poset.up, poset.down):
+    for rows in (poset.up, down_rows(poset)):
         principal = set(rows)
         if not all(principal.issuperset(map(a.__and__, rows[i + 1:]))
                    for i, a in enumerate(rows)):
@@ -1129,3 +1140,51 @@ class RedGreenTree:
 
 def redgreen_tree(tree, partition):
     return RedGreenTree(tree, partition)
+
+
+# -- vector routes, before the count tables --------------------------------
+
+
+def pairing_by_vectors(facet):
+    """<g(row), c(col)> over the facet's colored arcs, as dot products
+    of the vectors themselves."""
+    tree, colored = facet.tree, facet.colored
+    cs = [gc_vectors.c_vector(facet, d) for d in colored]
+    return [[sum(a * b for a, b in zip(gc_vectors.g_vector(tree, d), c))
+             for c in cs] for d in colored]
+
+
+def dominance_by_zigzags(facet, arc):
+    """`gc_vectors.zigzag_dominance_check` for a red arc with a segment
+    of two or more edges, in a facet with a green arc, counted on the
+    zigzags' edge sets inside each member of C_s."""
+    tree, seg = facet.tree, facet.segment[arc]
+    zigzags = [gc_vectors.zigzag(tree, d) for d in facet.greens()]
+    counts = {t: [(len(plus & t.edge_set()), len(minus & t.edge_set()))
+                  for plus, minus in zigzags]
+              for t in gc_vectors.submodule_segments(tree, seg)}
+    return (all(m >= p for row in counts.values() for p, m in row)
+            and all(any(m == p + 1 for p, m in row)
+                    for t, row in counts.items() if t != seg))
+
+
+def algebra_dimension_by_paths(tree):
+    """Number of arrow paths with no relation sub-path, trivial paths
+    included, by depth-first search from every arrow."""
+    alg = string_modules.tiling_algebra(tree)
+    outgoing = {}
+    for ar in alg.arrows:
+        outgoing.setdefault(ar.source, []).append(ar)
+    forbidden = set(alg.relations)
+
+    def extend(path):
+        count = 0
+        for nxt in outgoing.get(path[-1].target, []):
+            if (path[-1], nxt) in forbidden:
+                continue
+            if len(path) >= tree.n:
+                raise ConventionError("path length exceeds edge count")
+            count += 1 + extend(path + [nxt])
+        return count
+
+    return tree.n + sum(1 + extend([ar]) for ar in alg.arrows)

@@ -1,10 +1,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
+import randtrees
 from conftest import fixture_path, get_tree
 from treestab import gc_vectors
 from treestab.nc_complex import facets
+from treestab.string_modules import algebra_dimension
 from treestab.gc_vectors import (
     c_vector,
     g_vector,
@@ -16,7 +20,8 @@ from treestab.gc_vectors import (
     zigzag,
     zigzag_dominance_check,
 )
-from treestab.tree_core import ConventionError, Segment, load_tree
+from treestab.tree_core import (ConventionError, EmbeddedTree, Segment,
+                                load_tree)
 
 
 def _facet_by_leaves(tree, leaf_pairs):
@@ -67,6 +72,60 @@ def test_pairing_identity(suite_tree):
         for i in range(k):
             for j in range(k):
                 assert mat[i][j] == (1 if i == j else 0)
+
+
+def dominance_verdicts(tree):
+    """Per qualifying (facet, red arc) pair, the dominance verdict read
+    off the count table, checked against the zigzag oracle."""
+    verdicts = []
+    for f in facets(tree):
+        for d in f.reds():
+            if len(f.segment[d]) >= 2:
+                got = zigzag_dominance_check(f, d)
+                assert got == oracles.dominance_by_zigzags(f, d), (f.index, d)
+                verdicts.append(got)
+    return verdicts
+
+
+def assert_counts_match_oracles(tree):
+    """The pairing matrix of every facet, every dominance verdict and
+    the algebra dimension, as counted, against the vector and path
+    routes."""
+    for f in facets(tree):
+        assert pairing_matrix(f) == oracles.pairing_by_vectors(f), f.index
+    assert all(dominance_verdicts(tree))
+    assert algebra_dimension(tree) == oracles.algebra_dimension_by_paths(tree)
+
+
+def test_counts_match_oracles(suite_tree):
+    assert_counts_match_oracles(suite_tree)
+
+
+@settings(max_examples=15, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_random_tree_counts_match_oracles(rotation):
+    assert_counts_match_oracles(EmbeddedTree(rotation))
+
+
+@pytest.mark.parametrize("name", ["subseg", "deg45", "caterpillar4"])
+def test_doctored_g_vectors_fail_like_the_oracles(name, monkeypatch):
+    """With every g-vector negated, the pairing check names the first
+    pair the dot products get wrong, and dominance fails on every
+    qualifying pair, as it does on the zigzags."""
+    real = gc_vectors._g_vector
+    monkeypatch.setattr(gc_vectors, "_g_vector", lambda tree, arc: tuple(
+        -x for x in real(tree, arc)))
+    tree = load_tree(fixture_path(name))  # fresh: nothing memoized
+    for f in facets(tree):
+        mat = oracles.pairing_by_vectors(f)
+        i, j = next((i, j) for i, row in enumerate(mat)
+                    for j, x in enumerate(row) if x != (i == j))
+        with pytest.raises(ConventionError) as err:
+            pairing_matrix(f)
+        assert str(err.value) == "pairing <g(%r), c(%r)> = %d, " \
+            "expected %d" % (f.colored[i], f.colored[j], mat[i][j], i == j)
+    verdicts = dominance_verdicts(tree)
+    assert verdicts and not any(verdicts)
 
 
 def test_g_vector_boundary_arcs_are_zero():

@@ -652,3 +652,32 @@ def test_hot_path_reads_payloads_only(argv, monkeypatch, capsys):
     assert capsys.readouterr().out
     assert events == []
     assert triples and len(set(triples)) == len(triples)
+
+
+def test_check_all_pairing_and_dominance_read_counts(monkeypatch, capsys):
+    """The pairing and dominance steps of `check-all` on big8 read the
+    facets' payloads and the arc count table: up to the next step they
+    build no facet view, hash no arc and call neither `c_vector` nor
+    `zigzag`."""
+    events = []
+
+    def spy(name, real):
+        def wrapped(*args):
+            events.append(name)
+            return real(*args)
+        return wrapped
+
+    for name in VIEWS:
+        monkeypatch.setattr(Facet, name, property(
+            lambda self, name=name: events.append(name)))
+    for owner, name in ((Facet, "greens"), (Facet, "reds"),
+                        (nc_complex.Arc, "__hash__"),
+                        (gc_vectors, "c_vector"), (gc_vectors, "zigzag")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    monkeypatch.setattr(semistable, "verify_kreweras_stability", spy(
+        "kreweras-stability", semistable.verify_kreweras_stability))
+    cli.main(["check-all", "--samples", "0", fixture_path("big8")])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["pairing-identity     ok  1074 facets",
+                         "zigzag-dominance     ok  1681 qualifying pairs"]
+    assert events.index("kreweras-stability") == 0

@@ -202,3 +202,6 @@ def test_poset_rejects_duplicates():
         pt.Poset([1, 1], [0b1, 0b1])
     with pytest.raises(ValueError, match="elements 1 and 2 are order-equal"):
         pt.Poset("abc", [0b1, 0b11, 0b11])
+    # the lowest element with a twin, though a later pair repeats first
+    with pytest.raises(ValueError, match="elements 0 and 3 are order-equal"):
+        pt.Poset("abcd", [0b1, 0b10, 0b10, 0b1])
