@@ -164,36 +164,29 @@ def cmd_facets(tree, args):
 
 
 def cmd_vectors(tree, args):
-    fs = nc_complex.facets(tree)
     legend = [(i, _edge_label(e)) for i, e in enumerate(tree.interior_edges)]
+    # per facet its weight, and per colored arc its g- and c-vector
+    data = [(f, list(gc_vectors.kreweras_theta(f)),
+             [(d, list(gc_vectors.g_vector(tree, d)),
+               list(gc_vectors.c_vector(f, d))) for d in f.colored])
+            for f in nc_complex.facets(tree)]
     if args.format == "json":
-        data = []
-        for f in fs:
-            rows = []
-            for d in f.colored:
-                rows.append({
-                    "arc": list(d.leaves),
-                    "color": f.color[d],
-                    "segment": list(f.segment[d].vertices),
-                    "g": list(gc_vectors.g_vector(tree, d)),
-                    "c": list(gc_vectors.c_vector(f, d)),
-                })
-            data.append({"index": f.index, "vectors": rows,
-                         "theta": list(gc_vectors.kreweras_theta(f))})
         _json_out({"command": "vectors",
                    "edges": [{"index": i, "edge": lab} for i, lab in legend],
-                   "facets": data})
+                   "facets": [{"index": f.index, "theta": theta,
+                               "vectors": [{
+                                   "arc": list(d.leaves),
+                                   "color": f.color[d],
+                                   "segment": list(f.segment[d].vertices),
+                                   "g": g, "c": c} for d, g, c in rows]}
+                              for f, theta, rows in data]})
         return 0
     for i, lab in legend:
         print("edge %d: %s" % (i, lab))
-    for f in fs:
-        print("facet %d  theta %s" % (f.index,
-                                      list(gc_vectors.kreweras_theta(f))))
-        for d in f.colored:
-            print("  %s %s g=%s c=%s" % (
-                _arc_label(d), f.color[d],
-                list(gc_vectors.g_vector(tree, d)),
-                list(gc_vectors.c_vector(f, d))))
+    for f, theta, rows in data:
+        print("facet %d  theta %s" % (f.index, theta))
+        for d, g, c in rows:
+            print("  %s %s g=%s c=%s" % (_arc_label(d), f.color[d], g, c))
     return 0
 
 
@@ -253,19 +246,16 @@ def cmd_kreweras(tree, args):
 
 
 def cmd_torsion(tree, args):
-    ncps = partitions.noncrossing_partitions(tree)
-    rows = []
-    for p in ncps:
-        T, F = partitions.torsion_pair(tree, p)
-        rows.append((p,
-                     sorted(m.segment.vertices for m in T),
-                     sorted(m.segment.vertices for m in F)))
+    # one vertex list per segment, shared by all partitions (so `_dumps`
+    # renders it once); ids follow vertex order, so T and F come sorted
+    verts = [list(s.vertices) for s in tree.all_segments]
+    rows = [(p, *([verts[i] for i in _bits(mask)] for mask in pair))
+            for p, pair in zip(partitions.noncrossing_partitions(tree),
+                               partitions._torsion(tree)[2])]
     if args.format == "json":
         _json_out({"command": "torsion",
-                   "pairs": [{"partition": [list(b) for b in p.blocks],
-                              "torsion": [list(v) for v in ts],
-                              "free": [list(v) for v in fsg]}
-                             for p, ts, fsg in rows]})
+                   "pairs": [{"partition": p.blocks, "torsion": ts,
+                              "free": fsg} for p, ts, fsg in rows]})
         return 0
     for p, ts, fsg in rows:
         print("%s" % p)
@@ -387,13 +377,8 @@ def cmd_check_all(tree, args):
         return "%d elements" % len(po)
 
     def torsion():
-        count = 0
-        inds = string_modules.indecomposables(tree)
-        for p in partitions.noncrossing_partitions(tree):
-            for m in inds:
-                partitions.torsion_decompose(tree, p, m)
-                count += 1
-        return "%d decompositions" % count
+        modules = len(partitions._decompositions(tree))
+        return "%d decompositions" % (len(nc_complex.facets(tree)) * modules)
 
     def converse():
         checked, distinct = semistable.check_semistable_wide(

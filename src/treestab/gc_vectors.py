@@ -75,12 +75,9 @@ def segment_of(facet, arc):
 def c_vector(facet, arc):
     """Signed indicator of segment_of(facet, arc): positive for green
     arcs, negative for red.  Facet-dependent, unlike the g-vector."""
-    seg = segment_of(facet, arc)
     sign = 1 if facet.color[arc] == "green" else -1
-    vec = [0] * facet.tree.n
-    for e in seg.edges():
-        vec[facet.tree.edge_index[e]] = sign
-    return tuple(vec)
+    return tuple(sign * x for x in indicator(
+        facet.tree, segment_of(facet, arc).edges()))
 
 
 def _arc_counts(tree):

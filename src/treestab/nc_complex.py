@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 
-from .tree_core import ConventionError, _bits, _segment_table
+from .tree_core import ConventionError, _bits, _raise_lowest, _segment_table
 
 
 @dataclass(frozen=True)
@@ -234,10 +234,8 @@ def _mark(tree, masks):
                                 both & good))
             except ConventionError as e:
                 faults.append((both & good, str(e)))
-    if faults:
-        first = min((bad & -bad).bit_length() - 1 for bad, _ in faults)
-        why = next(why for bad, why in faults if bad >> first & 1)
-        raise ConventionError(why(first) if callable(why) else why)
+    _raise_lowest(faults, lambda p, why: ConventionError(
+        why(p) if callable(why) else why))
     # each mask picks the records of the triples it holds, by arc id
     triples = [record for record, _ in records]
     picks = _transpose([held_by for _, held_by in records], len(masks))

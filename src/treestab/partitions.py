@@ -18,8 +18,10 @@ pairs: red rows tell partitions apart and are what the partitions and
 their refinement order are built from, green ones are looked up among
 them (the Kreweras map).  The torsion pairs of all partitions come from
 the block columns too, as per-segment columns of T and F, checked once
-per tree.  Closures run column-wise on the compositions of the segment
-table (see `tree_core`); public functions hand out sets.
+per tree, and so are each module's canonical sequences (the positions
+of each submodule option).  Closures run column-wise on the
+compositions of the segment table (see `tree_core`); public functions
+hand out sets.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from . import gc_vectors, nc_complex, string_modules
-from .tree_core import ConventionError, _bits, _id_mask, _segment_table
+from .tree_core import ConventionError, _bits, _id_mask, _raise_lowest, \
+    _segment_table
 
 
 class TreePartition:
@@ -144,10 +147,7 @@ def _glue_columns(tree, facets, whole):
              lambda p: ConventionError("green partition of facet %d is no "
                                        "red partition" % facets[p % width]
                                        .index))]
-    failing = reduce(or_, (col for col, _ in faults), 0)
-    if failing:
-        p = (failing & -failing).bit_length() - 1
-        raise next(error(p) for col, error in faults if col >> p & 1)
+    _raise_lowest(faults, lambda p, error: error(p))
     red = (1 << width) - 1
     return _Gluing(records, ([c & red for c in block],
                              [c >> width for c in block]), rows, complement)
@@ -197,12 +197,12 @@ def kreweras_complement(tree, partition):
 def kreweras_orbits(tree):
     """Cycle lengths of the Kreweras map on noncrossing partitions.
     Reported, not constrained: the map need not have small order."""
-    seen, orbits = set(), []
-    for p in noncrossing_partitions(tree):
+    complement, seen, orbits = _gluing(tree).complement, set(), []
+    for p in range(len(complement)):
         length = 0
         while p not in seen:
             seen.add(p)
-            p = kreweras_complement(tree, p)
+            p = complement[p]
             length += 1
         if length:
             orbits.append(length)
@@ -245,26 +245,26 @@ def torsion_pair(tree, partition):
     """(T, F) for a noncrossing partition: T joins the quotient-closed
     sets of the complement's green segments, F joins the sub-closed
     sets of the red segments.  Hom(T, F) vanishes and the pair covers
-    every simple.  Both are frozensets, built once per partition from
-    the tree's torsion table, which checks every partition's pair."""
-    return tree.memo(("torsion_pair", partition), _torsion_sets, partition)
-
-
-def _torsion_sets(tree, partition):
-    f = _position(tree, partition)
+    every simple.  Both are frozensets, read off the tree's torsion
+    table, which checks every partition's pair."""
     inds = string_modules.indecomposables(tree)
     return tuple(frozenset(inds[i] for i in _bits(mask))
-                 for mask in tree.memo("torsion", _torsion_table)[f])
+                 for mask in _torsion(tree)[2][_position(tree, partition)])
+
+
+def _torsion(tree):
+    """The tree's torsion table, built and checked once."""
+    return tree.memo("torsion", _torsion_table)
 
 
 def _torsion_table(tree):
-    """Per position of the gluing (a red partition, in facet order) the
-    id masks (T, F) of its torsion pair, built and checked column-wise
-    once per tree: T closes the K_s of the green block segments s, F
-    the C_s of the red ones.  Hom is read once per segment pair (x, y)
-    with x in T and y in F somewhere; each nonzero one gives a fault
-    column, and so does a simple outside both.  The lowest failing
-    position raises, with its first failing pair, Hom before simples."""
+    """Columns T and F per segment id over the gluing's positions (the
+    red partitions, in facet order), and their rows, per position the id
+    masks (T, F), built and checked once per tree: T closes the K_s of
+    the green block segments s, F the C_s of the red ones.  Hom is read
+    once per segment pair (x, y) with x in T and y in F somewhere; each
+    nonzero one gives a fault column, and so does a simple outside both.
+    The lowest failing position raises, Hom pairs before simples."""
     glued = _gluing(tree)
     width, segs = len(glued.complement), tree.all_segments
     proper = gc_vectors._proper(tree)
@@ -286,45 +286,54 @@ def _torsion_table(tree):
     covered = reduce(and_, (T[s] | F[s] for s, seg in enumerate(segs)
                             if len(seg) == 1), everyone)
     faults.append((everyone & ~covered, "simple module outside both classes"))
-    failing = reduce(or_, (col for col, _ in faults), 0)
-    if failing:
-        p = (failing & -failing).bit_length() - 1
-        raise ConventionError(next(m for col, m in faults if col >> p & 1))
+    _raise_lowest(faults, lambda p, message: ConventionError(message))
     tmasks, fmasks = ([int(row[::-1] or b"0", 2) for row
                        in nc_complex._transpose(cols, width)]
                       for cols in (T, F))
-    return tuple(zip(tmasks, fmasks))
+    return tuple(T), tuple(F), tuple(zip(tmasks, fmasks))
 
 
 def torsion_decompose(tree, partition, module):
     """Canonical sequence of an indecomposable under the partition's
     torsion pair: the submodule in T with quotient in F.  Exactly one
-    submodule qualifies."""
+    submodule qualifies (see `_build_decompositions`)."""
     f = _position(tree, partition)
-    tmask, fmask = tree.memo("torsion", _torsion_table)[f]
-    hits = [(sub, quot) for sub, quot, submask, quotmask
-            in tree.memo(("sub_quotients", module), _sub_quotients, module)
-            if not submask & ~tmask and not quotmask & ~fmask]
-    if len(hits) != 1:
-        raise ConventionError("torsion decomposition of %r not unique: %r"
-                              % (module, hits))
-    return hits[0]
+    options = _decompositions(tree)[_segment_table(tree).ids[module.segment]]
+    return next(pair for pair, col in options if col >> f & 1)
 
 
-def _sub_quotients(tree, module):
-    """(submodule, quotient, their segment id masks) for every submodule
-    of an indecomposable, each pair's dimension vectors checked to add
-    up to the module's."""
-    out = []
-    for sub in string_modules.all_submodules(tree, module):
-        quot = string_modules._quotient(tree, module, sub)
-        dims = map(sum, zip(sub.dim_vector(tree), quot.dim_vector(tree)))
-        if tuple(dims) != module.dim_vector:
-            raise ConventionError("dimension mismatch in decomposition")
-        out.append((sub, quot,
-                    _id_mask(tree, (m.segment for m in sub)),
-                    _id_mask(tree, (m.segment for m in quot))))
-    return tuple(out)
+def _decompositions(tree):
+    """The tree's decomposition table, built and checked once."""
+    return tree.memo("decompositions", _build_decompositions)
+
+
+def _build_decompositions(tree):
+    """Per segment id, per submodule of its module, ((submodule,
+    quotient), the positions where the submodule lies in T and the
+    quotient in F): one AND of their summands' torsion columns.  Each
+    pair's dimensions are checked to add up to the module's.  The lowest
+    position where no option or two hold raises for its first module."""
+    T, F, rows = _torsion(tree)
+    ids, everyone = _segment_table(tree).ids, (1 << len(rows)) - 1
+    table, faults = [], []
+    for module in string_modules.indecomposables(tree):
+        options, once, twice = [], 0, 0
+        for sub in string_modules.all_submodules(tree, module):
+            quot = string_modules._quotient(tree, module, sub)
+            dims = map(sum, zip(sub.dim_vector(tree), quot.dim_vector(tree)))
+            if tuple(dims) != module.dim_vector:
+                raise ConventionError("dimension mismatch in decomposition")
+            col = reduce(and_, [T[ids[m.segment]] for m in sub]
+                         + [F[ids[m.segment]] for m in quot], everyone)
+            once, twice = once | col, twice | once & col
+            options.append(((sub, quot), col))
+        table.append(tuple(options))
+        faults.append((everyone & ~once | twice, module))
+    _raise_lowest(faults, lambda p, module: ConventionError(
+        "torsion decomposition of %r not unique: %r" % (module, [
+            pair for pair, col in table[ids[module.segment]]
+            if col >> p & 1])))
+    return tuple(table)
 
 
 # -- posets --------------------------------------------------------------

@@ -24,7 +24,8 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import NamedTuple
 
 
@@ -381,6 +382,15 @@ def _bits(mask):
         mask ^= low
 
 
+def _raise_lowest(faults, error):
+    """Given fault columns (col, what) over positions, raise error(p,
+    what) for the first fault at the lowest position p of any."""
+    failing = reduce(or_, (col for col, _ in faults), 0)
+    if failing:
+        p = (failing & -failing).bit_length() - 1
+        raise next(error(p, what) for col, what in faults if col >> p & 1)
+
+
 def compose(tree, s, t):
     """Concatenation of two of the tree's segments sharing exactly one
     endpoint, when it is again a segment; None otherwise."""
@@ -426,19 +436,20 @@ def _build_segment_table(tree):
     index = {v: i for i, v in enumerate(tree.interior_vertices)}
     # (a, b) -> (inner vertex mask, the path a..b if a segment, else ())
     walked = {}
-
-    def walk(a, x, prev, path, inner):
-        # a path is a segment exactly when its prefix is one and it
-        # turns to a rotation-adjacent ray at the prefix's end
-        for y in tree.rotation[x]:
-            if y != prev and y in index:
-                extreme = prev is None or tree._turn(x, prev, y)
-                extended = path + (y,) if path and extreme else ()
-                walked[index[a], index[y]] = (inner, extended)
-                walk(a, y, x, extended, inner | 1 << index[y])
-
     for a in index:
-        walk(a, a, None, (a,), 0)
+        # a stack, as paths can outgrow the recursion limit: x reached from
+        # prev, the path a..x if a segment, else (), the mask of a..x but a
+        todo = [(a, None, (a,), 0)]
+        while todo:
+            x, prev, path, inner = todo.pop()
+            # a path is a segment exactly when its prefix is one and it
+            # turns to a rotation-adjacent ray at the prefix's end
+            for y in tree.rotation[x]:
+                if y != prev and y in index:
+                    extreme = prev is None or tree._turn(x, prev, y)
+                    extended = path + (y,) if path and extreme else ()
+                    walked[index[a], index[y]] = (inner, extended)
+                    todo.append((y, x, extended, inner | 1 << index[y]))
     # a path leaving a toward a later vertex is in canonical orientation
     segments = tuple(map(Segment, sorted(
         p for (a, b), (_, p) in walked.items() if a < b and p)))

@@ -20,8 +20,9 @@ and decomposition lengths per partition; and the partition table
 glued facet by facet, with block segments per partition block and the
 gluing checks in the column route's order; and each partition's torsion
 pair, built and checked by itself, with the work-list closure on one id
-mask; and the lattice verdict from every pair of poset elements, with
-the down-rows transposed from the up-rows.  The vector routes that
+mask; each module's canonical sequence under one partition, by
+filtering its submodules; and the lattice verdict from every pair of
+poset elements, with the down-rows transposed from the up-rows.  The vector routes that
 counting replaced are here too: the pairing matrix as dot products of
 g- and c-vectors, zigzag dominance on edge sets, and the algebra
 dimension by depth-first search over arrow paths.  Tests compare each
@@ -951,6 +952,32 @@ def torsion_masks_by_partition(tree, partition):
     if simples & ~(tmask | fmask):
         raise ConventionError("simple module outside both classes")
     return tmask, fmask
+
+
+_filtered = weakref.WeakKeyDictionary()
+
+
+def decompose_by_filter(tree, partition, module):
+    """Canonical sequence of one module under one partition's torsion
+    pair, by the per-call route: filter the module's submodules
+    (`all_submodules`, each with its quotient) for the one whose
+    submodule lies in T and quotient in F, the `torsion_pair` sets.
+    Each partition's pair and each module's submodule list are kept per
+    tree, as that route kept them."""
+    pairs, options = _filtered.setdefault(tree, ({}, {}))
+    if partition not in pairs:
+        pairs[partition] = partitions.torsion_pair(tree, partition)
+    if module not in options:
+        options[module] = [
+            (sub, string_modules.quotient_by(tree, module, sub))
+            for sub in string_modules.all_submodules(tree, module)]
+    T, F = pairs[partition]
+    hits = [(sub, quot) for sub, quot in options[module]
+            if T.issuperset(sub) and F.issuperset(quot)]
+    if len(hits) != 1:
+        raise ConventionError("torsion decomposition of %r not unique: %r"
+                              % (module, hits))
+    return hits[0]
 
 
 # -- the per-facet route of the main theorem -------------------------------

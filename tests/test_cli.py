@@ -231,6 +231,52 @@ def test_check_all_failures_survive_optimize(check):
 
 
 @pytest.mark.parametrize("optimize", [False, True])
+def test_check_all_fails_non_unique_decomposition(optimize):
+    """With every module listed as its own submodule twice, the whole
+    module qualifies twice wherever it lies in T: `torsion-pairs`, and
+    no other check, fails, under `python -O` too."""
+    r = run_doctored("real = string_modules.all_submodules\n"
+                     "string_modules.all_submodules = lambda tree, m: "
+                     "real(tree, m) + real(tree, m)[-1:]\n",
+                     "check-all", "--samples", "5", fixture_path("cyc3"),
+                     optimize=optimize)
+    assert r.returncode == 1, r.stderr
+    failed = [ln for ln in r.stdout.splitlines() if ln.split()[1] == "FAIL"]
+    assert [ln.split()[0] for ln in failed] == ["torsion-pairs"], r.stdout
+    assert "ConventionError: torsion decomposition of " in failed[0]
+    assert "not unique" in failed[0]
+
+
+def path_tree(n):
+    """A path of n interior vertices, each with two leaves, that enters
+    and leaves every inner vertex through non-adjacent rays: its
+    segments are its n - 1 edges, but walking it visits n vertices in a
+    row."""
+    names = ["v%03d" % i for i in range(n)]
+    lines = []
+    for i, v in enumerate(names):
+        a, b = "a%03d" % i, "b%03d" % i
+        rays = (names[i - 1:i] if i else []) + [a] + names[i + 1:i + 2] + [b]
+        lines += ["vertex %s: %s" % (v, " ".join(rays)),
+                  "vertex %s: %s" % (a, v), "vertex %s: %s" % (b, v)]
+    return "\n".join(lines) + "\n"
+
+
+def test_long_path_needs_no_deep_recursion(tmp_path):
+    """The segment walk keeps its own stack: a 300-vertex path tree gets
+    through `modules` under a recursion limit of 200."""
+    path = tmp_path / "path300.tree"
+    path.write_text(path_tree(300))
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys\nsys.setrecursionlimit(200)\n"
+         "from treestab import cli\nsys.exit(cli.main(sys.argv[1:]))\n",
+         "modules", "--format", "json", str(path)],
+        capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(r.stdout)["modules"]) == 299
+
+
+@pytest.mark.parametrize("optimize", [False, True])
 def test_kreweras_stability_failure_is_one_readable_line(optimize):
     """The failing facets are counted and the first three reasons
     spelled out, not printed as a list of tuples."""

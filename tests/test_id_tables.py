@@ -179,9 +179,11 @@ def assert_table_matches_oracle(tree):
 def assert_torsion_matches(tree):
     """The torsion table's T and F masks, and the frozensets
     `torsion_pair` builds from them, against each partition's pair built
-    and checked by itself."""
+    and checked by itself; its T and F columns against the masks; and
+    every (partition, module) decomposition read off the decomposition
+    table against filtering the module's submodules."""
     inds = string_modules.indecomposables(tree)
-    rows = tree.memo("torsion", partitions._torsion_table)
+    T, F, rows = tree.memo("torsion", partitions._torsion_table)
     ncps = partitions.noncrossing_partitions(tree)
     assert len(rows) == len(ncps)
     for row, p in zip(rows, ncps):
@@ -189,6 +191,15 @@ def assert_torsion_matches(tree):
         assert row == want
         assert partitions.torsion_pair(tree, p) == tuple(
             frozenset(inds[i] for i in tree_core._bits(m)) for m in want)
+    tmasks, fmasks = zip(*rows)
+    for s in range(len(inds)):
+        assert (T[s], F[s]) == tuple(
+            sum((m >> s & 1) << f for f, m in enumerate(masks))
+            for masks in (tmasks, fmasks))
+    for p in ncps:
+        for m in inds:
+            assert partitions.torsion_decompose(tree, p, m) == \
+                oracles.decompose_by_filter(tree, p, m)
 
 
 def weights(tree, count=8, seed=3):
@@ -345,6 +356,37 @@ def test_torsion_failures_match_partition_route(name, monkeypatch):
             seen.add(want and want.split(":")[0])
     assert seen == {None, "torsion class maps onto its own free class",
                     "simple module outside both classes"}
+
+
+# doctored `all_submodules`: for every module of two or more edges, the
+# whole module listed twice (two options wherever the module lies in T),
+# or the zero submodule left out (none wherever it lies in F)
+SUBMODULE_DOCTORS = {
+    "twice": lambda subs: subs + subs[-1:],
+    "none": lambda subs: subs[1:],
+}
+
+
+@pytest.mark.parametrize("doctor", sorted(SUBMODULE_DOCTORS))
+@pytest.mark.parametrize("name", ["subseg", "cyc3", "deg45", "caterpillar4"])
+def test_non_unique_decomposition_matches_filter(name, doctor, monkeypatch):
+    """With a module given two qualifying submodules, or none, under
+    some partitions, any `torsion_decompose` call raises the message of
+    the first failing (partition, module) pair, partition-major, that
+    filtering the submodules finds."""
+    real = string_modules.all_submodules
+    monkeypatch.setattr(string_modules, "all_submodules", lambda tree, m: (
+        SUBMODULE_DOCTORS[doctor](real(tree, m)) if len(m.segment) > 1
+        else real(tree, m)))
+    tree = tree_core.load_tree(fixture_path(name))
+    ncps = partitions.noncrossing_partitions(tree)
+    inds = string_modules.indecomposables(tree)
+    want = next(filter(None, (marking_outcome(
+        lambda: oracles.decompose_by_filter(tree, p, m))
+        for p in ncps for m in inds)))
+    assert want.startswith("torsion decomposition of ")
+    assert marking_outcome(
+        lambda: partitions.torsion_decompose(tree, ncps[-1], inds[0])) == want
 
 
 def test_glued_partition_rejects_segment_through_its_block():

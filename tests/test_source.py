@@ -42,6 +42,8 @@ def test_each_memo_family_has_one_builder():
     builders = memo_builders()
     assert {"facets", "arcs", "chains", "arc_segment", "g", "hom",
             "segments", "proper", "gluing", "stability",
-            "torsion", "arc_counts"} <= set(builders)
+            "torsion", "decompositions", "arc_counts"} <= set(builders)
+    # torsion pairs and decompositions are read off those two tables
+    assert not {"torsion_pair", "sub_quotients"} & set(builders)
     shared = {k: v for k, v in builders.items() if len(v) != 1}
     assert not shared, shared

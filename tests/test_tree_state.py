@@ -51,8 +51,9 @@ def test_cached_tables_are_immutable_and_shared(name):
     assert noncrossing_partitions(tree) is ncps
     for p in ncps:
         assert kreweras_complement(tree, p) is kreweras_complement(tree, p)
+        # read off the torsion table's id rows on each call, not kept
         pair = torsion_pair(tree, p)
-        assert torsion_pair(tree, p) is pair
+        assert torsion_pair(tree, p) == pair
         assert all(isinstance(side, frozenset) for side in pair)
     stranger = Segment(("no-such-vertex", "nor-this-one"))
     for seg in tree.all_segments:
@@ -106,6 +107,13 @@ def count_builds(monkeypatch, module, builder):
     return calls
 
 
+def forbidden(name):
+    """A stand-in for a function that must not be called."""
+    def call(*args):
+        raise AssertionError("%s called" % name)
+    return call
+
+
 @pytest.mark.parametrize("value", [None, 0, (), frozenset()])
 def test_memo_builds_a_falsy_value_once_per_key(value):
     """`memo` tells a missing key from a stored value by a private mark,
@@ -134,18 +142,41 @@ def test_verify_thm1_builds_facets_once(name, monkeypatch, capsys):
 def test_check_all_builds_facets_and_torsion_pairs_once(name, monkeypatch,
                                                          capsys):
     """check-all builds the torsion table, every partition's T and F,
-    once per tree, through its first decomposition (a tree with no
-    interior edge has no module to decompose), and no partition's
-    frozenset pair."""
+    and the decomposition table over it, once per tree, and checks the
+    decompositions on the table alone: it asks no single (partition,
+    module) pair and looks up no partition's position."""
     facet_builds = count_builds(monkeypatch, nc_complex, "_facets")
     table_builds = count_builds(monkeypatch, partitions, "_torsion_table")
-    pair_builds = count_builds(monkeypatch, partitions, "_torsion_sets")
+    decompositions = count_builds(monkeypatch, partitions,
+                                  "_build_decompositions")
+    for fn in ("torsion_decompose", "_position"):
+        monkeypatch.setattr(partitions, fn, forbidden(fn))
     assert cli.main(["check-all", "--samples", "20", fixture_path(name)]) == 0
-    assert "all checks pass" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "all checks pass" in out
     assert len(facet_builds) == 1
-    modules = string_modules.indecomposables(load_tree(fixture_path(name)))
-    assert table_builds == ([()] if modules else [])
-    assert pair_builds == []
+    assert table_builds == [()]
+    assert decompositions == [()]
+    tree = load_tree(fixture_path(name))
+    count = len(noncrossing_partitions(tree)) * len(
+        string_modules.indecomposables(tree))
+    assert "torsion-pairs        ok  %d decompositions" % count in out
+
+
+def test_torsion_formats_without_frozenset_pairs(monkeypatch, capsys):
+    """`torsion` formats every partition's T and F off the torsion
+    table's id rows: it builds no frozenset pair, and the JSON lists
+    one shared vertex list per segment."""
+    monkeypatch.setattr(partitions, "torsion_pair", forbidden("torsion_pair"))
+    made = []
+    real = cli._json_out
+    monkeypatch.setattr(cli, "_json_out", lambda payload: (
+        made.append(payload), real(payload)))
+    assert cli.main(["torsion", "--format", "json",
+                     fixture_path("cyc3")]) == 0
+    lists = [v for pair in made[0]["pairs"]
+             for v in pair["torsion"] + pair["free"]]
+    assert len({id(v) for v in lists}) == len({tuple(v) for v in lists})
 
 
 def test_torsion_reads_hom_once_per_segment_pair(monkeypatch, capsys):
