@@ -139,8 +139,8 @@ def _payload_columns(facets):
     records = sorted(set().union(*payloads))
     bit = {r: 1 << k for k, r in enumerate(records)}
     rows = [sum(map(bit.__getitem__, p)) for p in payloads]
-    return {r: int(col[::-1] or b"0", 2) for r, col in
-            zip(records, nc_complex._transpose(rows, len(records)))}
+    return dict(zip(records, map(nc_complex._as_int, nc_complex._transpose(
+        rows, len(records)))))
 
 
 def theta_columns(tree, records, width):

@@ -162,6 +162,11 @@ def _transpose(rows, width):
     return [text[c::width] for c in range(width)]
 
 
+def _as_int(column):
+    """A column of `_transpose` read back as a bitmask, one bit per row."""
+    return int(column[::-1] or b"0", 2)
+
+
 def _mark(tree, masks):
     """Mark and color the facets with member masks `masks` in one
     column-wise pass.  Returns the marks, per arc id a list of (corner
@@ -172,8 +177,7 @@ def _mark(tree, masks):
     docstring: corners by id, then arcs by id."""
     every = arcs(tree)
     # held[i]: the positions of the masks holding arc i
-    held = [int(col[::-1] or b"0", 2)
-            for col in _transpose(masks, len(every))]
+    held = list(map(_as_int, _transpose(masks, len(every))))
     everyone = (1 << len(masks)) - 1
     marked = [[] for _ in every]
     faults = []  # (positions, message, or message of a position)

@@ -287,9 +287,8 @@ def _torsion_table(tree):
                             if len(seg) == 1), everyone)
     faults.append((everyone & ~covered, "simple module outside both classes"))
     _raise_lowest(faults, lambda p, message: ConventionError(message))
-    tmasks, fmasks = ([int(row[::-1] or b"0", 2) for row
-                       in nc_complex._transpose(cols, width)]
-                      for cols in (T, F))
+    tmasks, fmasks = (map(nc_complex._as_int, nc_complex._transpose(
+        cols, width)) for cols in (T, F))
     return tuple(T), tuple(F), tuple(zip(tmasks, fmasks))
 
 
@@ -341,7 +340,8 @@ def _build_decompositions(tree):
 
 class Poset:
     """Inclusion order of masks[i], kept as up-set bitmasks: bit j of
-    up[i] says i <= j."""
+    up[i] says i <= j.  One transpose of the masks gives, per bit, the
+    elements holding it; up[i] ANDs those of the bits of masks[i]."""
 
     def __init__(self, elements, masks):
         self.elements = list(elements)
@@ -351,12 +351,11 @@ class Poset:
             i = next(i for i, m in enumerate(masks) if masks.count(m) > 1)
             raise ValueError("elements %d and %d are order-equal"
                              % (i, masks.index(masks[i], i + 1)))
-        # having[p]: the elements whose mask holds bit p
-        having = [sum(1 << j for j, m in enumerate(masks) if m >> p & 1)
-                  for p in range(max(masks, default=0).bit_length())]
+        having = list(map(nc_complex._as_int, nc_complex._transpose(
+            masks, max(masks, default=0).bit_length())))
         full = (1 << len(masks)) - 1
-        self.up = [reduce(and_, (h for p, h in enumerate(having)
-                                 if m >> p & 1), full) for m in masks]
+        self.up = [reduce(and_, nc_complex._select(having, m), full)
+                   for m in masks]
 
     def __len__(self):
         return len(self.elements)
@@ -405,5 +404,4 @@ def ncp_poset(tree):
     """Noncrossing partitions under refinement, which is inclusion of
     the sets of vertex pairs sharing a block (the same-block rows)."""
     reds = noncrossing_partitions(tree)
-    return Poset(reds, [int(r[::-1], 2)
-                        for r in _gluing(tree).rows[:len(reds)]])
+    return Poset(reds, map(nc_complex._as_int, _gluing(tree).rows[:len(reds)]))

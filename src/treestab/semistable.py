@@ -177,8 +177,8 @@ def _check_facets(tree, facets, glued):
     wide, green_wide = close(tree, reds), close(tree, greens)
     lengths = _length_columns(tree, greens)
 
-    def row(columns, f):
-        return sum((c >> f & 1) << s for s, c in enumerate(columns))
+    def row(items, columns, f):  # the items whose column holds f
+        return [x for x, c in zip(items, columns) if c >> f & 1]
 
     def value(columns, f):
         return next(v for v, c in columns.items() if c >> f & 1)
@@ -186,8 +186,7 @@ def _check_facets(tree, facets, glued):
     # (positions, reason, or a function of the position giving it)
     faults = [(reduce(or_, map(xor, semi, wide), 0), lambda f: (
         "semistable set %r differs from partition side %r"
-        % ([segs[s] for s in _bits(row(semi, f))],
-           [segs[s] for s in _bits(row(wide, f))])))]
+        % (row(segs, semi, f), row(segs, wide, f))))]
     faults += [(reds[s] & ~stable[s], "red segment %r not stable" % (seg,))
                for s, seg in enumerate(segs)]
     for s, seg in enumerate(segs):
@@ -225,8 +224,8 @@ def _check_facets(tree, facets, glued):
          lambda f: "all-green facet weight %r not all ones" % (thetas[f],)),
         (all_green & reduce(or_, semi, 0), lambda f: (
             "all-green facet has semistables %r"
-            % ({string_modules.indecomposables(tree)[s]
-                for s in _bits(row(semi, f))},)))]
+            % ({m for m in row(string_modules.indecomposables(tree),
+                               semi, f)},)))]
     faults = [(col, why) for col, why in faults if col]
     results = [FacetResult(facet.index, t) for facet, t in zip(facets, thetas)]
     for f in _bits(reduce(or_, (col for col, _ in faults), 0)):
@@ -274,8 +273,7 @@ def semistable_poset(tree):
     semi, _ = _semistable_columns(tree, _segment_weights(
         tree, gc_vectors.theta_columns(
             tree, partitions._gluing(tree).records, len(fs))))
-    masks = [int(r[::-1] or b"0", 2)
-             for r in nc_complex._transpose(semi, len(fs))]
+    masks = list(map(nc_complex._as_int, nc_complex._transpose(semi, len(fs))))
     if len(set(masks)) != len(masks):
         raise ConventionError("facet weights share a semistable set")
     segs = tree.all_segments

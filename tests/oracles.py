@@ -478,8 +478,8 @@ class DensePoset:
 def down_rows(poset):
     """The down-set bitmasks of a `partitions.Poset`, bit i of the row
     of j saying i <= j: its up-rows transposed."""
-    return [int(col[::-1] or b"0", 2)
-            for col in nc_complex._transpose(poset.up, len(poset))]
+    return list(map(nc_complex._as_int,
+                    nc_complex._transpose(poset.up, len(poset))))
 
 
 def lattice_by_rows(poset):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,40 @@ def test_paper_facet_marks():
     marks = {d.leaves: set(target.marks[d]) for d in target.colored}
     assert marks[("l1", "l4")] == {("v3", 1), ("v2", 3)}
     assert marks[("l1", "l5")] == {("v1", 0), ("v3", 3)}
+
+
+def transposed(rows, width):
+    """The columns of `rows`, `width` bits wide, as bitmasks."""
+    return list(map(nc_complex._as_int, nc_complex._transpose(rows, width)))
+
+
+def test_transpose_twice_gives_back_the_rows():
+    """Bit r of column c is bit c of row r, and transposing the columns
+    gives back the rows: no rows, width 0, all-zero rows, rows narrower
+    than the width, and seeded random rows and widths."""
+    rng = random.Random(17)
+    cases = [([], 0), ([], 5), ([0, 0, 0], 0), ([0, 0], 4), ([0b1, 0b10], 9)]
+    for _ in range(300):
+        width = rng.randint(0, 70)
+        cases.append(([rng.getrandbits(rng.randint(0, width))
+                       for _ in range(rng.randint(0, 12))], width))
+    for rows, width in cases:
+        cols = transposed(rows, width)
+        assert [[c >> r & 1 for r in range(len(rows))] for c in cols] == \
+            [[row >> c & 1 for row in rows] for c in range(width)]
+        assert transposed(cols, len(rows)) == rows
+
+
+def test_select_picks_the_set_bits():
+    items = "abcdef"
+    assert list(nc_complex._select(items, 0)) == []
+    assert list(nc_complex._select([], 0)) == []
+    assert list(nc_complex._select(items, 0b101)) == ["a", "c"]
+    rng = random.Random(3)
+    for _ in range(200):
+        mask = rng.getrandbits(rng.randint(0, len(items)))
+        assert list(nc_complex._select(items, mask)) == \
+            [x for j, x in enumerate(items) if mask >> j & 1]
 
 
 def assert_marks_match_scan(tree, fs):

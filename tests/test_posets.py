@@ -153,11 +153,19 @@ def random_families(rng, count):
         yield list(dict.fromkeys([0] + down + [(1 << len(down)) - 1]))
 
 
+# one element with mask 0, a two-element chain, an antichain of
+# singletons
+EDGE_FAMILIES = [[0], [0, 1], [1 << b for b in range(6)]]
+
+
 def test_random_mask_families_match_dense_oracle():
     verdicts = []
-    for masks in random_families(random.Random(14), 2000):
+    for masks in EDGE_FAMILIES + list(random_families(random.Random(14),
+                                                      2000)):
         fast = pt.Poset(range(len(masks)), masks)
         dense = oracles.DensePoset(masks, lambda a, b: a & ~b == 0)
+        assert fast.up == [sum(leq << j for j, leq in enumerate(row))
+                           for row in dense.matrix], masks
         verdict = fast.is_lattice()
         assert verdict == dense.is_lattice() \
             == oracles.lattice_by_rows(fast), masks

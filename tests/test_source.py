@@ -16,6 +16,25 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def base_ints(node):
+    """(line, column) of each `int(text, base)` call under `node`."""
+    return {(n.lineno, n.col_offset) for n in ast.walk(node)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+            and n.func.id == "int" and (len(n.args) > 1 or n.keywords)}
+
+
+def test_bit_text_is_read_back_in_one_place():
+    """b"0"/b"1" text becomes an int only in `nc_complex._as_int`, the
+    reader of `_transpose`'s columns."""
+    found = {(path.name,) + at for path in sorted(SRC.glob("*.py"))
+             for at in base_ints(ast.parse(path.read_text()))}
+    helper = next(node for node in ast.parse(
+        (SRC / "nc_complex.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name == "_as_int")
+    allowed = {("nc_complex.py",) + at for at in base_ints(helper)}
+    assert len(allowed) == 1 and found == allowed, sorted(found - allowed)
+
+
 def memo_builders():
     """{key family: builder expressions} over every `tree.memo(key,
     build, ...)` call in the package; the family of a tuple key is its
