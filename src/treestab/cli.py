@@ -230,7 +230,8 @@ def cmd_ncp(tree, args):
 
 def cmd_kreweras(tree, args):
     ncps = partitions.noncrossing_partitions(tree)
-    pairs = [(p, partitions.kreweras_complement(tree, p)) for p in ncps]
+    pairs = [(p, ncps[g])
+             for p, g in zip(ncps, partitions._gluing(tree).complement)]
     orbits = partitions.kreweras_orbits(tree)
     if args.format == "json":
         _json_out({"command": "kreweras",

@@ -11,9 +11,10 @@ arc's g-vector on each segment (`_arc_counts`), with no vector built.  The
 facet weights also come column-wise, for all facets at once
 (`theta_columns`).
 
-The sub-path families C_s and K_s defined here drive both the module
-theory (indecomposable submodules and quotients) and the stability
-checks, which read the proper C_s of each segment as one id mask
+The sub-path families C_s and K_s defined here are one per-tree table
+of id masks (`_subsegments`).  It drives both the module theory
+(indecomposable submodules and quotients, and Hom, one AND of a K_s
+and a C_t) and the stability checks, which read the proper C_s
 (segment ids and the other per-tree segment tables live in
 `tree_core`).
 """
@@ -21,8 +22,8 @@ checks, which read the proper C_s of each segment as one id mask
 from __future__ import annotations
 
 from . import nc_complex
-from .tree_core import ConventionError, Segment, _bits, _id_mask, \
-    _segment_table, turn
+from .tree_core import ConventionError, _bits, _id, _segment_table, \
+    segment_turns, turn
 
 
 def indicator(tree, edges):
@@ -168,58 +169,53 @@ def _sum_columns(a, b):
     return out
 
 
-def _subpaths_with_turns(tree, vertices, start_turn, end_turn):
-    turns = {vertices[i]: turn(tree, list(vertices), i)
-             for i in range(1, len(vertices) - 1)}
-    t = len(vertices) - 1
-    out = set()
-    for i in range(t):
-        if i > 0 and turns[vertices[i]] != start_turn:
-            continue
-        for j in range(i + 1, t + 1):
-            if j < t and turns[vertices[j]] != end_turn:
-                continue
-            out.add(Segment.canonical(vertices[i:j + 1]))
-    return out
+def _subsegments(tree):
+    """(C, K): per segment id, the id masks of C_s and of K_s; built
+    once per tree."""
+    return tree.memo("subsegments", _build_subsegments)
+
+
+def _build_subsegments(tree):
+    """The sub-path of s between vertex positions i < j is in C_s when
+    i is an end of s or s turns right there, and j an end or s turns
+    left there; in K_s when the same holds with left and right swapped.
+    Hom and Ext are read off these sets, so a turn word that is not the
+    mirror of the one read backward raises ConventionError."""
+    C, K = [], []
+    for seg, rows in zip(tree.all_segments, _segment_table(tree).splits):
+        word = segment_turns(tree, seg)
+        back = [turn(tree, seg.vertices[::-1], i) for i in range(1, len(seg))]
+        if any(b == w for b, w in zip(back, reversed(word))):
+            raise ConventionError("turn word of %r differs between "
+                                  "orientations" % (seg,))
+        ends = [None] + word + [None]
+        c = k = 0
+        for j, row in enumerate(rows, 1):
+            for i, t in row:
+                c |= (ends[i] != "left" and ends[j] != "right") << t
+                k |= (ends[i] != "right" and ends[j] != "left") << t
+        C.append(c)
+        K.append(k)
+    return tuple(C), tuple(K)
 
 
 def submodule_segments(tree, seg):
     """C_s: sub-paths of s (oriented v_0..v_t) that start where s turns
     right and end where s turns left, endpoints of s always allowed.
     Contains s itself; indexes the indecomposable submodules of the
-    string module of s.  Orientation of s does not matter; both
-    orientations are computed, and a difference raises ConventionError
-    since Hom and Ext are read off these sets.  A frozenset, built once
-    per segment and tree."""
-    return tree.memo(("C", seg), _turn_subpaths, seg, "right", "left")
+    string module of s.  A frozenset read off `_subsegments`; raises
+    ValueError on a segment that is not the tree's."""
+    segs = tree.all_segments
+    return frozenset(segs[t] for t in _bits(_subsegments(tree)[0][
+        _id(tree, seg)]))
 
 
 def quotient_segments(tree, seg):
     """K_s: mirror of C_s with left and right swapped; indexes the
     indecomposable quotients."""
-    return tree.memo(("K", seg), _turn_subpaths, seg, "left", "right")
-
-
-def _turn_subpaths(tree, seg, start_turn, end_turn):
-    forward = _subpaths_with_turns(tree, seg.vertices, start_turn, end_turn)
-    backward = _subpaths_with_turns(tree, tuple(reversed(seg.vertices)),
-                                    start_turn, end_turn)
-    if forward != backward:
-        name = "C_s" if start_turn == "right" else "K_s"
-        raise ConventionError("%s differs between orientations of %r"
-                              % (name, seg))
-    return frozenset(forward)
-
-
-def _proper(tree):
-    """Per segment id, the id mask of the proper C_s, C_s without s
-    itself; built once per tree."""
-    return tree.memo("proper", _build_proper)
-
-
-def _build_proper(tree):
-    return tuple(_id_mask(tree, submodule_segments(tree, s)) & ~(1 << i)
-                 for i, s in enumerate(tree.all_segments))
+    segs = tree.all_segments
+    return frozenset(segs[t] for t in _bits(_subsegments(tree)[1][
+        _id(tree, seg)]))
 
 
 def zigzag_dominance_check(facet, arc):
@@ -252,7 +248,7 @@ def zigzag_dominance_check(facet, arc):
     counts = _arc_counts(tree)
     # per member t of C_s, per green arc: plus and minus in t
     rows = {t: [counts[a][t] for a in greens]
-            for t in _bits(_proper(tree)[s] | 1 << s)}
+            for t in _bits(_subsegments(tree)[0][s])}
     return (all(m >= p for row in rows.values() for p, m in row)
             and all(any(m == p + 1 for p, m in row)
                     for t, row in rows.items() if t != s))

@@ -32,7 +32,7 @@ from operator import and_, itemgetter, or_
 from typing import NamedTuple
 
 from . import gc_vectors, nc_complex, string_modules
-from .tree_core import ConventionError, _bits, _id_mask, _raise_lowest, \
+from .tree_core import ConventionError, _bits, _id, _raise_lowest, \
     _segment_table
 
 
@@ -233,8 +233,8 @@ def _closure_columns(tree, columns):
 def segment_closure(tree, segments):
     """Smallest composition-closed superset, as a set: the column
     closure at a single position."""
-    segs, mask = tree.all_segments, _id_mask(tree, segments)
-    closed = _closure_columns(tree, [mask >> s & 1 for s in range(len(segs))])
+    segs, ids = tree.all_segments, {_id(tree, s) for s in segments}
+    closed = _closure_columns(tree, [int(s in ids) for s in range(len(segs))])
     return {seg for seg, col in zip(segs, closed) if col}
 
 
@@ -261,27 +261,26 @@ def _torsion_table(tree):
     """Columns T and F per segment id over the gluing's positions (the
     red partitions, in facet order), and their rows, per position the id
     masks (T, F), built and checked once per tree: T closes the K_s of
-    the green block segments s, F the C_s of the red ones.  Hom is read
-    once per segment pair (x, y) with x in T and y in F somewhere; each
-    nonzero one gives a fault column, and so does a simple outside both.
-    The lowest failing position raises, Hom pairs before simples."""
+    the green block segments s, F the C_s of the red ones.  Hom(x, y) is
+    nonzero exactly when K_x and C_y meet, and each segment pair (x, y)
+    with nonzero Hom gives the fault column T[x] & F[y]; so does a simple
+    outside both.  The lowest failing position raises, Hom pairs before
+    simples."""
     glued = _gluing(tree)
     width, segs = len(glued.complement), tree.all_segments
-    proper = gc_vectors._proper(tree)
+    C, K = gc_vectors._subsegments(tree)
     T, F = [0] * len(segs), [0] * len(segs)
     for s, (red, green) in enumerate(zip(*glued.blocks)):
-        for q in _bits(_id_mask(tree, gc_vectors.quotient_segments(
-                tree, segs[s]))):
+        for q in _bits(K[s]):
             T[q] |= green
-        for t in _bits(proper[s] | 1 << s):
+        for t in _bits(C[s]):
             F[t] |= red
     T, F = _closure_columns(tree, T), _closure_columns(tree, F)
     inds = string_modules.indecomposables(tree)
     faults = [(T[x] & F[y], "torsion class maps onto its own free class: "
                "%r -> %r" % (inds[x], inds[y]))
               for x in range(len(segs)) for y in range(len(segs))
-              if T[x] & F[y]
-              and string_modules.hom_dim(tree, inds[x], inds[y]) != 0]
+              if T[x] & F[y] and K[x] & C[y]]
     everyone = (1 << width) - 1
     covered = reduce(and_, (T[s] | F[s] for s, seg in enumerate(segs)
                             if len(seg) == 1), everyone)
@@ -297,7 +296,7 @@ def torsion_decompose(tree, partition, module):
     torsion pair: the submodule in T with quotient in F.  Exactly one
     submodule qualifies (see `_build_decompositions`)."""
     f = _position(tree, partition)
-    options = _decompositions(tree)[_segment_table(tree).ids[module.segment]]
+    options = _decompositions(tree)[_id(tree, module.segment)]
     return next(pair for pair, col in options if col >> f & 1)
 
 

@@ -33,18 +33,13 @@ from .tree_core import ConventionError, _bits, _segment_table
 def _stability(tree, theta):
     """(per-segment weights, id mask of the semistable segments, id
     mask of the stable ones): zero weight, and no proper C_s member of
-    positive weight, or of nonnegative weight for stable.  Worked out
-    once per weight and tree."""
+    positive weight, or of nonnegative weight for stable."""
     theta = tuple(theta)
-    return tree.memo(("stability", theta), _build_stability, theta)
-
-
-def _build_stability(tree, theta):
     if len(theta) != tree.n:
         raise ValueError("weight has %d entries, tree has %d interior edges"
                          % (len(theta), tree.n))
-    proper = gc_vectors._proper(tree)
-    weights = [0] * len(proper)
+    C = gc_vectors._subsegments(tree)[0]
+    weights = [0] * len(C)
     positive = nonnegative = 0
     for s, prefix, e in _segment_table(tree).steps:
         w = weights[s] = theta[e] if prefix < 0 else weights[prefix] + theta[e]
@@ -54,9 +49,9 @@ def _build_stability(tree, theta):
                 positive |= 1 << s
     semi = stable = 0
     for s in _bits(nonnegative & ~positive):
-        if not proper[s] & positive:
+        if not C[s] & positive:
             semi |= 1 << s
-            if not proper[s] & nonnegative:
+            if not (C[s] ^ 1 << s) & nonnegative:
                 stable |= 1 << s
     return weights, semi, stable
 
@@ -79,9 +74,9 @@ def _semistable_columns(tree, weights):
     zero = [w.get(0, 0) for w in weights]
     positive = [sum(c for v, c in w.items() if v > 0) for w in weights]
     semi, stable = [], []
-    for s, below in enumerate(gc_vectors._proper(tree)):
+    for s, below in enumerate(gc_vectors._subsegments(tree)[0]):
         up = ahead = 0
-        for t in _bits(below):
+        for t in _bits(below ^ 1 << s):
             up |= positive[t]
             ahead |= zero[t]
         semi.append(zero[s] & ~up)
@@ -224,8 +219,7 @@ def _check_facets(tree, facets, glued):
          lambda f: "all-green facet weight %r not all ones" % (thetas[f],)),
         (all_green & reduce(or_, semi, 0), lambda f: (
             "all-green facet has semistables %r"
-            % ({m for m in row(string_modules.indecomposables(tree),
-                               semi, f)},)))]
+            % (row(string_modules.indecomposables(tree), semi, f),)))]
     faults = [(col, why) for col, why in faults if col]
     results = [FacetResult(facet.index, t) for facet, t in zip(facets, thetas)]
     for f in _bits(reduce(or_, (col for col, _ in faults), 0)):

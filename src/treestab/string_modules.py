@@ -11,9 +11,11 @@ Thinness and the tree reduce the module theory to set operations on
 segments, with no linear algebra.  A submodule is a subset of edges
 closed under the arrow action.  Two segments share at most one run r
 of edges, so a morphism between two indecomposables is either zero or
-the graph map that is the identity on r (Crawley-Boevey's graph maps),
-and Ext^1 between two of them has at most one non-split middle term,
-an arrow or an overlap extension (Canakci-Pauksztello-Schroll, "On
+the graph map that is the identity on r (Crawley-Boevey's graph maps):
+Hom(M(s), M(t)) is nonzero exactly when K_s and C_t meet, in r, one AND
+of two id masks of the sub-segment table (`gc_vectors._subsegments`).
+Ext^1 between two of them has at most one non-split middle term, an
+arrow or an overlap extension (Canakci-Pauksztello-Schroll, "On
 extensions for gentle algebras").
 """
 
@@ -23,7 +25,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import gc_vectors
-from .tree_core import ConventionError, Segment, compose, segment_turns
+from .tree_core import ConventionError, Segment, _id, _segment_table, \
+    segment_turns
 
 
 @dataclass(frozen=True)
@@ -262,22 +265,12 @@ def _outside(segment, run):
 def _graph_map(tree, s, t):
     """The run r a nonzero map M(s) -> M(t) is the identity on, or None
     when Hom is 0.  A graph map is the identity on a quotient segment
-    of s that is a submodule segment of t.  Any such segment lies in
-    the shared run, and a shorter one would need the arrow to the next
-    shared edge to point out of it for s and into it for t.  Built once
-    per pair and tree."""
-    return tree.memo(("hom", s, t), _build_graph_map, s, t)
-
-
-def _build_graph_map(tree, s, t):
-    run = _shared_run(s, t)
-    if run is None:
-        return None
-    r = Segment.canonical(run)
-    if (r in gc_vectors.quotient_segments(tree, s)
-            and r in gc_vectors.submodule_segments(tree, t)):
-        return r
-    return None
+    of s that is a submodule segment of t, and there is at most one: it
+    is the run s and t share.  Raises ValueError on a segment that is
+    not the tree's."""
+    C, K = gc_vectors._subsegments(tree)
+    r = K[_id(tree, s)] & C[_id(tree, t)]
+    return tree.all_segments[r.bit_length() - 1] if r else None
 
 
 def hom_dim(tree, M, N):
@@ -313,10 +306,11 @@ def _build_nonsplit(tree, s, t):
     run = _shared_run(s, t)
     if run is None:
         # arrow extension: s and t meet end to end in the segment u
-        u = compose(tree, s, t)
-        if (u is not None and s in gc_vectors.submodule_segments(tree, u)
-                and t in gc_vectors.quotient_segments(tree, u)):
-            return (u,)
+        C, K = gc_vectors._subsegments(tree)
+        i, j = _id(tree, s), _id(tree, t)
+        u = _segment_table(tree).compose[i].get(j)
+        if u is not None and C[u] >> i & K[u] >> j & 1:
+            return (tree.all_segments[u],)
         return None
     # overlap extension: s = s1 r s2 and t = t1 r t2 with r running the
     # same way in both; the middle term is s1 r t2 + t1 r s2

@@ -399,13 +399,12 @@ def compose(tree, s, t):
     return None if u is None else table.segments[u]
 
 
-def _id_mask(tree, segments):
-    """The id mask of a collection of the tree's segments."""
-    ids = _segment_table(tree).ids
-    mask = 0
-    for s in segments:
-        mask |= 1 << ids[s]
-    return mask
+def _id(tree, seg):
+    """The id of one of the tree's segments; ValueError for any other."""
+    try:
+        return _segment_table(tree).ids[seg]
+    except KeyError:
+        raise ValueError("not a segment of this tree: %r" % (seg,)) from None
 
 
 class _SegmentTable(NamedTuple):

@@ -5,8 +5,9 @@ than the production code: segments from edge-face incidence instead of
 rotation adjacency, submodules from explicit matrix invariance instead
 of turn conditions, semistability from the full submodule lattice
 instead of the indecomposable shortcut, Hom and Ext^1 from matrix
-ranks instead of segment overlaps.  Slow is fine; different is the
-point.
+ranks instead of segment overlaps, and the graph map on the run two
+segments share instead of the sub-segment table.  Slow is fine;
+different is the point.
 
 It also keeps the routes the engine used before it moved to integer
 ids, on `Arc` and `Segment` objects: frozenset-membership marking,
@@ -169,6 +170,20 @@ def indec_quots(tree, segment):
 def hom_count(tree, s, t):
     """Graph-map count: quotient shapes of s that are sub shapes of t."""
     return len(indec_quots(tree, s) & indec_subs(tree, t))
+
+
+def graph_map_by_shared_run(tree, s, t):
+    """The run a nonzero map M(s) -> M(t) is the identity on, or None:
+    the path s and t share, when it is a quotient shape of s and a sub
+    shape of t.  Two paths in a tree meet in one path, so the shared
+    vertices are consecutive along s."""
+    tv = set(t.vertices)
+    run = [v for v in s.vertices if v in tv]
+    if len(run) < 2:
+        return None
+    r = Segment.canonical(run)
+    return r if r in indec_quots(tree, s) and r in indec_subs(tree, t) \
+        else None
 
 
 def closed_under_graph_maps(tree, members):
@@ -743,7 +758,9 @@ def check_facet_by_objects(tree, facet, theta):
             failures.append("all-green facet weight %r not all ones"
                             % (theta,))
         if ss:
-            failures.append("all-green facet has semistables %r" % (ss,))
+            failures.append("all-green facet has semistables %r" % (
+                [m for m in string_modules.indecomposables(tree)
+                 if m in ss],))
     return failures
 
 
@@ -908,6 +925,12 @@ def partition_table(tree):
 # -- per-partition closures and torsion pairs -----------------------------
 
 
+def id_mask(tree, segments):
+    """The id mask of a collection of the tree's segments."""
+    ids = tree_core._segment_table(tree).ids
+    return sum(1 << ids[s] for s in set(segments))
+
+
 def closure_mask(tree, mask):
     """Id mask of the smallest composition-closed superset of the id
     mask `mask`, by a work list.  Composition is symmetric, so each pair
@@ -933,12 +956,12 @@ def torsion_masks_by_partition(tree, partition):
     tmask = 0
     for s in bits(segment_mask(
             tree, partitions.kreweras_complement(tree, partition))):
-        tmask |= tree_core._id_mask(
+        tmask |= id_mask(
             tree, gc_vectors.quotient_segments(tree, segs[s]))
     tmask = closure_mask(tree, tmask)
     fmask = 0
     for s in bits(segment_mask(tree, partition)):
-        fmask |= tree_core._id_mask(
+        fmask |= id_mask(
             tree, gc_vectors.submodule_segments(tree, segs[s]))
     fmask = closure_mask(tree, fmask)
     inds = string_modules.indecomposables(tree)
@@ -1056,7 +1079,7 @@ def check_facet_per_facet(tree, facet, table):
                                 % (theta,))
         if semi:
             res.failures.append("all-green facet has semistables %r"
-                                % ({inds[s] for s in bits(semi)},))
+                                % ([inds[s] for s in bits(semi)],))
     return res
 
 

@@ -197,7 +197,10 @@ DOCTORED = {
     "zigzag-dominance": "gc_vectors.zigzag_dominance_check = "
                         "lambda facet, arc: False\n",
     "converse-sweep": "string_modules.is_wide = lambda tree, segs: False\n",
-    "torsion-pairs": "string_modules.hom_dim = lambda tree, M, N: 1\n",
+    # segment 0 in every C_s and K_s, so every Hom space is nonzero
+    "torsion-pairs": "real = gc_vectors._build_subsegments\n"
+                     "gc_vectors._build_subsegments = lambda tree: [[m | 1 "
+                     "for m in side] for side in real(tree)]\n",
     # every facet weight's semistable set empty, its stable set kept
     "kreweras-stability": "real = semistable._semistable_columns\n"
                           "semistable._semistable_columns = lambda tree, w: "
@@ -205,9 +208,10 @@ DOCTORED = {
 }
 
 
-def run_doctored(doctor, *args, optimize=True):
+def run_doctored(doctor, *args, optimize=True, env=()):
     """`cli.main(args)` in a fresh interpreter after running `doctor`,
-    under `python -O` unless `optimize` is false."""
+    under `python -O` unless `optimize` is false, with the variables
+    `env` added to the environment."""
     script = (
         "import sys\n"
         "from treestab import cli, gc_vectors, semistable, string_modules\n"
@@ -217,7 +221,8 @@ def run_doctored(doctor, *args, optimize=True):
         "sys.exit(cli.main(sys.argv[1:]))\n")
     flags = ["-O"] if optimize else []
     return subprocess.run([sys.executable, *flags, "-c", script, *args],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, **dict(env)))
 
 
 @pytest.mark.parametrize("check", sorted(DOCTORED))
@@ -293,6 +298,22 @@ def test_kreweras_stability_failure_is_one_readable_line(optimize):
         "facet 1: semistable set [] differs from partition side "
         "[c-w2, c-w3, w2-c-w3]",
         "facet 1: red composite w2-c-w3 not semistable"]
+
+
+def test_failure_text_is_the_same_across_hash_seeds():
+    """With every module semistable at every facet weight, the all-green
+    facet of cyc3 lists its semistables in id order, so `verify-thm1`
+    prints the same failure text whatever the string hashes are."""
+    doctor = ("real = semistable._semistable_columns\n"
+              "semistable._semistable_columns = lambda tree, w: ("
+              "[sum(c.values()) for c in w], real(tree, w)[1])\n")
+    outs = [run_doctored(doctor, "verify-thm1", fixture_path("cyc3"),
+                         env={"PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert [r.returncode for r in outs] == [1, 1], outs[0].stderr
+    assert outs[0].stdout == outs[1].stdout
+    assert "facet 2: all-green facet has semistables [M(c-w1), M(c-w2), " \
+        "M(c-w3), M(w1-c-w2), M(w1-c-w3), M(w2-c-w3)]\n" in outs[0].stdout
 
 
 @pytest.mark.parametrize("optimize", [False, True])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import oracles
 import randtrees
 from conftest import fixture_path, get_tree
-from treestab import gc_vectors
+from treestab import gc_vectors, string_modules
 from treestab.nc_complex import facets
 from treestab.string_modules import algebra_dimension
 from treestab.gc_vectors import (
@@ -262,18 +262,21 @@ def test_dominance_preconditions():
 
 
 def test_orientation_mismatch_raises(monkeypatch):
-    """C_s and K_s carry Hom and Ext, so a sub-path set that depends on
-    the orientation of s is an error, not a warning."""
+    """C_s and K_s carry Hom and Ext, so a turn word that is not the
+    mirror of the one read backward is an error, not a warning: it fails
+    the sub-segment table, and so every read of it."""
     tree = load_tree(fixture_path("a2"))  # fresh: nothing memoized
-    real = gc_vectors._subpaths_with_turns
+    real = gc_vectors.turn
 
-    def lopsided(tree, vertices, start_turn, end_turn):
-        out = real(tree, vertices, start_turn, end_turn)
-        return out if vertices[0] < vertices[-1] else set()
+    def lopsided(tree, path, i):  # reads every path one way round
+        if path[0] > path[-1]:
+            path, i = path[::-1], len(path) - 1 - i
+        return real(tree, path, i)
 
-    monkeypatch.setattr(gc_vectors, "_subpaths_with_turns", lopsided)
+    monkeypatch.setattr(gc_vectors, "turn", lopsided)
     seg = Segment.canonical(("v1", "v2", "v3"))
-    with pytest.raises(ConventionError, match="C_s differs"):
-        submodule_segments(tree, seg)
-    with pytest.raises(ConventionError, match="K_s differs"):
-        quotient_segments(tree, seg)
+    for read in (submodule_segments, quotient_segments,
+                 lambda tree, seg: string_modules._graph_map(tree, seg, seg)):
+        with pytest.raises(ConventionError, match="turn word of v1-v2-v3 "
+                           "differs between orientations"):
+            read(tree, seg)

@@ -108,7 +108,7 @@ def assert_decompositions_match(tree, seed=5):
     families += [{s for s in tree.all_segments if rng.random() < 0.6}
                  for _ in range(10)] + [set(tree.all_segments)]
     for parts in families:
-        mask = tree_core._id_mask(tree, parts)
+        mask = oracles.id_mask(tree, parts)
         # one column of width one: position 0 holds the parts
         lengths = semistable._length_columns(
             tree, [mask >> t & 1 for t in range(len(tree.all_segments))])
@@ -322,30 +322,33 @@ def test_nine_vertex_torsion_matches_oracle():
     assert_torsion_matches(randtrees.grow_full(random.Random(9), 9))
 
 
-# Hom predicates for doctored `hom_dim`: every pair, a long segment into
-# a much shorter one, and a sparse pseudo-random choice of pairs
-HOM_DOCTORS = {
-    "every": lambda tree, M, N: 1,
-    "longer": lambda tree, M, N: len(M.segment) > len(N.segment) + 1,
-    "sparse": lambda tree, M, N: zlib.crc32(repr((M, N)).encode()) % 7 == 0,
+# doctored sub-segment tables (C, K): segment 0 in every C_s and K_s,
+# which makes every Hom space nonzero; C and K swapped; one
+# pseudo-random extra member in each K_s; and each K_s cut down to s
+# itself, which leaves some simple outside both classes
+TABLE_DOCTORS = {
+    "every": lambda C, K: ([c | 1 for c in C], [k | 1 for k in K]),
+    "swapped": lambda C, K: (K, C),
+    "sparse": lambda C, K: (C, [k | 1 << zlib.crc32(b"%d" % s) % len(K)
+                                for s, k in enumerate(K)]),
+    "cut": lambda C, K: (C, [1 << s for s in range(len(K))]),
 }
 
 
 @pytest.mark.parametrize("name", ["subseg", "cyc3", "deg45", "caterpillar4"])
 def test_torsion_failures_match_partition_route(name, monkeypatch):
-    """Under doctored Hom, and with each K_s cut down to s itself (which
-    leaves some simple outside both classes), one `torsion_pair` call
-    raises the message of the first partition, in facet order, whose
-    pair fails by itself: its first failing Hom pair, and a missing
-    simple only when no Hom pair fails there."""
+    """Under each doctored sub-segment table, which both routes read for
+    C_s, K_s and Hom, one `torsion_pair` call raises the message of the
+    first partition, in facet order, whose pair fails by itself: its
+    first failing Hom pair, and a missing simple only when no Hom pair
+    fails there."""
     seen = set()
-    for hom, cut in itertools.product([None, *HOM_DOCTORS], (False, True)):
+    real = gc_vectors._build_subsegments
+    for doctor in [None, *TABLE_DOCTORS]:
         with monkeypatch.context() as m:
-            if hom:
-                m.setattr(string_modules, "hom_dim", HOM_DOCTORS[hom])
-            if cut:
-                m.setattr(gc_vectors, "quotient_segments",
-                          lambda tree, seg: frozenset({seg}))
+            if doctor:
+                m.setattr(gc_vectors, "_build_subsegments",
+                          lambda tree, d=TABLE_DOCTORS[doctor]: d(*real(tree)))
             tree = tree_core.load_tree(fixture_path(name))
             ncps = partitions.noncrossing_partitions(tree)
             want = next(filter(None, (marking_outcome(
@@ -618,7 +621,7 @@ def test_check_facet_failures_match_object_route(name, monkeypatch):
 
 
 ID_TABLES = [(tree_core, "_build_segment_table"),
-             (gc_vectors, "_build_proper"),
+             (gc_vectors, "_build_subsegments"),
              (nc_complex, "_chains")]
 
 

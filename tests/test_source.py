@@ -59,10 +59,12 @@ def memo_builders():
 def test_each_memo_family_has_one_builder():
     """Each fact computed per tree is built in exactly one place."""
     builders = memo_builders()
-    assert {"facets", "arcs", "chains", "arc_segment", "g", "hom",
-            "segments", "proper", "gluing", "stability",
-            "torsion", "decompositions", "arc_counts"} <= set(builders)
-    # torsion pairs and decompositions are read off those two tables
-    assert not {"torsion_pair", "sub_quotients"} & set(builders)
+    assert {"facets", "arcs", "chains", "arc_segment", "g", "segments",
+            "subsegments", "gluing", "torsion", "decompositions",
+            "arc_counts"} <= set(builders)
+    # torsion pairs and decompositions are read off those two tables;
+    # C_s, K_s and Hom off the sub-segment table; a weight is not kept
+    assert not {"torsion_pair", "sub_quotients", "C", "K", "hom", "proper",
+                "stability"} & set(builders)
     shared = {k: v for k, v in builders.items() if len(v) != 1}
     assert not shared, shared

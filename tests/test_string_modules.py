@@ -6,8 +6,8 @@ from hypothesis import given, settings
 import oracles
 import randtrees
 from conftest import get_tree, SMALL
-from treestab import string_modules as sm
-from treestab.tree_core import EmbeddedTree, Segment
+from treestab import gc_vectors, partitions, string_modules as sm
+from treestab.tree_core import EmbeddedTree, Segment, _bits
 
 ALGEBRA_DIMS = {"a2": 3, "star3": 0, "subseg": 8, "cyc3": 6,
                 "deg45": 5, "caterpillar4": 6, "big8": 16}
@@ -78,15 +78,62 @@ def test_hom_frozen_a2():
             assert d == 0
 
 
+def assert_subsegment_table_matches(tree):
+    """The sub-segment table's C_s and K_s masks against the
+    matrix-invariant shapes, and Hom read off it against the shared-run
+    route: K_s and C_t meet in at most one segment, the run the graph
+    map M(s) -> M(t) is the identity on."""
+    segs = tree.all_segments
+    C, K = gc_vectors._subsegments(tree)
+    for s, seg in enumerate(segs):
+        assert {segs[t] for t in _bits(C[s])} == oracles.indec_subs(tree, seg)
+        assert {segs[t] for t in _bits(K[s])} == \
+            oracles.indec_quots(tree, seg)
+    for s, x in enumerate(segs):
+        for t, y in enumerate(segs):
+            shared = [segs[u] for u in _bits(K[s] & C[t])]
+            want = oracles.graph_map_by_shared_run(tree, x, y)
+            assert len(shared) <= 1, (x, y)
+            assert shared == ([] if want is None else [want]), (x, y)
+            assert sm._graph_map(tree, x, y) == want
+
+
 def test_hom_dim_matches_graph_map_count(suite_tree):
     """Hom dimension equals the count of quotient shapes of the source
-    that are sub shapes of the target."""
+    that are sub shapes of the target, and the table it is read off
+    matches the oracles."""
     for s in suite_tree.all_segments:
         for t in suite_tree.all_segments:
             X = sm.string_module(suite_tree, s)
             Y = sm.string_module(suite_tree, t)
             assert sm.hom_dim(suite_tree, X, Y) == \
                 oracles.hom_count(suite_tree, s, t), (s, t)
+    assert_subsegment_table_matches(suite_tree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_subsegment_table_matches_oracles_random(rotation):
+    assert_subsegment_table_matches(EmbeddedTree(rotation))
+
+
+def test_non_segments_are_rejected(a2):
+    """C_s, K_s, Hom and torsion decompositions name a segment that is
+    not the tree's, as `is_wide` does, instead of answering for it."""
+    stranger = Segment(("v1", "v3"))
+    M, good = sm.StringModule(stranger, (0, 0)), sm.indecomposables(a2)[0]
+    for read in (lambda: gc_vectors.submodule_segments(a2, stranger),
+                 lambda: gc_vectors.quotient_segments(a2, stranger),
+                 lambda: sm.hom_dim(a2, M, good),
+                 lambda: sm.hom_dim(a2, good, M),
+                 lambda: sm.hom_basis(a2, M, good),
+                 lambda: sm.hom_basis(a2, good, M),
+                 lambda: sm.is_wide(a2, [stranger]),
+                 lambda: partitions.torsion_decompose(
+                     a2, partitions.noncrossing_partitions(a2)[0], M)):
+        with pytest.raises(ValueError,
+                           match="^not a segment of this tree: v1-v3$"):
+            read()
 
 
 def test_hom_basis_maps_commute(small_tree):

@@ -55,15 +55,21 @@ def test_cached_tables_are_immutable_and_shared(name):
         pair = torsion_pair(tree, p)
         assert torsion_pair(tree, p) == pair
         assert all(isinstance(side, frozenset) for side in pair)
+    # C_s and K_s are id masks in one shared table; the frozensets are
+    # views of it, made afresh on each call
+    table = gc_vectors._subsegments(tree)
+    assert gc_vectors._subsegments(tree) is table
+    assert [type(side) for side in table] == [tuple, tuple]
+    assert all(isinstance(m, int) for side in table for m in side)
     stranger = Segment(("no-such-vertex", "nor-this-one"))
     for seg in tree.all_segments:
         for fn in (submodule_segments, quotient_segments):
             got = fn(tree, seg)
             assert isinstance(got, frozenset)
-            assert fn(tree, seg) is got
             before = set(got)
-            got |= {stranger}  # rebinds; the cached set stays as it was
+            got |= {stranger}  # rebinds; the table stays as it was
             assert fn(tree, seg) == before
+    assert gc_vectors._subsegments(tree) is table
 
 
 @pytest.mark.parametrize("name", SUITE)
@@ -180,21 +186,18 @@ def test_torsion_formats_without_frozenset_pairs(monkeypatch, capsys):
 
 
 def test_torsion_reads_hom_once_per_segment_pair(monkeypatch, capsys):
-    """`torsion` checks Hom(T, F) = 0 for every partition at once, so it
-    asks for each Hom space at most once: at most S^2 calls."""
-    calls = []
-    real = string_modules.hom_dim
-
-    def counting(tree, M, N):
-        calls.append((M, N))
-        return real(tree, M, N)
-
-    monkeypatch.setattr(string_modules, "hom_dim", counting)
+    """`torsion` checks Hom(T, F) = 0 for every partition at once, each
+    Hom space read as one AND of a K_s and a C_t mask of the sub-segment
+    table, built once: it asks no Hom space and lists no C_s or K_s."""
+    builds = count_builds(monkeypatch, gc_vectors, "_build_subsegments")
+    for module, name in ((string_modules, "hom_dim"),
+                         (string_modules, "_graph_map"),
+                         (gc_vectors, "submodule_segments"),
+                         (gc_vectors, "quotient_segments")):
+        monkeypatch.setattr(module, name, forbidden(name))
     assert cli.main(["torsion", fixture_path("big8")]) == 0
-    S = len(load_tree(fixture_path("big8")).all_segments)
-    assert S == 24
-    assert 0 < len(calls) <= S * S
-    assert len(calls) == len(set(calls))
+    assert capsys.readouterr().out
+    assert builds == [()]
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -215,9 +218,9 @@ def test_verify_thm1_builds_each_g_vector_once(name, monkeypatch, capsys):
 
 
 def test_verify_thm1_weighs_each_facet_once(monkeypatch, capsys):
-    """verify-thm1 weighs all facets in one column-wise pass; it builds
-    no single weight's stability table."""
-    builds = count_builds(monkeypatch, semistable, "_build_stability")
+    """verify-thm1 weighs all facets in one column-wise pass; it makes
+    no single weight's stability pass."""
+    builds = count_builds(monkeypatch, semistable, "_stability")
     assert cli.main(["verify-thm1", fixture_path("big8")]) == 0
     assert capsys.readouterr().out == "1074/1074 facets pass\n"
     assert builds == []
