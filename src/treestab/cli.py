@@ -20,7 +20,11 @@ FORMAT_VERSION = 1
 
 def _json_out(payload):
     payload["format_version"] = FORMAT_VERSION
-    print(_dumps(payload))
+    text = _dumps(payload)
+    # a slice at a time, so that no encoded copy of the whole is made
+    for k in range(0, len(text), 1 << 20):
+        sys.stdout.write(text[k:k + (1 << 20)])
+    print()
 
 
 _INDENTS = ["\n"]  # newline plus two spaces per level, grown on demand
@@ -32,21 +36,32 @@ def _indent(level):
     return _INDENTS[level]
 
 
+class _Text(str):
+    """JSON text `_dumps` made of a value at depth `level`; `_dumps`
+    writes it in place of the value, re-indented to the depth where it
+    lands (`at`).  JSON strings hold no raw newline, so each newline in
+    it starts a line at depth `level` or deeper."""
+
+    def __new__(cls, text, level=0):
+        self = str.__new__(cls, text)
+        self.level = level
+        return self
+
+    def at(self, level):
+        return self if level == self.level else _Text(self.replace(
+            _indent(self.level), _indent(level)), level)
+
+
 def _dumps(payload):
-    """The text of `json.dumps(payload, sort_keys=True, indent=2)`, for
-    payloads of str-keyed dicts, lists, tuples, str, int, bool and None;
-    any other type raises TypeError.  With `indent` set, json.dumps runs
-    its pure-Python encoder; this writer is faster, and renders a
-    container met again at the same depth (an entry shared by many
-    facets) once more, keeps that text and reuses it from then on.  The
-    payload outlives the call, so ids are stable."""
+    """The text of `json.dumps(payload, sort_keys=True, indent=2)` for
+    str-keyed dicts, lists, tuples, str, int, bool, None and `_Text`
+    (others raise TypeError); with `indent`, json.dumps is pure Python."""
     out = []
-    met = []  # per depth, the ids of the containers met there
-    shared = {}  # (id, depth) -> text, for containers met twice
 
     def emit(obj, level):
         if isinstance(obj, str):
-            out.append(_quote(obj))
+            out.append(obj.at(level) if isinstance(obj, _Text)
+                       else _quote(obj))
         elif obj is None:
             out.append("null")
         elif obj is True:
@@ -59,16 +74,6 @@ def _dumps(payload):
             if not obj:
                 out.append("{}" if isinstance(obj, dict) else "[]")
                 return
-            oid = id(obj)
-            text = shared.get((oid, level))
-            if text is not None:
-                out.append(text)
-                return
-            while len(met) <= level:
-                met.append(set())
-            again = oid in met[level]
-            met[level].add(oid)
-            start = len(out)
             inner = _indent(level + 1)
             comma = "," + inner
             if isinstance(obj, dict):
@@ -90,10 +95,6 @@ def _dumps(payload):
                     emit(v, level + 1)
                     sep = comma
                 out.append(_indent(level) + "]")
-            if again:
-                shared[oid, level] = text = "".join(out[start:])
-                del out[start:]
-                out.append(text)
         else:
             raise TypeError("Object of type %s is not JSON serializable"
                             % type(obj).__name__)
@@ -110,38 +111,37 @@ def _arc_label(arc):
     return "%s~%s" % arc.leaves
 
 
-def _facet_dict(facet, entries):
-    """`entries` maps an arc's (arc id, segment id, green?) to its
-    entry, with segment id -1 and green None for boundary arcs; it is
-    shared by all facets of one command so that `_dumps` reuses the
-    entries' text.  Colored arcs are read off the facet's payload."""
-    tree = facet.tree
-    every = nc_complex.arcs(tree)
-    colored = iter(facet.payload)
-    arcs = []
-    for i in _bits(facet._mask):
-        d = every[i]
-        key = (i, -1, None) if d.is_boundary else next(colored)
-        entry = entries.get(key)
-        if entry is None:
-            entry = entries[key] = {"leaves": list(d.leaves),
-                                    "boundary": d.is_boundary}
-            if not d.is_boundary:
-                entry["color"] = "green" if key[2] else "red"
-                entry["segment"] = list(tree.all_segments[key[1]].vertices)
-        arcs.append(entry)
-    return {"index": facet.index, "arcs": arcs}
-
-
 # -- subcommand bodies ---------------------------------------------------
 
 
 def cmd_facets(tree, args):
     fs = nc_complex.facets(tree)
     if args.format == "json":
-        entries = {}
-        _json_out({"command": "facets", "count": len(fs),
-                   "facets": [_facet_dict(f, entries) for f in fs]})
+        # a facet's text joins its arcs' entries in id order, each one
+        # rendered once per tree: a boundary arc's by id, others by record
+        every = nc_complex.arcs(tree)
+
+        def entry(d, **colored):
+            return _Text(_dumps(dict(colored, leaves=list(d.leaves),
+                                     boundary=d.is_boundary))).at(4)
+
+        base = [entry(d) if d.is_boundary else "" for d in every]
+        text = {}
+        sep = "," + _indent(4)
+        # a facet's text, its entries and its index left as %s and %d
+        frame = _Text(_dumps({"arcs": [_Text("%s")],
+                              "index": _Text("%d")})).at(2)
+        texts = []
+        for f in fs:
+            slots = base.copy()
+            for record in f.payload:
+                i, s, green = record
+                slots[i] = text.get(record) or text.setdefault(record, entry(
+                    every[i], color="green" if green else "red",
+                    segment=list(tree.all_segments[s].vertices)))
+            texts.append(_Text(frame % (sep.join(filter(None, slots)),
+                                        f.index), 2))
+        _json_out({"command": "facets", "count": len(fs), "facets": texts})
         return 0
     if args.format == "dot":
         print("graph flips {")
@@ -247,9 +247,10 @@ def cmd_kreweras(tree, args):
 
 
 def cmd_torsion(tree, args):
-    # one vertex list per segment, shared by all partitions (so `_dumps`
-    # renders it once); ids follow vertex order, so T and F come sorted
-    verts = [list(s.vertices) for s in tree.all_segments]
+    # per segment, its vertex list's JSON text at its depth there, or
+    # its name; ids follow vertex order, so T and F come sorted
+    verts = [_Text(_dumps(s.vertices)).at(4) if args.format == "json"
+             else "-".join(s.vertices) for s in tree.all_segments]
     rows = [(p, *([verts[i] for i in _bits(mask)] for mask in pair))
             for p, pair in zip(partitions.noncrossing_partitions(tree),
                                partitions._torsion(tree)[2])]
@@ -260,8 +261,8 @@ def cmd_torsion(tree, args):
         return 0
     for p, ts, fsg in rows:
         print("%s" % p)
-        print("  T: %s" % (" ".join("-".join(v) for v in ts) or "(none)"))
-        print("  F: %s" % (" ".join("-".join(v) for v in fsg) or "(none)"))
+        print("  T: %s" % (" ".join(ts) or "(none)"))
+        print("  F: %s" % (" ".join(fsg) or "(none)"))
     return 0
 
 

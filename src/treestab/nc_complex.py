@@ -10,8 +10,8 @@ is read off it as a bitmask of gaps where one is needed.
 
 Arcs are numbered once per tree by their place in `arcs(tree)` (their
 `id`), and corners by their place in `tree.corners`.  A facet is a
-bitmask of arc ids; clique search, marking and the flip index all run
-on those ids.
+bitmask of arc ids: the boundary arcs and a maximal clique of colored
+arcs that do not cross, found by Bron-Kerbosch on int masks.
 
 Marking runs column-wise, over all facets of a tree at once.  For each
 arc, the facets holding it form one int bitmask over facet positions.
@@ -130,19 +130,26 @@ def _chains(tree):
         for chain in through)
 
 
-def _max_cliques(vertices, adjacent):
-    """Bron-Kerbosch with pivoting; yields maximal cliques as sets."""
-    def expand(r, p, x):
-        if not p and not x:
-            yield set(r)
-            return
-        pivot = max(p | x, key=lambda v: len(adjacent[v] & p))
-        for v in sorted(p - adjacent[pivot]):
-            yield from expand(r | {v}, p & adjacent[v], x & adjacent[v])
-            p = p - {v}
-            x = x | {v}
+def _max_cliques(adjacent, vertices):
+    """The maximal cliques among the vertices of the mask `vertices`,
+    as a list of masks, where `adjacent[v]` is the mask of the
+    neighbours of v: Bron-Kerbosch with a pivot, on ints."""
+    out = []
 
-    yield from expand(set(), set(vertices), set())
+    def expand(clique, p, x):
+        if not p:
+            if not x:
+                out.append(clique)
+            return
+        # branch on the vertices of p not adjacent to a pivot, p | x's lowest
+        pivot = ((p | x) & -(p | x)).bit_length() - 1
+        for v in _bits(p & ~adjacent[pivot]):
+            expand(clique | 1 << v, p & adjacent[v], x & adjacent[v])
+            p ^= 1 << v
+            x |= 1 << v
+
+    expand(0, vertices, 0)
+    return out
 
 
 _BIT = bytes.maketrans(b"01", b"\0\1")
@@ -342,47 +349,39 @@ class Facet:
 
 
 def facets(tree):
-    """All facets, in a deterministic order, as a tuple built once per
-    tree.
+    """All facets, in facet order, as a tuple built once per tree.
 
-    Enumeration runs maximal-clique search over the non-boundary arcs
-    only; boundary arcs cross nothing and are added to every clique.
-    The facets are marked in one pass (`_mark`) and sorted by their
-    arcs' leaf pairs, in id order.  Purity (equal facet sizes) is
-    checked over the full enumeration.
+    Each is a maximal clique (`_max_cliques`) of the colored arcs that
+    do not cross, ORed with the boundary arcs.  They are sorted by their
+    arcs' leaf pairs, in id order, then marked in one pass (`_mark`), so
+    a marking fault names the lowest failing facet.  Purity is checked.
     """
     return tree.memo("facets", _facets)
 
 
 def _facets(tree):
     every = arcs(tree)
-    boundary_arcs(tree)  # checks that there is one per boundary leaf
-    bnd = sum(1 << d.id for d in every if d.is_boundary)
+    bnd = sum(1 << d.id for d in boundary_arcs(tree))
     colored = [d for d in every if not d.is_boundary]
-    adjacency = {
-        a: {b for b in range(len(colored))
-            if b != a and not crossing(colored[a], colored[b])}
-        for a in range(len(colored))
-    }
-    bit = [1 << d.id for d in colored]
-    masks = [bnd | sum(map(bit.__getitem__, clique))
-             for clique in _max_cliques(range(len(colored)), adjacency)]
-    payloads = _mark(tree, masks)[1]
+    # per arc id, the colored arcs that do not cross it
+    adjacent = [sum(1 << e.id for e in colored
+                    if e is not d and not crossing(d, e)) for d in every]
     rank = [""] * len(every)  # an arc's place in leaf-pair order, as text
     for r, d in enumerate(sorted(every, key=lambda d: d.leaves)):
         rank[d.id] = chr(r)
-    order = sorted(range(len(masks)),
-                   key=lambda f: "".join(_select(rank, masks[f])))
+    masks = sorted((bnd | clique for clique in
+                    _max_cliques(adjacent, sum(1 << d.id for d in colored))),
+                   key=lambda m: "".join(_select(rank, m)))
     expect = len(tree.leaves) + len(tree.interior_vertices) - 1
     out = []
-    for index, f in enumerate(order):
-        if masks[f].bit_count() != expect:
+    for index, (mask, payload) in enumerate(zip(masks, _mark(tree, masks)[1])):
+        if mask.bit_count() != expect:
             raise ConventionError(
                 "facet %d has %d arcs, expected %d (complex not pure)"
-                % (index, masks[f].bit_count(), expect))
+                % (index, mask.bit_count(), expect))
         facet = Facet.__new__(Facet)
-        facet.tree, facet.index = tree, index
-        facet._mask, facet.payload = masks[f], payloads[f]
+        facet.tree, facet.index, facet._mask, facet.payload = \
+            tree, index, mask, payload
         out.append(facet)
     return tuple(out)
 

@@ -14,7 +14,9 @@ ids, on `Arc` and `Segment` objects: frozenset-membership marking,
 the frozenset closure fixpoint, block segments and the vertex-pair
 table by walking tree paths, the compose table by endpoint lookup over
 all pairs of segments, semistability by summing weights over edges,
-and decomposition lengths by matching vertex windows.  And it keeps
+decomposition lengths by matching vertex windows, the maximal-clique
+search on Python sets, and the facet list's JSON payload built as one
+dict per facet.  And it keeps
 the per-facet routes that the column-wise passes replaced: the main
 theorem's claims with one weight pass per facet, segments, closures
 and decomposition lengths per partition; and the partition table
@@ -400,6 +402,45 @@ def brute_facets(tree, arcs, crossing):
     maximal = [s for s in sets
                if not any(s < t for t in sets)]
     return set(maximal)
+
+
+def max_cliques_by_sets(vertices, adjacent):
+    """Bron-Kerbosch with pivoting on Python sets, the clique search
+    before it ran on int masks; yields maximal cliques as sets."""
+    def expand(r, p, x):
+        if not p and not x:
+            yield set(r)
+            return
+        pivot = max(p | x, key=lambda v: len(adjacent[v] & p))
+        for v in sorted(p - adjacent[pivot]):
+            yield from expand(r | {v}, p & adjacent[v], x & adjacent[v])
+            p = p - {v}
+            x = x | {v}
+
+    yield from expand(set(), set(vertices), set())
+
+
+def facet_dicts(facets):
+    """The "facets" list of `facets --format json` as one dict per
+    facet, the way the command built it before it joined pre-rendered
+    entry texts: colored arcs read off each facet's payload, boundary
+    arcs off its mask."""
+    out = []
+    for facet in facets:
+        tree = facet.tree
+        every = nc_complex.arcs(tree)
+        colored = iter(facet.payload)
+        entries = []
+        for d in facet.arcs:
+            entry = {"leaves": list(d.leaves), "boundary": d.is_boundary}
+            if not d.is_boundary:
+                i, s, green = next(colored)
+                assert every[i] is d
+                entry["color"] = "green" if green else "red"
+                entry["segment"] = list(tree.all_segments[s].vertices)
+            entries.append(entry)
+        out.append({"index": facet.index, "arcs": entries})
+    return out
 
 
 def scan_flip_neighbors(facet, all_facets):

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+import randtrees
 from conftest import SUITE, fixture_path, get_tree
-from treestab import cli
+from treestab import cli, nc_complex
+from treestab.tree_core import EmbeddedTree
 
 BIN = [sys.executable, "-m", "treestab.cli"]
 
@@ -371,6 +375,45 @@ def test_writer_rejects_floats_and_non_str_keys(payload):
         cli._dumps(payload)
 
 
+SLOT = object()  # where a pre-rendered value goes
+SLOTTED = st.recursive(
+    SCALARS | st.just(SLOT),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(TEXT, kids, max_size=4)),
+    max_leaves=25)
+
+
+def _fill(payload, value):
+    """`payload` with every SLOT replaced by value(depth), for the
+    depth where it lies."""
+    def fill(obj, depth):
+        if obj is SLOT:
+            return value(depth)
+        if isinstance(obj, dict):
+            return {k: fill(v, depth + 1) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return type(obj)(fill(v, depth + 1) for v in obj)
+        return obj
+
+    return fill(payload, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SLOTTED, PAYLOADS, st.integers(min_value=0, max_value=6),
+       st.booleans())
+def test_writer_writes_pre_rendered_text_in_place(payload, x, made_at,
+                                                  at_landing):
+    """`_dumps(x)`, wrapped as `_Text` at any depth (or at the depth
+    where it lands), put in the places of a payload gives the text
+    json.dumps gives with x itself in those places."""
+    text = cli._Text(cli._dumps(x)).at(made_at)
+    assert cli._dumps(_fill(payload, lambda depth: text.at(depth)
+                            if at_landing else text)) == \
+        json.dumps(_fill(payload, lambda depth: x), sort_keys=True,
+                   indent=2)
+
+
 def _main(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -398,6 +441,37 @@ def test_json_output_is_canonical(name):
         assert code == 0, (cmd, err)
         assert out == json.dumps(json.loads(out), sort_keys=True,
                                  indent=2) + "\n", cmd
+
+
+def assert_facets_json_matches_dicts(tree, out):
+    fs = nc_complex.facets(tree)
+    payload = {"command": "facets", "count": len(fs),
+               "facets": oracles.facet_dicts(fs),
+               "format_version": cli.FORMAT_VERSION}
+    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    same = out == want  # not compared in the assert: pytest's diff of
+    # megabyte strings takes minutes
+    assert same, "first difference at character %d" % next(
+        (k for k, (a, b) in enumerate(zip(out, want)) if a != b),
+        min(len(out), len(want)))
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_facets_json_matches_facet_dicts(name):
+    """`facets --format json` is json.dumps of one dict per facet."""
+    code, out, err = _main("facets", "--format", "json", fixture_path(name))
+    assert code == 0, err
+    assert_facets_json_matches_dicts(get_tree(name), out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_random_tree_facets_json_matches_facet_dicts(rotation):
+    tree = EmbeddedTree(rotation)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.cmd_facets(tree, SimpleNamespace(format="json")) == 0
+    assert_facets_json_matches_dicts(tree, out.getvalue())
 
 
 def test_facets_json_never_calls_json_dumps(monkeypatch):

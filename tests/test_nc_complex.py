@@ -15,7 +15,7 @@ from treestab.nc_complex import (
     facets,
     flip_neighbors,
 )
-from treestab.tree_core import EmbeddedTree
+from treestab.tree_core import ConventionError, EmbeddedTree
 
 FACET_COUNTS = {"a2": 5, "star3": 1, "subseg": 42, "cyc3": 14,
                 "deg45": 14, "caterpillar4": 14, "big8": 1074}
@@ -292,3 +292,152 @@ def test_random_tree_facets(rotation):
     for f in fs[:10]:
         marked = sorted(c for d in f.arcs for c in f.marks[d])
         assert marked == corners
+
+
+# -- clique search on masks, and marking in facet order ------------------
+
+
+def cliques_both_ways(tree):
+    """The maximal cliques of the colored arcs that do not cross, as
+    arc-id masks, from the mask search and from the set search."""
+    colored = [d for d in arcs(tree) if not d.is_boundary]
+    adjacent = [0] * len(arcs(tree))
+    for d in colored:
+        adjacent[d.id] = sum(1 << e.id for e in colored
+                             if e is not d and not crossing(d, e))
+    by_masks = nc_complex._max_cliques(
+        adjacent, sum(1 << d.id for d in colored))
+    neighbours = {d.id: {e.id for e in colored if adjacent[d.id] >> e.id & 1}
+                  for d in colored}
+    by_sets = [sum(1 << i for i in clique) for clique in
+               oracles.max_cliques_by_sets(neighbours, neighbours)]
+    return by_masks, by_sets
+
+
+def assert_cliques_match(tree):
+    by_masks, by_sets = cliques_both_ways(tree)
+    assert len(by_masks) == len(set(by_masks))
+    assert set(by_masks) == set(by_sets) and len(by_sets) == len(by_masks)
+    bnd = sum(1 << d.id for d in boundary_arcs(tree))
+    assert sorted(bnd | m for m in by_masks) == \
+        sorted(f._mask for f in facets(tree))
+    colored = [d for d in arcs(tree) if not d.is_boundary]
+    if len(colored) > 12:
+        return False
+    brute = oracles.brute_facets(tree, colored, crossing)
+    assert {sum(1 << d.id for d in s) for s in brute} == set(by_masks)
+    return True
+
+
+def test_cliques_match_set_search(suite_tree):
+    assert_cliques_match(suite_tree)
+
+
+@pytest.mark.parametrize("name", ["a2", "star3", "cyc3", "deg45",
+                                  "caterpillar4"])
+def test_cliques_match_brute_force(name):
+    """The fixtures with at most 12 colored arcs are also checked
+    against the subset scan."""
+    assert assert_cliques_match(get_tree(name))
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_random_tree_cliques_match_set_search(rotation):
+    assert_cliques_match(EmbeddedTree(rotation))
+
+
+def facet_rows(tree):
+    return [(f.index, f._mask, f.payload) for f in facets(tree)]
+
+
+@pytest.mark.parametrize("name", ["a2", "cyc3", "deg45", "big8"])
+def test_facets_do_not_follow_clique_order(name, monkeypatch):
+    """With the clique search's list reversed, `facets()` gives the
+    same masks, payloads and indices."""
+    want = facet_rows(EmbeddedTree(get_tree(name).rotation))
+    real = nc_complex._max_cliques
+    monkeypatch.setattr(nc_complex, "_max_cliques",
+                        lambda adjacent, vertices:
+                        real(adjacent, vertices)[::-1])
+    assert facet_rows(EmbeddedTree(get_tree(name).rotation)) == want
+
+
+def lowest_failing_message(tree, clean):
+    """The chain oracle's message on the lowest-index facet of `clean`
+    (the same tree, undoctored) that fails on `tree`; None if none."""
+    for f in facets(clean):
+        members = [d for d in arcs(tree) if f._mask >> d.id & 1]
+        try:
+            oracles.chain_facet(tree, members)
+        except ConventionError as e:
+            return str(e)
+    return None
+
+
+def flipped_flags(tree, corner):
+    """`tree` with the flag color at `corner` swapped."""
+    real = tree.flag_color
+
+    def flag_color(v, edge_neighbor, face_index):
+        color = real(v, edge_neighbor, face_index)
+        if (v, face_index) == corner:
+            return {"red": "green", "green": "red"}[color]
+        return color
+
+    tree.flag_color = flag_color
+    return tree
+
+
+@pytest.mark.parametrize("name", ["a2", "subseg", "cyc3", "caterpillar4"])
+def test_flag_fault_names_the_lowest_facet(name):
+    """With the flags at one corner recolored, `facets()` fails with
+    the chain oracle's message on the lowest-index failing facet."""
+    clean = get_tree(name)
+    failed = 0
+    for corner in clean.corners:
+        tree = flipped_flags(EmbeddedTree(clean.rotation), corner)
+        want = lowest_failing_message(tree, clean)
+        try:
+            facets(tree)
+            got = None
+        except ConventionError as e:
+            got = str(e)
+        assert got == want, corner
+        failed += want is not None
+    assert failed
+
+
+def dropped_from_chain(tree, k, i):
+    """`tree` with arc i taken out of the chain of corner k, in both the
+    id chains that `_mark` reads and the object chains of the oracle."""
+    chains = list(nc_complex._chains(tree))
+    chains[k] = tuple((j, inside, tuple(c for c in clash if c != i))
+                      for j, inside, clash in chains[k] if j != i)
+    tree.memo("chains", lambda t: tuple(chains))
+    corner, arc = tree.corners[k], arcs(tree)[i]
+    table = oracles.object_chains(tree)
+    table[corner] = [e for e in table[corner] if e[0] is not arc]
+    return tree
+
+
+@pytest.mark.parametrize("name", ["a2", "subseg", "cyc3", "deg45"])
+def test_chain_fault_names_the_lowest_facet(name):
+    """With one arc taken out of one corner's chain, `facets()` fails
+    with the chain oracle's message on the lowest-index failing facet."""
+    clean = get_tree(name)
+    rng = random.Random(5)
+    chains = nc_complex._chains(clean)
+    picks = [(k, i) for k, chain in enumerate(chains) for i, _, _ in chain]
+    failed = 0
+    for k, i in rng.sample(picks, min(12, len(picks))):
+        tree = dropped_from_chain(EmbeddedTree(clean.rotation), k, i)
+        want = lowest_failing_message(tree, clean)
+        try:
+            facets(tree)
+            got = None
+        except ConventionError as e:
+            got = str(e)
+        assert got == want, (k, i)
+        failed += want is not None
+    assert failed
