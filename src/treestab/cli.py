@@ -57,50 +57,51 @@ def _dumps(payload):
     str-keyed dicts, lists, tuples, str, int, bool, None and `_Text`
     (others raise TypeError); with `indent`, json.dumps is pure Python."""
     out = []
-
-    def emit(obj, level):
-        if isinstance(obj, str):
-            out.append(obj.at(level) if isinstance(obj, _Text)
-                       else _quote(obj))
-        elif obj is None:
-            out.append("null")
-        elif obj is True:
-            out.append("true")
-        elif obj is False:
-            out.append("false")
-        elif isinstance(obj, int):
-            out.append(int.__repr__(obj))
-        elif isinstance(obj, (list, tuple, dict)):
-            if not obj:
-                out.append("{}" if isinstance(obj, dict) else "[]")
-                return
-            inner = _indent(level + 1)
-            comma = "," + inner
-            if isinstance(obj, dict):
-                out.append("{")
-                sep = inner
-                for k, v in sorted(obj.items()):
-                    if not isinstance(k, str):
-                        raise TypeError("keys must be str, not %s"
-                                        % type(k).__name__)
-                    out.append(sep + _quote(k) + ": ")
-                    emit(v, level + 1)
-                    sep = comma
-                out.append(_indent(level) + "}")
-            else:
-                out.append("[")
-                sep = inner
-                for v in obj:
-                    out.append(sep)
-                    emit(v, level + 1)
-                    sep = comma
-                out.append(_indent(level) + "]")
-        else:
-            raise TypeError("Object of type %s is not JSON serializable"
-                            % type(obj).__name__)
-
-    emit(payload, 0)
+    _emit(out, payload, 0)
     return "".join(out)
+
+
+def _emit(out, obj, level):
+    """Append the text of `obj` at depth `level` to `out`, in pieces; not
+    a closure, which would refer to itself and so keep `out` alive."""
+    if isinstance(obj, str):
+        out.append(obj.at(level) if isinstance(obj, _Text) else _quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = _indent(level + 1)
+        comma = "," + inner
+        if isinstance(obj, dict):
+            out.append("{")
+            sep = inner
+            for k, v in sorted(obj.items()):
+                if not isinstance(k, str):
+                    raise TypeError("keys must be str, not %s"
+                                    % type(k).__name__)
+                out.append(sep + _quote(k) + ": ")
+                _emit(out, v, level + 1)
+                sep = comma
+            out.append(_indent(level) + "}")
+        else:
+            out.append("[")
+            sep = inner
+            for v in obj:
+                out.append(sep)
+                _emit(out, v, level + 1)
+                sep = comma
+            out.append(_indent(level) + "]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % type(obj).__name__)
 
 
 def _edge_label(edge):
@@ -117,30 +118,29 @@ def _arc_label(arc):
 def cmd_facets(tree, args):
     fs = nc_complex.facets(tree)
     if args.format == "json":
-        # a facet's text joins its arcs' entries in id order, each one
-        # rendered once per tree: a boundary arc's by id, others by record
-        every = nc_complex.arcs(tree)
+        # a facet's text is its frame around arc 0's entry (the first two
+        # leaves' boundary arc, in every facet) and then, in id order and
+        # each after a comma, the entries whose column holds the facet;
+        # each entry is rendered once per tree
+        every, sep = nc_complex.arcs(tree), "," + _indent(4)
 
         def entry(d, **colored):
-            return _Text(_dumps(dict(colored, leaves=list(d.leaves),
-                                     boundary=d.is_boundary))).at(4)
+            return sep + _Text(_dumps(dict(colored, leaves=list(d.leaves),
+                                           boundary=d.is_boundary))).at(4)
 
-        base = [entry(d) if d.is_boundary else "" for d in every]
-        text = {}
-        sep = "," + _indent(4)
-        # a facet's text, its entries and its index left as %s and %d
-        frame = _Text(_dumps({"arcs": [_Text("%s")],
-                              "index": _Text("%d")})).at(2)
-        texts = []
-        for f in fs:
-            slots = base.copy()
-            for record in f.payload:
-                i, s, green = record
-                slots[i] = text.get(record) or text.setdefault(record, entry(
-                    every[i], color="green" if green else "red",
-                    segment=list(tree.all_segments[s].vertices)))
-            texts.append(_Text(frame % (sep.join(filter(None, slots)),
-                                        f.index), 2))
+        entries = {(d.id,): (entry(d), (1 << len(fs)) - 1)
+                   for d in every if d.is_boundary}
+        for (i, s, green), col in nc_complex._marking(tree)[2].items():
+            entries[i, s, green] = (entry(
+                every[i], color="green" if green else "red",
+                segment=list(tree.all_segments[s].vertices)), col)
+        texts, columns = zip(*(entries[k] for k in sorted(entries)))
+        head, tail = _Text(_dumps({"arcs": [_Text("\0")],
+                                   "index": _Text("%d")})).at(2).split("\0")
+        head += texts[0][len(sep):]
+        texts = [_Text("".join((head, *pick, tail % index)), 2)
+                 for index, pick in enumerate(nc_complex._pick(
+                     texts[1:], columns[1:], len(fs)))]
         _json_out({"command": "facets", "count": len(fs), "facets": texts})
         return 0
     if args.format == "dot":

@@ -132,21 +132,17 @@ def kreweras_theta(facet):
 
 
 def _payload_columns(facets):
-    """{record: the positions in `facets` of the facets whose payload
-    holds it}, over every payload record (arc id, segment id, green?).
-    Each facet is one row of a bit matrix over the distinct records, and
-    the columns come out of one transpose."""
-    payloads = [f.payload for f in facets]
-    records = sorted(set().union(*payloads))
-    bit = {r: 1 << k for k, r in enumerate(records)}
-    rows = [sum(map(bit.__getitem__, p)) for p in payloads]
-    return dict(zip(records, map(nc_complex._as_int, nc_complex._transpose(
-        rows, len(records)))))
+    """The record table (see `nc_complex._mark`) of `facets`' payloads."""
+    out = {}
+    for k, f in enumerate(facets):
+        for record in f.payload:
+            out[record] = out.get(record, 0) | 1 << k
+    return dict(sorted(out.items()))
 
 
 def theta_columns(tree, records, width):
     """The Kreweras weights (see `kreweras_theta`) column-wise, from the
-    payload columns `records` of `width` facets: per interior edge, {v:
+    record table `records` of `width` facets: per interior edge, {v:
     the positions of the facets weighing v there}.  Adding an arc's
     g-vector moves the facets where the arc is green from v to v + g."""
     out = [{0: (1 << width) - 1} for _ in range(tree.n)]

@@ -24,17 +24,17 @@ regions there do not nest, a member with other than one mark (boundary
 arcs) or two, two marks in the same region, and flags that disagree.
 The segment and color of a colored arc depend only on the arc and its
 two marked corners, so they are worked out once per such triple and
-tree, and the triple's record (arc id, segment id, green?) is
-scattered to the facets that hold it.  Those records are a facet's
-payload, which everything downstream reads; its arcs, colors, segments
-and marks are views built on first read.
+tree.  The triple's record (arc id, segment id, green?) keeps its
+column, the facets that hold it: this record table is what the gluing,
+the weights and the facet JSON read.  A facet's payload, its records,
+and its arcs, colors, segments and marks are views built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import accumulate, compress, pairwise
 
 from .tree_core import ConventionError, _bits, _raise_lowest, _segment_table
 
@@ -155,18 +155,19 @@ def _max_cliques(adjacent, vertices):
 _BIT = bytes.maketrans(b"01", b"\0\1")
 
 
-def _select(items, mask):
-    """The items at the places of the set bits of `mask`."""
-    bits = format(mask, "0%db" % len(items))[::-1]
-    return compress(items, bits.encode().translate(_BIT))
-
-
 def _transpose(rows, width):
     """The columns of the bit matrix whose rows are the bitmasks `rows`,
     `width` bits wide: per bit place, lowest first, a bytes string of
     b"0" and b"1", one per row."""
     text = "".join(format(r, "0%db" % width)[::-1] for r in rows).encode()
     return [text[c::width] for c in range(width)]
+
+
+def _pick(items, columns, width):
+    """Per position below `width`, the items whose column, a bitmask
+    over positions, holds it: the columns transposed."""
+    return (compress(items, pick.translate(_BIT))
+            for pick in _transpose(columns, width))
 
 
 def _as_int(column):
@@ -178,10 +179,11 @@ def _mark(tree, masks):
     """Mark and color the facets with member masks `masks` in one
     column-wise pass.  Returns the marks, per arc id a list of (corner
     id, inside, the positions in `masks` where the arc marks that
-    corner) in corner order, and per mask its payload.  Checks fail
-    with a ConventionError for the first failing mask, and for it with
-    the first failing check, in the order listed in the module
-    docstring: corners by id, then arcs by id."""
+    corner) in corner order, and the record table {(arc id, segment id,
+    green?): the positions in `masks` holding it}, in record order.
+    Checks fail with a ConventionError for the first failing mask, and
+    for it with the first failing check, in the order listed in the
+    module docstring: corners by id, then arcs by id."""
     every = arcs(tree)
     # held[i]: the positions of the masks holding arc i
     held = list(map(_as_int, _transpose(masks, len(every))))
@@ -236,22 +238,18 @@ def _mark(tree, masks):
     good = everyone
     for bad, _ in faults:
         good &= ~bad
-    records = []
+    records = {}  # triples of an arc can share a record
     for i, k1, k2, both in pairs:
         if both & good:
             try:
-                records.append((tree.memo(("arc_segment", i, k1, k2),
-                                          _arc_segment, i, k1, k2),
-                                both & good))
+                record = tree.memo(("arc_segment", i, k1, k2),
+                                   _arc_segment, i, k1, k2)
+                records[record] = records.get(record, 0) | both
             except ConventionError as e:
                 faults.append((both & good, str(e)))
     _raise_lowest(faults, lambda p, why: ConventionError(
         why(p) if callable(why) else why))
-    # each mask picks the records of the triples it holds, by arc id
-    triples = [record for record, _ in records]
-    picks = _transpose([held_by for _, held_by in records], len(masks))
-    return marked, [tuple(compress(triples, pick.translate(_BIT)))
-                    for pick in picks]
+    return marked, dict(sorted(records.items()))
 
 
 def _arc_segment(tree, i, k1, k2):
@@ -284,20 +282,24 @@ class Facet:
     flags at the two marks of a non-boundary arc always agree in color;
     the colored arc's segment joins its two marked vertices.  Marking
     and its checks run in `_mark`, on this facet alone when it is built
-    directly and on all facets of the tree at once in `facets`.
+    directly and on all the tree's facets at once in `facets`, whose
+    payloads are built on first read, all at once.
 
     `arcs`, `colored`, `boundary`, `color` ({arc: "red", "green" or
     "boundary"}), `segment` ({colored arc: segment}) and `marks` ({arc:
     its marked corners, in `tree.corners` order}) are views built from
-    the mask and payload when read; the package's own per-facet work
-    reads the payload.
+    the mask and payload when read.
     """
 
     def __init__(self, tree, members, index=None):
         if not 0 <= members < 1 << len(arcs(tree)):
             raise ValueError("%r is no arc-id mask of this tree" % (members,))
         self.tree, self.index, self._mask = tree, index, members
-        (self.payload,) = _mark(tree, [members])[1]
+        self.payload = tuple(_mark(tree, [members])[1])
+
+    @cached_property
+    def payload(self):
+        return self.tree.memo("payloads", _payloads)[self.index]
 
     @cached_property
     def arcs(self):
@@ -311,10 +313,6 @@ class Facet:
     @property
     def boundary(self):
         return tuple(d for d in self.arcs if d.is_boundary)
-
-    @property
-    def _colored_mask(self):
-        return sum(1 << i for i, _, _ in self.payload)
 
     @cached_property
     def color(self):
@@ -349,17 +347,22 @@ class Facet:
 
 
 def facets(tree):
-    """All facets, in facet order, as a tuple built once per tree.
+    """All facets, in facet order, as a tuple built once per tree."""
+    return _marking(tree)[0]
 
-    Each is a maximal clique (`_max_cliques`) of the colored arcs that
-    do not cross, ORed with the boundary arcs.  They are sorted by their
-    arcs' leaf pairs, in id order, then marked in one pass (`_mark`), so
-    a marking fault names the lowest failing facet.  Purity is checked.
-    """
+
+def _marking(tree):
+    """(the tree's facets, the mask of its boundary arcs, the record
+    table of `_mark` over the facets' positions), built once per tree."""
     return tree.memo("facets", _facets)
 
 
 def _facets(tree):
+    """Each facet is a maximal clique (`_max_cliques`) of the colored
+    arcs that do not cross, ORed with the boundary arcs.  They are
+    sorted by their arcs' leaf pairs, in id order, then marked in one
+    pass (`_mark`), so a marking fault names the lowest failing facet.
+    Purity is checked."""
     every = arcs(tree)
     bnd = sum(1 << d.id for d in boundary_arcs(tree))
     colored = [d for d in every if not d.is_boundary]
@@ -369,21 +372,32 @@ def _facets(tree):
     rank = [""] * len(every)  # an arc's place in leaf-pair order, as text
     for r, d in enumerate(sorted(every, key=lambda d: d.leaves)):
         rank[d.id] = chr(r)
-    masks = sorted((bnd | clique for clique in
-                    _max_cliques(adjacent, sum(1 << d.id for d in colored))),
-                   key=lambda m: "".join(_select(rank, m)))
+    masks = [bnd | clique for clique in
+             _max_cliques(adjacent, sum(1 << d.id for d in colored))]
+    width = len(every)  # a row of member flags per mask, all in one text
+    text = "".join(format(m, "0%db" % width)[::-1]
+                   for m in masks).encode().translate(_BIT)
+    picked = "".join(compress("".join(rank) * len(masks), text))  # all keys
+    ends = pairwise(accumulate((m.bit_count() for m in masks), initial=0))
+    masks = [m for _, m in sorted(zip((picked[a:b] for a, b in ends), masks))]
+    records = _mark(tree, masks)[1]
     expect = len(tree.leaves) + len(tree.interior_vertices) - 1
     out = []
-    for index, (mask, payload) in enumerate(zip(masks, _mark(tree, masks)[1])):
+    for index, mask in enumerate(masks):
         if mask.bit_count() != expect:
             raise ConventionError(
                 "facet %d has %d arcs, expected %d (complex not pure)"
                 % (index, mask.bit_count(), expect))
         facet = Facet.__new__(Facet)
-        facet.tree, facet.index, facet._mask, facet.payload = \
-            tree, index, mask, payload
+        facet.tree, facet.index, facet._mask = tree, index, mask
         out.append(facet)
-    return tuple(out)
+    return tuple(out), bnd, records
+
+
+def _payloads(tree):
+    """Per facet position, its payload: the record table transposed."""
+    fs, _, records = _marking(tree)
+    return tuple(map(tuple, _pick(records, records.values(), len(fs))))
 
 
 def flip_neighbors(facet, all_facets):
@@ -393,16 +407,16 @@ def flip_neighbors(facet, all_facets):
             and tuple(all_facets) != facets(facet.tree):
         raise ValueError("flip neighbours are taken among all facets")
     ridges = facet.tree.memo("ridges", _ridges)
-    mine = facet._colored_mask
+    mine = facet._mask & ~_marking(facet.tree)[1]  # its colored arcs
     return sorted((g for i in _bits(mine) for g in ridges[mine ^ 1 << i]
                    if g is not facet), key=lambda g: g.index)
 
 
 def _ridges(tree):
     """Facets by the id mask of their colored arcs minus one arc."""
-    out = {}
+    out, boundary = {}, _marking(tree)[1]
     for f in facets(tree):
-        mine = f._colored_mask
+        mine = f._mask & ~boundary
         for i in _bits(mine):
             out.setdefault(mine ^ 1 << i, []).append(f)
     return out

@@ -64,7 +64,7 @@ class _Gluing(NamedTuple):
     """Both gluings of F facets, as columns over 2F positions: position
     f stands for the red partition of facet f, F + f for its green one."""
 
-    records: dict  # the facets' `gc_vectors._payload_columns`
+    records: dict  # the facets' record table (see `nc_complex._mark`)
     # blocks[color][s], by facet: where segment id s is a block segment
     # (its ends share a block, no inner vertex of its path does)
     blocks: tuple
@@ -76,23 +76,24 @@ class _Gluing(NamedTuple):
 
 
 def _gluing(tree):
-    """The `_Gluing` of the tree's facets, built and checked once per
-    tree.  Other facet lists, such as a lone or doctored facet, are
-    glued by `_glue_columns` directly."""
-    return tree.memo("gluing", _glue_columns, nc_complex.facets(tree), True)
+    """The `_Gluing` of the tree's facets, off their record table, built
+    and checked once per tree.  Other facet lists, such as a lone or
+    doctored facet, are glued by `_glue_columns` directly."""
+    width = len(nc_complex.facets(tree))  # so `facets` builds them
+    return tree.memo("gluing", _glue_columns, nc_complex._marking(tree)[2],
+                     width, True)
 
 
-def _glue_columns(tree, facets, whole):
-    """Glue the segments' end pairs, off the payload columns, and close
-    them transitively over the middle vertex.  The first failing check
-    at the lowest failing position raises, so red comes before green: a
-    segment through its own block, a block that no segment can draw,
-    then, for the tree's facets (`whole`), a red partition that repeats
-    or a green one that is no red one."""
+def _glue_columns(tree, records, width, whole):
+    """Glue the segments' end pairs, off the record table `records` of
+    `width` facets, and close them transitively over the middle vertex.
+    The first failing check at the lowest failing position raises, so
+    red comes before green: a segment through its own block, a block no
+    segment can draw, then, for the tree's facets (`whole`), a red
+    partition that repeats or a green one that is no red one."""
     table = _segment_table(tree)
     ivs, segs = tree.interior_vertices, table.segments
-    ids, width = range(len(ivs)), len(facets)
-    records = gc_vectors._payload_columns(facets)
+    ids = range(len(ivs))
     glued = [0] * len(segs)  # per segment id, the positions holding it
     for (_, s, green), col in records.items():
         glued[s] |= col << width * green
@@ -117,9 +118,9 @@ def _glue_columns(tree, facets, whole):
                 block[s] = same[a][b] & ~meets
                 through[s] = glued[s] & meets
 
-    def crossing(p):  # the first such segment in the facet's payload
-        s = next(s for _, s, g in facets[p % width].payload
-                 if g == (p >= width) and through[s] >> p & 1)
+    def crossing(p):  # the first such segment in the facet's records
+        s = next(s for (_, s, g), col in records.items()
+                 if (col << width * g & through[s]) >> p & 1)
         return ConventionError("%s segment %r not minimal in its block"
                                % (("red", "green")[p >= width], segs[s]))
 
@@ -145,8 +146,7 @@ def _glue_columns(tree, facets, whole):
             (sum(1 << width + f for f, g in enumerate(complement)
                  if g is None),
              lambda p: ConventionError("green partition of facet %d is no "
-                                       "red partition" % facets[p % width]
-                                       .index))]
+                                       "red partition" % (p % width)))]
     _raise_lowest(faults, lambda p, error: error(p))
     red = (1 << width) - 1
     return _Gluing(records, ([c & red for c in block],
@@ -353,8 +353,8 @@ class Poset:
         having = list(map(nc_complex._as_int, nc_complex._transpose(
             masks, max(masks, default=0).bit_length())))
         full = (1 << len(masks)) - 1
-        self.up = [reduce(and_, nc_complex._select(having, m), full)
-                   for m in masks]
+        self.up = [reduce(and_, bits, full) for bits in
+                   nc_complex._pick(having, having, len(masks))]
 
     def __len__(self):
         return len(self.elements)

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -373,6 +374,22 @@ def test_writer_matches_json_dumps(payload):
 def test_writer_rejects_floats_and_non_str_keys(payload):
     with pytest.raises(TypeError):
         cli._dumps(payload)
+
+
+def test_writer_leaves_nothing_for_the_cyclic_collector():
+    """`_dumps` makes no reference cycle: with the cyclic collector off,
+    nothing the call made is left for it to free once it returns, so
+    the pieces of a large output go as soon as the text is joined."""
+    payload = {"a": [1, {"b": None, "c": [True, "x"]}], "d": cli._Text("[]")}
+    gc.collect()
+    gc.disable()
+    try:
+        text = cli._dumps(payload)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
+    assert text == json.dumps(dict(payload, d=[]), sort_keys=True, indent=2)
 
 
 SLOT = object()  # where a pre-rendered value goes

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 
 import oracles
 import randtrees
-from conftest import SMALL, fixture_path, get_tree
+from conftest import SMALL, doctor_marking, fixture_path, get_tree
 from treestab import (cli, gc_vectors, nc_complex, partitions, semistable,
                       string_modules, tree_core)
 from treestab.nc_complex import Facet, arcs, facets
@@ -403,7 +403,8 @@ def test_glued_partition_rejects_segment_through_its_block():
     fake = SimpleNamespace(tree=tree, index=0, payload=(
         (-1, ids[short], False), (-1, ids[long], False)))
     for route in (oracles.red_partition,
-                  lambda f: partitions._glue_columns(tree, (f,), False),
+                  lambda f: partitions._glue_columns(
+                      tree, gc_vectors._payload_columns((f,)), 1, False),
                   lambda f: semistable.check_facet(tree, f)):
         with pytest.raises(ConventionError, match="red segment v1-v2-v3 "
                            "not minimal in its block"):
@@ -417,7 +418,7 @@ def test_green_gluing_outside_the_red_partitions_fails(monkeypatch):
     green segments glue a crossing partition, which is no facet's red
     partition, fails there, not later in `kreweras_orbits`.  The fake
     facet carries its segments both as views and as payload records
-    (with no arc id), which is what the table reads."""
+    (with no arc id), whose column the gluing reads."""
     tree = tree_core.load_tree(fixture_path("caterpillar4"))
     fs = list(facets(tree))
     k = next(i for i, f in enumerate(fs) if not f.reds())
@@ -430,7 +431,7 @@ def test_green_gluing_outside_the_red_partitions_fails(monkeypatch):
                                           for s in segment.values()))
     assert oracles.green_partition(fs[k]).blocks == \
         (("a", "c"), ("b", "d"))
-    monkeypatch.setattr(nc_complex, "facets", lambda t: tuple(fs))
+    doctor_marking(monkeypatch, tree, fs)
     with pytest.raises(ConventionError, match="green partition of facet "
                        "%d is no red partition" % k):
         partitions.noncrossing_partitions(tree)
@@ -455,21 +456,21 @@ def test_unrealizable_gluing_fails_like_partition_route():
 
 def doctored(tree, payloads):
     """The tree's facets, with the payload of facet k replaced by
-    payloads[k]."""
+    payloads[k], in record order like every payload."""
     out = []
     for f in facets(tree):
         g = Facet.__new__(Facet)
         g.tree, g.index, g._mask = tree, f.index, f._mask
-        g.payload = payloads.get(f.index, f.payload)
+        g.payload = tuple(sorted(payloads.get(f.index, f.payload)))
         out.append(g)
     return tuple(out)
 
 
 def gluing_outcome(name, payloads, monkeypatch):
     """The partition table and its Kreweras map of a fresh tree whose
-    facets carry `payloads` (see `doctored`), from the column gluing and
-    facet by facet: both must agree, or both raise the same error,
-    which is returned in words."""
+    facets carry `payloads` (see `doctored`), from the column gluing of
+    their record table and facet by facet: both must agree, or both
+    raise the same error, which is returned in words."""
     tree = tree_core.load_tree(fixture_path(name))
     fs = doctored(tree, payloads)
 
@@ -483,7 +484,7 @@ def gluing_outcome(name, payloads, monkeypatch):
 
     outcomes = []
     with monkeypatch.context() as m:
-        m.setattr(nc_complex, "facets", lambda t: fs)
+        doctor_marking(m, tree, fs)
         for run in (per_facet, columns):
             try:
                 outcomes.append(run())
@@ -626,10 +627,12 @@ ID_TABLES = [(tree_core, "_build_segment_table"),
 
 
 def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
-    """One verify-thm1 on big8 builds each id table once and transposes
-    the payloads once; after the last table exists it never sums a
-    weight over edges (`indicator`), composes two segments or walks a
-    tree path, and it builds no noncrossing partition."""
+    """One verify-thm1 on big8 builds each id table once and reads the
+    record table of marking: it builds no facet's payload and never
+    transposes payloads back into columns; after the last table exists
+    it never sums a weight over edges (`indicator`), composes two
+    segments or walks a tree path, and it builds no noncrossing
+    partition."""
     events = []
 
     def spy(kind, name, real):
@@ -647,6 +650,8 @@ def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
     monkeypatch.setattr(gc_vectors, "_payload_columns",
                         spy("payload", "_payload_columns",
                             gc_vectors._payload_columns))
+    monkeypatch.setattr(nc_complex, "_payloads",
+                        spy("payload", "_payloads", nc_complex._payloads))
     partition = partitions.TreePartition
     monkeypatch.setattr(partition, "__init__", spy(
         "called", "TreePartition", partition.__init__))
@@ -661,7 +666,7 @@ def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
     assert capsys.readouterr().out == "1074/1074 facets pass\n"
     built = [name for kind, name in events if kind == "built"]
     assert sorted(built) == sorted(name for _, name in ID_TABLES)
-    assert [kind for kind, _ in events].count("payload") == 1
+    assert [kind for kind, _ in events].count("payload") == 0
     assert ("called", "TreePartition") not in events
     last = max(i for i, (kind, _) in enumerate(events) if kind == "built")
     assert [e for e in events[last:] if e[0] == "called"] == []
@@ -672,12 +677,13 @@ VIEWS = ("arcs", "colored", "boundary", "color", "segment", "marks")
 
 @pytest.mark.parametrize("argv", [["facets", "--format", "json"],
                                   ["verify-thm1"]])
-def test_hot_path_reads_payloads_only(argv, monkeypatch, capsys):
-    """`facets --format json` and `verify-thm1` on big8 read facets'
-    payloads: they build no facet view and hash no arc, and they work
-    out each (arc, corner, corner) triple's record once."""
+def test_hot_path_reads_record_table_only(argv, monkeypatch, capsys):
+    """`facets --format json` and `verify-thm1` on big8 read the record
+    table of marking: they read no facet's payload, build no facet view
+    and hash no arc, and they work out each (arc, corner, corner)
+    triple's record once."""
     events, triples = [], []
-    for name in VIEWS:
+    for name in VIEWS + ("payload",):
         monkeypatch.setattr(Facet, name, property(
             lambda self, name=name: events.append(name)))
     real_hash = nc_complex.Arc.__hash__

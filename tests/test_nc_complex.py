@@ -7,8 +7,9 @@ from hypothesis import given, settings
 import oracles
 import randtrees
 from conftest import get_tree, SUITE
-from treestab import nc_complex
+from treestab import gc_vectors, nc_complex
 from treestab.nc_complex import (
+    Facet,
     arcs,
     boundary_arcs,
     crossing,
@@ -172,16 +173,21 @@ def test_transpose_twice_gives_back_the_rows():
         assert transposed(cols, len(rows)) == rows
 
 
-def test_select_picks_the_set_bits():
+def test_pick_gives_each_position_the_items_holding_it():
+    def picked(items, columns, width):
+        return [list(p) for p in nc_complex._pick(items, columns, width)]
+
     items = "abcdef"
-    assert list(nc_complex._select(items, 0)) == []
-    assert list(nc_complex._select([], 0)) == []
-    assert list(nc_complex._select(items, 0b101)) == ["a", "c"]
+    assert picked(items, [0b01, 0, 0b11, 0, 0, 0], 2) == [["a", "c"], ["c"]]
+    assert picked([], [], 3) == [[], [], []]
+    assert picked(items, [0] * 6, 0) == []
     rng = random.Random(3)
     for _ in range(200):
-        mask = rng.getrandbits(rng.randint(0, len(items)))
-        assert list(nc_complex._select(items, mask)) == \
-            [x for j, x in enumerate(items) if mask >> j & 1]
+        width = rng.randint(0, 9)
+        columns = [rng.getrandbits(width) if width else 0 for _ in items]
+        assert picked(items, columns, width) == [
+            [x for x, c in zip(items, columns) if c >> p & 1]
+            for p in range(width)]
 
 
 def assert_marks_match_scan(tree, fs):
@@ -361,6 +367,52 @@ def test_facets_do_not_follow_clique_order(name, monkeypatch):
                         lambda adjacent, vertices:
                         real(adjacent, vertices)[::-1])
     assert facet_rows(EmbeddedTree(get_tree(name).rotation)) == want
+
+
+# -- the record table of marking ------------------------------------------
+
+
+def assert_record_table_matches_lone_facets(tree):
+    """Marking all facets at once keeps each record's column, in record
+    order: the table equals the one read off the payloads of each facet
+    marked alone, and the one read back off the payloads built from it,
+    which are those facets' payloads.  Facets come in leaf-pair order."""
+    fs = facets(tree)
+    alone = [Facet(tree, f._mask, f.index) for f in fs]
+    records = nc_complex._marking(tree)[2]
+    assert list(records) == sorted(records)
+    assert records == gc_vectors._payload_columns(alone) \
+        == gc_vectors._payload_columns(fs)
+    assert [f.payload for f in fs] == [g.payload for g in alone]
+    assert [f.key() for f in fs] == sorted(f.key() for f in fs)
+
+
+def test_record_table_matches_lone_facets(suite_tree):
+    assert_record_table_matches_lone_facets(suite_tree)
+
+
+@settings(max_examples=20, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_random_tree_record_table_matches_lone_facets(rotation):
+    assert_record_table_matches_lone_facets(EmbeddedTree(rotation))
+
+
+@pytest.mark.parametrize("name", ["a2", "cyc3", "big8"])
+def test_payloads_are_built_on_first_read_all_at_once(name, monkeypatch):
+    """Building the facets and their flip graph builds no payload; the
+    first payload read builds every facet's, once."""
+    built = []
+    real = nc_complex._payloads
+    monkeypatch.setattr(nc_complex, "_payloads",
+                        lambda tree: built.append(tree) or real(tree))
+    tree = EmbeddedTree(get_tree(name).rotation)
+    fs = facets(tree)
+    for f in fs:
+        flip_neighbors(f, fs)
+    assert built == []
+    payloads = [f.payload for f in fs]
+    assert built == [tree]
+    assert payloads == [Facet(tree, f._mask).payload for f in fs]
 
 
 def lowest_failing_message(tree, clean):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 import oracles
 import randtrees
-from conftest import SMALL, fixture_path, get_tree
+from conftest import SMALL, doctor_marking, fixture_path, get_tree
 from treestab import cli, gc_vectors, nc_complex, partitions as pt
 from treestab import semistable as st
 from treestab import string_modules as sm
@@ -221,9 +221,10 @@ def doctored_facets(tree, k, j, record):
 
 def test_doctored_payload_reports_match(monkeypatch):
     """With one record of one facet's payload doctored (its color
-    flipped, or a green record dropped or moved to another segment), the
-    column route fails the same claims, or raises the same error, as the
-    per-facet route."""
+    flipped, or a green record dropped or moved to another segment) and
+    the record table read off the doctored payloads, the column route
+    fails the same claims, or raises the same error, as the per-facet
+    route."""
     seen = set()
     for name in SMALL:
         rng = random.Random(name)
@@ -241,7 +242,7 @@ def test_doctored_payload_reports_match(monkeypatch):
             tree = load_tree(fixture_path(name))
             fs = doctored_facets(tree, k, j, record)
             with monkeypatch.context() as m:
-                m.setattr(nc_complex, "facets", lambda t: fs)
+                doctor_marking(m, tree, fs)
                 want = assert_columns_match_per_facet(tree)
             seen.add(want.split(" ")[1] if isinstance(want, str)
                      else "fail" if want[1] != "%d/%d facets pass"

@@ -61,10 +61,21 @@ def test_each_memo_family_has_one_builder():
     builders = memo_builders()
     assert {"facets", "arcs", "chains", "arc_segment", "g", "segments",
             "subsegments", "gluing", "torsion", "decompositions",
-            "arc_counts"} <= set(builders)
+            "arc_counts", "payloads"} <= set(builders)
     # torsion pairs and decompositions are read off those two tables;
     # C_s, K_s and Hom off the sub-segment table; a weight is not kept
     assert not {"torsion_pair", "sub_quotients", "C", "K", "hom", "proper",
                 "stability"} & set(builders)
     shared = {k: v for k, v in builders.items() if len(v) != 1}
     assert not shared, shared
+
+
+def test_memo_is_reached_through_its_method_only():
+    """Every per-tree table is read and written through
+    `EmbeddedTree.memo`: no module but `tree_core` touches `._memo`."""
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in sorted(SRC.glob("*.py"))
+             if path.name != "tree_core.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "_memo"]
+    assert not found, found
