@@ -3,13 +3,14 @@
 Everything lives in Z^n with one coordinate per interior edge, in the
 tree's canonical (lexicographic) edge order.  The g-vector of an arc
 reads off how the arc turns at the two ends of each interior edge it
-uses; the c-vector of a colored arc in a facet is a signed indicator of
-the segment between its marked corners.  Per facet the two families are
-dual bases.  `pairing_matrix` checks that and `zigzag_dominance_check`
-counts zigzags on one per-tree table, of the +1 and -1 entries of each
-arc's g-vector on each segment (`_arc_counts`), with no vector built.  The
-facet weights also come column-wise, for all facets at once
-(`theta_columns`).
+uses (the turns its walk recorded), in one per-tree table
+(`_g_vectors`); the c-vector of a colored arc in a facet is a signed
+indicator of the segment between its marked corners.  Per facet the
+two families are dual bases.  `pairing_matrix` checks that and
+`zigzag_dominance_check` counts zigzags on one per-tree table, of the
++1 and -1 entries of each arc's g-vector on each segment
+(`_arc_counts`), with no vector built.  The facet weights also come
+column-wise, for all facets at once (`theta_columns`).
 
 The sub-path families C_s and K_s defined here are one per-tree table
 of id masks (`_subsegments`).  It drives both the module theory
@@ -37,25 +38,28 @@ def g_vector(tree, arc):
     """Entry per interior edge (x, y) traversed by the arc: +1 when the
     arc turns left at x and right at y, -1 when right at x and left at
     y, 0 when it turns the same way at both ends or avoids the edge.
-    Independent of traversal orientation.  Built once per arc and
-    tree, and kept by arc id."""
-    return tree.memo(("g", arc.id), _g_vector, arc)
+    Independent of traversal orientation.  Read off the per-tree table
+    `_g_vectors` by arc id; raises ValueError on an arc that is not the
+    tree's."""
+    every = nc_complex.arcs(tree)
+    if arc.id >= len(every) or every[arc.id] != arc:
+        raise ValueError("not an arc of this tree: %r" % (arc,))
+    return tree.memo("g", _g_vectors)[arc.id]
 
 
-def _g_vector(tree, arc):
-    path = list(arc.path)
-    vec = [0] * tree.n
-    turns = {path[i]: turn(tree, path, i) for i in range(1, len(path) - 1)}
-    for i in range(len(path) - 1):
-        e = tuple(sorted((path[i], path[i + 1])))
-        if e not in tree.edge_index:
-            continue
-        t1, t2 = turns[path[i]], turns[path[i + 1]]
-        if t1 == "left" and t2 == "right":
-            vec[tree.edge_index[e]] = 1
-        elif t1 == "right" and t2 == "left":
-            vec[tree.edge_index[e]] = -1
-    return tuple(vec)
+def _g_vectors(tree):
+    """Per arc id, its g-vector, off the arc's turns: for consecutive
+    inner vertices x, y of the arc, edge xy gets the sign of the turn
+    at x when the turns at x and y differ."""
+    out = []
+    for arc in nc_complex.arcs(tree):
+        vec, inner, turns = [0] * tree.n, arc.path[1:-1], arc.turns
+        for x, y, tx, ty in zip(inner, inner[1:], turns, turns[1:]):
+            if tx != ty:
+                vec[tree.edge_index[tuple(sorted((x, y)))]] = \
+                    1 if tx == "left" else -1
+        out.append(tuple(vec))
+    return tuple(out)
 
 
 def zigzag(tree, arc):
@@ -92,8 +96,8 @@ def _arc_counts(tree):
 def _build_arc_counts(tree):
     steps = _segment_table(tree).steps
     out = []
-    for arc in nc_complex.arcs(tree):
-        g, counts = g_vector(tree, arc), [None] * len(steps)
+    for g in tree.memo("g", _g_vectors):
+        counts = [None] * len(steps)
         for s, prefix, e in steps:
             p, m = counts[prefix] if prefix >= 0 else (0, 0)
             counts[s] = (p + (g[e] == 1), m + (g[e] == -1))
@@ -126,18 +130,9 @@ def kreweras_theta(facet):
     """Sum of the g-vectors of the facet's green arcs, read off its
     payload."""
     tree = facet.tree
-    every = nc_complex.arcs(tree)
-    gs = [g_vector(tree, every[i]) for i, _, green in facet.payload if green]
+    table = tree.memo("g", _g_vectors)
+    gs = [table[i] for i, _, green in facet.payload if green]
     return tuple(map(sum, zip(*gs))) if gs else (0,) * tree.n
-
-
-def _payload_columns(facets):
-    """The record table (see `nc_complex._mark`) of `facets`' payloads."""
-    out = {}
-    for k, f in enumerate(facets):
-        for record in f.payload:
-            out[record] = out.get(record, 0) | 1 << k
-    return dict(sorted(out.items()))
 
 
 def theta_columns(tree, records, width):
@@ -146,9 +141,9 @@ def theta_columns(tree, records, width):
     the positions of the facets weighing v there}.  Adding an arc's
     g-vector moves the facets where the arc is green from v to v + g."""
     out = [{0: (1 << width) - 1} for _ in range(tree.n)]
-    every = nc_complex.arcs(tree)
+    table = tree.memo("g", _g_vectors)
     for (i, _, green), col in records.items():
-        for e, x in enumerate(g_vector(tree, every[i]) if green else ()):
+        for e, x in enumerate(table[i] if green else ()):
             if x:
                 out[e] = _sum_columns(out[e], {x: col, 0: ~col})
     return out

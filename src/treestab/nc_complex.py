@@ -8,10 +8,12 @@ rest on the other.  `Arc.pos` is therefore all the region data there
 is; crossing is a constant-time interleaving check on it, and a region
 is read off it as a bitmask of gaps where one is needed.
 
-Arcs are numbered once per tree by their place in `arcs(tree)` (their
-`id`), and corners by their place in `tree.corners`.  A facet is a
-bitmask of arc ids: the boundary arcs and a maximal clique of colored
-arcs that do not cross, found by Bron-Kerbosch on int masks.
+The arcs are found by one walk from each boundary leaf, which also
+records, once per arc, the corners it hugs and its turns.  Arcs are
+numbered once per tree by their place in `arcs(tree)` (their `id`),
+and corners by their place in `tree.corners`.  A facet is a bitmask of
+arc ids: the boundary arcs and a maximal clique of colored arcs that do
+not cross, found by Bron-Kerbosch on int masks.
 
 Marking runs column-wise, over all facets of a tree at once.  For each
 arc, the facets holding it form one int bitmask over facet positions.
@@ -23,10 +25,10 @@ operation over facets: a corner no member passes, two members whose
 regions there do not nest, a member with other than one mark (boundary
 arcs) or two, two marks in the same region, and flags that disagree.
 The segment and color of a colored arc depend only on the arc and its
-two marked corners, so they are worked out once per such triple and
-tree.  The triple's record (arc id, segment id, green?) keeps its
-column, the facets that hold it: this record table is what the gluing,
-the weights and the facet JSON read.  A facet's payload, its records,
+two marked corners, so they are worked out once per such triple in a
+marking pass.  The triple's record (arc id, segment id, green?) keeps
+its column, the facets that hold it: this record table is what the
+gluing, the weights and the facet JSON read.  A facet's payload, its records,
 and its arcs, colors, segments and marks are views built on first read.
 """
 
@@ -44,8 +46,12 @@ class Arc:
     """Leaf-to-leaf extreme path.
 
     `leaves` is ordered by boundary position, and `pos` holds those
-    positions.  A boundary arc joins cyclically adjacent leaves.  `id`
-    is the arc's place in `arcs(tree)`.
+    positions.  `path` runs from the first leaf to the second; at each
+    of its inner vertices, in path order, `corners` holds the corner
+    (vertex, face index) the arc hugs there and `turns` its turn,
+    "left" or "right" (see `tree_core.turn`).  A boundary arc joins
+    cyclically adjacent leaves.  `id` is the arc's place in
+    `arcs(tree)`.
     """
 
     leaves: tuple
@@ -53,20 +59,11 @@ class Arc:
     pos: tuple = field(compare=False, repr=False)
     is_boundary: bool = field(compare=False, repr=False)
     id: int = field(compare=False, repr=False)
+    corners: tuple = field(compare=False, repr=False)
+    turns: tuple = field(compare=False, repr=False)
 
     def __repr__(self):
         return "Arc(%s~%s)" % self.leaves
-
-
-def _build_arc(tree, p, q):
-    """The leaves, path, positions and boundary flag of the arc between
-    boundary leaves p < q, or None when their path is not extreme."""
-    leaves = tree.boundary_leaves
-    path = tree.path_between(leaves[p], leaves[q])
-    if not tree.is_extreme_path(path):
-        return None
-    return ((leaves[p], leaves[q]), tuple(path), (p, q),
-            q - p in (1, len(leaves) - 1))
 
 
 def arcs(tree):
@@ -76,11 +73,34 @@ def arcs(tree):
 
 
 def _arcs(tree):
-    L = len(tree.boundary_leaves)
-    built = (_build_arc(tree, p, q)
-             for p in range(L) for q in range(p + 1, L))
-    return tuple(Arc(*fields, i) for i, fields in
-                 enumerate(fields for fields in built if fields is not None))
+    """One walk from each boundary leaf.  At each interior vertex the
+    walk goes on only by the two rays rotation-adjacent to the one it
+    came in by, so every path it follows is extreme; each arc is kept
+    from its end at the lower boundary position."""
+    leaves, rot = tree.boundary_leaves, tree.rotation
+    pos = {leaf: p for p, leaf in enumerate(leaves)}
+    found = []
+    for p, leaf in enumerate(leaves):
+        # x reached from prev; the path to prev, its corners and turns
+        todo = [(rot[leaf][0], leaf, (), (), ())]
+        while todo:
+            x, prev, path, corners, turns = todo.pop()
+            path += (prev,)
+            if x not in pos:
+                # turning left the arc hugs the sector that starts at its
+                # exit ray, turning right the one at its entry ray
+                left = tree.cw_next(x, prev)
+                todo.append((left, x, path, corners + (
+                    (x, tree.sector_face[x, left]),), turns + ("left",)))
+                todo.append((tree.ccw_next(x, prev), x, path, corners + (
+                    (x, tree.sector_face[x, prev]),), turns + ("right",)))
+            elif pos[x] > p:
+                found.append(((p, pos[x]), path + (x,), corners, turns))
+    L = len(leaves)
+    return tuple(
+        Arc((leaves[p], leaves[q]), path, (p, q), q - p in (1, L - 1), i,
+            corners, turns)
+        for i, ((p, q), path, corners, turns) in enumerate(sorted(found)))
 
 
 def crossing(d1, d2):
@@ -117,7 +137,7 @@ def _chains(tree):
     for d in arcs(tree):
         p, q = d.pos
         inner = (1 << q) - (1 << p)  # gaps p..q-1
-        for corner in tree.hugged_corners(d.path):
+        for corner in d.corners:
             inside = p <= corner[1] < q
             through[corner_id[corner]].append(
                 (d.id, inner if inside else full ^ inner, inside))
@@ -242,8 +262,7 @@ def _mark(tree, masks):
     for i, k1, k2, both in pairs:
         if both & good:
             try:
-                record = tree.memo(("arc_segment", i, k1, k2),
-                                   _arc_segment, i, k1, k2)
+                record = _arc_segment(tree, i, k1, k2)
                 records[record] = records.get(record, 0) | both
             except ConventionError as e:
                 faults.append((both & good, str(e)))

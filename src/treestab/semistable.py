@@ -245,7 +245,7 @@ def check_facet(tree, facet):
     column route of `verify_kreweras_stability` on it alone, glued by
     itself: the checks across the tree's facets are not run."""
     return _check_facets(tree, (facet,), partitions._glue_columns(
-        tree, gc_vectors._payload_columns((facet,)), 1, False))[0]
+        tree, dict.fromkeys(sorted(facet.payload), 1), 1, False))[0]
 
 
 def verify_kreweras_stability(tree):

@@ -117,10 +117,13 @@ class EmbeddedTree:
 
     Immutable after construction; every derived structure (faces,
     corners, segments) is computed once and cached.  The tables the
-    other layers derive from the tree (facets, noncrossing partitions,
-    torsion pairs, sub- and quotient segments, module data) are kept
-    here too, through `memo`, so each is built at most once and is
-    freed with the tree.
+    other layers derive from the tree (arcs with their hugged corners
+    and turns, g-vectors, facets, noncrossing partitions, torsion
+    pairs, sub- and quotient segments, module data) are kept here too,
+    through `memo`, so each is built at most once and is freed with
+    the tree.  Paths are not searched here: each arc's path comes with
+    it from `nc_complex.arcs`, and each segment's from the segment
+    table.
     """
 
     def __init__(self, rotation):
@@ -292,26 +295,6 @@ class EmbeddedTree:
 
     # -- paths and segments ---------------------------------------------
 
-    def path_between(self, a, b):
-        """The unique simple path from a to b, as a vertex list."""
-        if a == b:
-            return [a]
-        parent = {a: None}
-        queue = [a]
-        while queue:
-            v = queue.pop(0)
-            if v == b:
-                break
-            for u in self.rotation[v]:
-                if u not in parent:
-                    parent[u] = v
-                    queue.append(u)
-        path = [b]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
     def _turn(self, v, a, b):
         """"left" when ray b is immediately clockwise from ray a about v,
         "right" when immediately counterclockwise, None otherwise."""
@@ -321,30 +304,10 @@ class EmbeddedTree:
             return "right"
         return None
 
-    def is_extreme_path(self, path):
-        """True when every consecutive edge pair of the path is incident
-        to a common face, i.e. entry and exit rays are rotation-adjacent
-        at every intermediate vertex."""
-        return all(self._turn(path[i], path[i - 1], path[i + 1])
-                   for i in range(1, len(path) - 1))
-
     @cached_property
     def all_segments(self):
         """Every segment, sorted by vertices; its place here is its id."""
         return _segment_table(self).segments
-
-    def hugged_corners(self, path):
-        """Corners (v, face) the path passes through, one per
-        intermediate vertex: the sector pinched between entry and exit."""
-        out = []
-        for i in range(1, len(path) - 1):
-            v, a, b = path[i], path[i - 1], path[i + 1]
-            side = self._turn(v, a, b)
-            if side is None:
-                raise ConventionError(
-                    "path is not extreme at %r" % (v,))
-            out.append((v, self.sector_face[(v, a if side == "right" else b)]))
-        return out
 
 
 def turn(tree, path, i):
@@ -352,7 +315,8 @@ def turn(tree, path, i):
 
     Returns "left" when the exit edge is immediately clockwise from the
     entry edge about path[i], "right" when immediately counterclockwise.
-    Any other exit ray raises TreeValidationError.
+    Any other exit ray, and an index that is not intermediate, raises
+    ValueError.
 
     The assignment of the words left/right to the two rotation
     directions is a global convention; it is validated end to end by

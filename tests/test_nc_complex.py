@@ -6,8 +6,8 @@ from hypothesis import given, settings
 
 import oracles
 import randtrees
-from conftest import get_tree, SUITE
-from treestab import gc_vectors, nc_complex
+from conftest import get_tree, payload_columns, SUITE
+from treestab import nc_complex
 from treestab.nc_complex import (
     Facet,
     arcs,
@@ -211,22 +211,30 @@ def test_random_tree_marks_match_scan(rotation):
     assert_marks_match_scan(tree, facets(tree))
 
 
-@pytest.mark.parametrize("name", ["a2", "cyc3", "big8"])
-def test_arcs_built_once_per_leaf_pair(name, monkeypatch):
-    calls = []
-    real = nc_complex._build_arc
-
-    def counting(tree, p, q):
-        calls.append((p, q))
-        return real(tree, p, q)
-
-    monkeypatch.setattr(nc_complex, "_build_arc", counting)
-    tree = EmbeddedTree(get_tree(name).rotation)
-    facets(tree)
-    assert arcs(tree) is arcs(tree)
-    assert set(boundary_arcs(tree)) <= set(arcs(tree))
+def assert_arcs_match_leaf_pairs(tree):
+    """The arcs of the walk from each leaf against a breadth-first
+    search between every two boundary leaves: the same positions,
+    paths, hugged corners and turns, in boundary order."""
+    every = arcs(tree)
+    assert arcs(tree) is every
+    assert [(d.pos, d.path, d.corners, d.turns) for d in every] \
+        == oracles.arcs_by_leaf_pairs(tree)
     L = len(tree.boundary_leaves)
-    assert sorted(calls) == list(itertools.combinations(range(L), 2))
+    for i, d in enumerate(every):
+        assert d.id == i
+        assert d.leaves == tuple(tree.boundary_leaves[p] for p in d.pos)
+        assert d.is_boundary == (d.pos[1] - d.pos[0] in (1, L - 1))
+    assert set(boundary_arcs(tree)) <= set(every)
+
+
+def test_arcs_match_leaf_pairs(suite_tree):
+    assert_arcs_match_leaf_pairs(suite_tree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=7))
+def test_random_tree_arcs_match_leaf_pairs(rotation):
+    assert_arcs_match_leaf_pairs(EmbeddedTree(rotation))
 
 
 def test_supporting_arcs_chain():
@@ -381,8 +389,7 @@ def assert_record_table_matches_lone_facets(tree):
     alone = [Facet(tree, f._mask, f.index) for f in fs]
     records = nc_complex._marking(tree)[2]
     assert list(records) == sorted(records)
-    assert records == gc_vectors._payload_columns(alone) \
-        == gc_vectors._payload_columns(fs)
+    assert records == payload_columns(alone) == payload_columns(fs)
     assert [f.payload for f in fs] == [g.payload for g in alone]
     assert [f.key() for f in fs] == sorted(f.key() for f in fs)
 

@@ -36,10 +36,10 @@ def test_bit_text_is_read_back_in_one_place():
 
 
 def memo_builders():
-    """{key family: builder expressions} over every `tree.memo(key,
-    build, ...)` call in the package; the family of a tuple key is its
-    first element."""
-    out = {}
+    """({key family: builder expressions}, the families of tuple keys)
+    over every `tree.memo(key, build, ...)` call in the package; the
+    family of a tuple key is its first element."""
+    out, tupled = {}, set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if (isinstance(node, ast.Call)
@@ -51,17 +51,22 @@ def memo_builders():
                 assert isinstance(key, ast.Constant), \
                     "%s:%d: memo key family is not a literal" % (
                         path.name, node.lineno)
+                if isinstance(node.args[0], ast.Tuple):
+                    tupled.add(key.value)
                 out.setdefault(key.value, set()).add(
                     ast.unparse(node.args[1]))
-    return out
+    return out, tupled
 
 
 def test_each_memo_family_has_one_builder():
-    """Each fact computed per tree is built in exactly one place."""
-    builders = memo_builders()
-    assert {"facets", "arcs", "chains", "arc_segment", "g", "segments",
-            "subsegments", "gluing", "torsion", "decompositions",
-            "arc_counts", "payloads"} <= set(builders)
+    """Each fact computed per tree is built in exactly one place, and
+    each family but `ext` is one table per tree, not one entry per
+    key."""
+    builders, tupled = memo_builders()
+    assert {"facets", "arcs", "chains", "g", "segments", "subsegments",
+            "gluing", "torsion", "decompositions", "arc_counts",
+            "payloads"} <= set(builders)
+    assert tupled == {"ext"}
     # torsion pairs and decompositions are read off those two tables;
     # C_s, K_s and Hom off the sub-segment table; a weight is not kept
     assert not {"torsion_pair", "sub_quotients", "C", "K", "hom", "proper",

@@ -132,9 +132,12 @@ def test_big8_non_segment():
     # the path through the degree-4 vertex v3 entering from v2 and
     # leaving to v4 uses non-adjacent rays, so it is not extreme
     tree = get_tree("big8")
-    path = tree.path_between("v2", "v4")
-    assert not tree.is_extreme_path(path)
+    path = oracles.path_between(tree, "v2", "v4")
+    assert path == ["v2", "v3", "v4"]
+    assert not oracles.is_extreme_path(tree, path)
     assert Segment.canonical(path) not in set(tree.all_segments)
+    with pytest.raises(ValueError, match="not adjacent to its entry"):
+        turn(tree, path, 1)
 
 
 def test_segment_canonical_orientation():
@@ -157,8 +160,8 @@ def test_compose_a2():
 
 def test_compose_requires_extreme_result():
     tree = get_tree("big8")
-    s = Segment.canonical(tree.path_between("v2", "v3"))
-    t = Segment.canonical(tree.path_between("v3", "v4"))
+    s = Segment.canonical(oracles.path_between(tree, "v2", "v3"))
+    t = Segment.canonical(oracles.path_between(tree, "v3", "v4"))
     # both are segments but the concatenation pivots badly at v3
     assert s in set(tree.all_segments) and t in set(tree.all_segments)
     assert compose(tree, s, t) is None
