@@ -297,7 +297,8 @@ def torsion_decompose(tree, partition, module):
     submodule qualifies (see `_build_decompositions`)."""
     f = _position(tree, partition)
     options = _decompositions(tree)[_id(tree, module.segment)]
-    return next(pair for pair, col in options if col >> f & 1)
+    pair = next(pair for pair, col in options if col >> f & 1)
+    return tuple(string_modules._module_sum(tree, ids) for ids in pair)
 
 
 def _decompositions(tree):
@@ -306,31 +307,30 @@ def _decompositions(tree):
 
 
 def _build_decompositions(tree):
-    """Per segment id, per submodule of its module, ((submodule,
-    quotient), the positions where the submodule lies in T and the
-    quotient in F): one AND of their summands' torsion columns.  Each
-    pair's dimensions are checked to add up to the module's.  The lowest
+    """Per segment id, per submodule of its module, ((submodule run ids,
+    quotient run ids), the positions where the submodule lies in T and
+    the quotient in F): one AND of their runs' torsion columns.  The
+    runs' edges are checked to add up to the module's.  The lowest
     position where no option or two hold raises for its first module."""
     T, F, rows = _torsion(tree)
-    ids, everyone = _segment_table(tree).ids, (1 << len(rows)) - 1
+    segs, everyone = tree.all_segments, (1 << len(rows)) - 1
     table, faults = [], []
-    for module in string_modules.indecomposables(tree):
+    for s, pairs in enumerate(string_modules._submodules(tree)):
         options, once, twice = [], 0, 0
-        for sub in string_modules.all_submodules(tree, module):
-            quot = string_modules._quotient(tree, module, sub)
-            dims = map(sum, zip(sub.dim_vector(tree), quot.dim_vector(tree)))
-            if tuple(dims) != module.dim_vector:
+        for sub, quot in pairs:
+            if sum(len(segs[t]) for t in sub + quot) != len(segs[s]):
                 raise ConventionError("dimension mismatch in decomposition")
-            col = reduce(and_, [T[ids[m.segment]] for m in sub]
-                         + [F[ids[m.segment]] for m in quot], everyone)
+            col = reduce(and_, [T[t] for t in sub] + [F[t] for t in quot],
+                         everyone)
             once, twice = once | col, twice | once & col
             options.append(((sub, quot), col))
         table.append(tuple(options))
-        faults.append((everyone & ~once | twice, module))
-    _raise_lowest(faults, lambda p, module: ConventionError(
-        "torsion decomposition of %r not unique: %r" % (module, [
-            pair for pair, col in table[ids[module.segment]]
-            if col >> p & 1])))
+        faults.append((everyone & ~once | twice, s))
+    _raise_lowest(faults, lambda p, s: ConventionError(
+        "torsion decomposition of %r not unique: %r" % (
+            string_modules.indecomposables(tree)[s],
+            [tuple(string_modules._module_sum(tree, ids) for ids in pair)
+             for pair, col in table[s] if col >> p & 1])))
     return tuple(table)
 
 

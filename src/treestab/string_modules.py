@@ -9,14 +9,15 @@ modules of the tree's segments, all of them multiplicity-free.
 
 Thinness and the tree reduce the module theory to set operations on
 segments, with no linear algebra.  A submodule is a subset of edges
-closed under the arrow action.  Two segments share at most one run r
-of edges, so a morphism between two indecomposables is either zero or
-the graph map that is the identity on r (Crawley-Boevey's graph maps):
-Hom(M(s), M(t)) is nonzero exactly when K_s and C_t meet, in r, one AND
-of two id masks of the sub-segment table (`gc_vectors._subsegments`).
-Ext^1 between two of them has at most one non-split middle term, an
-arrow or an overlap extension (Canakci-Pauksztello-Schroll, "On
-extensions for gentle algebras").
+closed under the arrow action, kept with its quotient as the segment
+ids of their runs (`_submodules`).  Two segments s and t share at most
+one run r of edges, so a morphism M(s) -> M(t) is zero or the graph
+map that is the identity on r (Crawley-Boevey's graph maps): it is
+nonzero exactly when K_s and C_t meet, in r, one AND of two id masks
+of the sub-segment table (`gc_vectors._subsegments`).  Ext^1 between
+two of them has at most one non-split middle term, an arrow or an
+overlap extension (Canakci-Pauksztello-Schroll, "On extensions for
+gentle algebras"); `middle_terms` needs it, `is_wide` does not.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import gc_vectors
-from .tree_core import ConventionError, Segment, _id, _segment_table, \
-    segment_turns
+from .tree_core import ConventionError, Segment, _bits, _id, \
+    _segment_table, segment_turns
 
 
 @dataclass(frozen=True)
@@ -185,18 +186,33 @@ def _action_pairs(tree, segment):
     return out
 
 
-def _run_summands(tree, segment, positions):
-    """Decompose an edge-position subset into string summands along the
-    segment, one per maximal run of consecutive positions."""
-    runs = []
-    for p in sorted(positions):
-        if runs and p == runs[-1][1] + 1:
-            runs[-1][1] = p
-        else:
-            runs.append([p, p])
-    vs = segment.vertices
-    return ModuleSum(string_module(tree, Segment.canonical(vs[lo:hi + 2]))
-                     for lo, hi in runs)
+def _submodules(tree):
+    """The tree's submodule table, built once."""
+    return tree.memo("submodules", _build_submodules)
+
+
+def _build_submodules(tree):
+    """Per segment id, per arrow-closed edge subset in `itertools.product`
+    order: (ids of the submodule's runs, ids of the quotient's runs),
+    the maximal runs of edges in and out of the subset, off the splits."""
+    table = []
+    for seg, rows in zip(tree.all_segments, _segment_table(tree).splits):
+        pairs, options, k = _action_pairs(tree, seg), [], len(seg)
+        for bits in itertools.product((False, True), repeat=k):
+            if not any(bits[i] and not bits[j] for i, j in pairs):
+                cuts = [i for i in range(1, k) if bits[i] != bits[i - 1]]
+                runs = ([], [])
+                for lo, end in zip([0] + cuts, cuts + [k]):
+                    runs[not bits[lo]].append(rows[end - 1][lo][1])
+                options.append(tuple(map(tuple, runs)))
+        table.append(tuple(options))
+    return tuple(table)
+
+
+def _module_sum(tree, ids):
+    """The sum of the indecomposables with these segment ids."""
+    inds = indecomposables(tree)
+    return ModuleSum(inds[i] for i in ids)
 
 
 def all_submodules(tree, module):
@@ -204,13 +220,9 @@ def all_submodules(tree, module):
 
     A subset of the segment's edges spans a submodule exactly when it
     is closed under the arrow action; thinness means there is nothing
-    else a subspace could be."""
-    seg = module.segment
-    k = len(seg)
-    pairs = _action_pairs(tree, seg)
-    return [_run_summands(tree, seg, [i for i in range(k) if bits[i]])
-            for bits in itertools.product((False, True), repeat=k)
-            if not any(bits[i] and not bits[j] for i, j in pairs)]
+    else a subspace could be.  Raises ValueError on a foreign module."""
+    return [_module_sum(tree, sub)
+            for sub, _ in _submodules(tree)[_id(tree, module.segment)]]
 
 
 def indecomposable_submodules(tree, module):
@@ -227,39 +239,15 @@ def indecomposable_quotients(tree, module):
 
 def quotient_by(tree, module, sub):
     """Quotient of an indecomposable by one of its submodules, as a sum
-    of strings on the leftover runs."""
-    if sub not in all_submodules(tree, module):
-        raise ValueError("%r is not a submodule of %r" % (sub, module))
-    return _quotient(tree, module, sub)
-
-
-def _quotient(tree, module, sub):
-    """Quotient by a known submodule: the strings on the edge positions
-    the submodule leaves out."""
-    used = set().union(*(m.support for m in sub))
-    return _run_summands(tree, module.segment,
-                         [i for i, e in enumerate(module.segment.edges())
-                          if e not in used])
+    of strings on the leftover runs.  Raises ValueError on a foreign
+    module, or a sum that is not its submodule."""
+    for subs, quots in _submodules(tree)[_id(tree, module.segment)]:
+        if _module_sum(tree, subs) == sub:
+            return _module_sum(tree, quots)
+    raise ValueError("%r is not a submodule of %r" % (sub, module))
 
 
 # -- Hom spaces ---------------------------------------------------------
-
-
-def _shared_run(s, t):
-    """The path two segments share, as a vertex tuple in the direction
-    of s, or None when they share no edge.  Two paths in a tree meet in
-    one path, so the shared vertices are consecutive along s."""
-    tv = set(t.vertices)
-    run = tuple(v for v in s.vertices if v in tv)
-    return run if len(run) > 1 else None
-
-
-def _outside(segment, run):
-    """The segments of `segment` on either side of `run`, one of its
-    sub-paths in either direction."""
-    vs = segment.vertices
-    i, j = sorted((vs.index(run[0]), vs.index(run[-1])))
-    return [Segment.canonical(p) for p in (vs[:i + 1], vs[j:]) if len(p) > 1]
 
 
 def _graph_map(tree, s, t):
@@ -297,14 +285,10 @@ def _by_vertices(segments):
 
 def _nonsplit(tree, s, t):
     """Segments of the middle term of the non-split extension with sub
-    M(s) and quotient M(t), sorted, or None when Ext^1(M(t), M(s)) = 0.
-    Built once per pair and tree."""
-    return tree.memo(("ext", s, t), _build_nonsplit, s, t)
-
-
-def _build_nonsplit(tree, s, t):
-    run = _shared_run(s, t)
-    if run is None:
+    M(s) and quotient M(t), sorted, or None when Ext^1(M(t), M(s)) = 0."""
+    # the path s and t share: two tree paths meet in one, in order on s
+    run = [v for v in s.vertices if v in t.vertices]
+    if len(run) < 2:
         # arrow extension: s and t meet end to end in the segment u
         C, K = gc_vectors._subsegments(tree)
         i, j = _id(tree, s), _id(tree, t)
@@ -338,32 +322,47 @@ def middle_terms(tree, X, Y):
     return (split,) if term is None else (split, term)
 
 
-# -- kernel/cokernel closure and wideness --------------------------------
+# -- wideness ------------------------------------------------------------
+
+
+def _outside(rows, r):
+    """Ids of the parts of a segment outside its sub-segment r, off its
+    splits `rows`: positions 0..i and j..end, for r between i and j."""
+    i, j = next((i, j) for j, row in enumerate(rows, 1)
+                for i, t in row if t == r)
+    return ([rows[i - 1][0][1]] if i else []) + \
+        ([rows[-1][j][1]] if j < len(rows) else [])
 
 
 def is_wide(tree, indec_set):
     """Whether the additive closure of the given indecomposables is
-    wide: closed under kernels and cokernels of morphisms between
-    members and under extensions.
+    wide: closed under kernels, cokernels and extensions.  Raises
+    ValueError on a segment that is not the tree's.
 
-    Every ordered pair of members is checked: the kernel of the graph
-    map on r (the part of s outside r), its cokernel (the part of t
-    outside r) and the middle term of the non-split extension must lie
-    in the set.  Raises ValueError on a segment that does not belong to
-    the tree."""
-    members = {m.segment if isinstance(m, StringModule) else m
-               for m in indec_set}
-    unknown = members - set(tree.all_segments)
-    if unknown:
-        raise ValueError("not a segment of this tree: %s" % ", ".join(
-            repr(s) for s in _by_vertices(unknown)))
-    for s in members:
-        for t in members:
-            r = _graph_map(tree, s, t)
-            if r is not None and not members.issuperset(
-                    _outside(s, r.vertices) + _outside(t, r.vertices)):
-                return False
-            term = _nonsplit(tree, s, t)
-            if term is not None and not members.issuperset(term):
+    On member ids: (a) a composition s t = u of members is a member,
+    and (b) for a graph map M(s) -> M(t) between members, the identity
+    on r = K_s & C_t, the parts of s and t outside r (its kernel and
+    cokernel) are members.  Wide implies (a): s t = u is the middle term
+    of a non-split arrow extension in one order (s in C_u and t in K_u
+    when u turns left at the junction, the reverse otherwise).  A
+    non-split overlap extension of s = s1 r s2 and t = t1 r t2 forces r
+    in K_s & C_t; s1, s2, t1 and t2 are then kernel and cokernel pieces,
+    r, s1 r and t1 r cokernels of graph maps from them, and both middle
+    terms s1 r t2 and t1 r s2 compositions: (a) and (b) give closure
+    under extensions."""
+    members = 0
+    for m in indec_set:
+        members |= 1 << _id(tree, m.segment if isinstance(m, StringModule)
+                            else m)
+    table = _segment_table(tree)
+    C, K = gc_vectors._subsegments(tree)
+    for s in _bits(members):
+        if any(members >> t & 1 and not members >> u & 1
+               for t, u in table.compose[s].items()):
+            return False
+        for t in _bits(members):
+            r = (K[s] & C[t]).bit_length() - 1
+            if r >= 0 and not all(members >> p & 1 for p in _outside(
+                    table.splits[s], r) + _outside(table.splits[t], r)):
                 return False
     return True

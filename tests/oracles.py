@@ -17,8 +17,10 @@ walking each arc's path, block segments and the vertex-pair table by
 walking tree paths, the compose table by endpoint lookup over
 all pairs of segments, semistability by summing weights over edges,
 decomposition lengths by matching vertex windows, the maximal-clique
-search on Python sets, and the facet list's JSON payload built as one
-dict per facet.  And it keeps
+search on Python sets, the facet list's JSON payload built as one
+dict per facet, wideness through Ext by vertex surgery
+(`is_wide_by_extensions`), and each submodule and quotient as a sum of
+strings built from segment vertices (`submodules_by_runs`).  And it keeps
 the per-facet routes that the column-wise passes replaced: the main
 theorem's claims with one weight pass per facet, segments, closures
 and decomposition lengths per partition; and the partition table
@@ -303,6 +305,55 @@ def closed_under_graph_maps(tree, members):
                     if not set(_pattern_runs(seg, rest)) <= members:
                         return False
     return True
+
+
+def _outside(segment, run):
+    """The segments of `segment` on either side of `run`, one of its
+    sub-paths in either direction."""
+    vs = segment.vertices
+    i, j = sorted((vs.index(run[0]), vs.index(run[-1])))
+    return [Segment.canonical(p) for p in (vs[:i + 1], vs[j:]) if len(p) > 1]
+
+
+def is_wide_by_extensions(tree, members):
+    """Wideness of a set of segments through Ext, by vertex surgery:
+    for every ordered pair of members, the parts of each outside the
+    run the graph map between them is the identity on (its kernel and
+    cokernel) and the middle term of the non-split extension lie in the
+    set."""
+    members = set(members)
+    for s in members:
+        for t in members:
+            r = string_modules._graph_map(tree, s, t)
+            if r is not None and not members.issuperset(
+                    _outside(s, r.vertices) + _outside(t, r.vertices)):
+                return False
+            term = string_modules._nonsplit(tree, s, t)
+            if term is not None and not members.issuperset(term):
+                return False
+    return True
+
+
+def _run_summands(tree, segment, positions):
+    """The sum of the strings on the maximal runs of edge positions."""
+    return string_modules.ModuleSum(
+        string_modules.string_module(tree, r)
+        for r in _pattern_runs(segment, set(positions)))
+
+
+def submodules_by_runs(tree, module):
+    """(submodule, quotient) per submodule of an indecomposable, as
+    decomposed sums, each built from segment vertices: the strings on
+    the runs of each invariant pattern (in `closed_patterns` order),
+    and on the runs of the edges its summands leave out."""
+    seg = module.segment
+    out = []
+    for p in closed_patterns(tree, seg):
+        sub = _run_summands(tree, seg, p)
+        used = set().union(*(m.support for m in sub))
+        out.append((sub, _run_summands(tree, seg, [
+            i for i, e in enumerate(seg.edges()) if e not in used])))
+    return out
 
 
 def rank(rows):

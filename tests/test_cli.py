@@ -245,9 +245,9 @@ def test_check_all_fails_non_unique_decomposition(optimize):
     """With every module listed as its own submodule twice, the whole
     module qualifies twice wherever it lies in T: `torsion-pairs`, and
     no other check, fails, under `python -O` too."""
-    r = run_doctored("real = string_modules.all_submodules\n"
-                     "string_modules.all_submodules = lambda tree, m: "
-                     "real(tree, m) + real(tree, m)[-1:]\n",
+    r = run_doctored("real = string_modules._build_submodules\n"
+                     "string_modules._build_submodules = lambda tree: "
+                     "[opts + opts[-1:] for opts in real(tree)]\n",
                      "check-all", "--samples", "5", fixture_path("cyc3"),
                      optimize=optimize)
     assert r.returncode == 1, r.stderr

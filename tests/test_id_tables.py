@@ -362,7 +362,7 @@ def test_torsion_failures_match_partition_route(name, monkeypatch):
                     "simple module outside both classes"}
 
 
-# doctored `all_submodules`: for every module of two or more edges, the
+# doctored submodule table: for every module of two or more edges, the
 # whole module listed twice (two options wherever the module lies in T),
 # or the zero submodule left out (none wherever it lies in F)
 SUBMODULE_DOCTORS = {
@@ -378,10 +378,10 @@ def test_non_unique_decomposition_matches_filter(name, doctor, monkeypatch):
     some partitions, any `torsion_decompose` call raises the message of
     the first failing (partition, module) pair, partition-major, that
     filtering the submodules finds."""
-    real = string_modules.all_submodules
-    monkeypatch.setattr(string_modules, "all_submodules", lambda tree, m: (
-        SUBMODULE_DOCTORS[doctor](real(tree, m)) if len(m.segment) > 1
-        else real(tree, m)))
+    real = string_modules._build_submodules
+    monkeypatch.setattr(string_modules, "_build_submodules", lambda tree: [
+        SUBMODULE_DOCTORS[doctor](options) if len(seg) > 1 else options
+        for seg, options in zip(tree.all_segments, real(tree))])
     tree = tree_core.load_tree(fixture_path(name))
     ncps = partitions.noncrossing_partitions(tree)
     inds = string_modules.indecomposables(tree)

@@ -167,12 +167,13 @@ def test_torsion_pairs_orthogonal_and_decompose(small_tree):
 
 
 def test_torsion_decompose_checks_dimensions(monkeypatch):
-    """Each (module, submodule) pair's dimensions are checked once, when
-    the module's submodules are listed: a quotient that loses a summand
+    """Each (module, submodule) pair's edge counts are checked once, when
+    the decomposition table is built: a quotient that loses its runs
     fails there."""
     tree = load_tree(fixture_path("a2"))
-    monkeypatch.setattr(sm, "_quotient", lambda tree, module, sub:
-                        sm.ModuleSum())
+    real = sm._build_submodules
+    monkeypatch.setattr(sm, "_build_submodules", lambda tree: [
+        [(sub, ()) for sub, _ in options] for options in real(tree)])
     B = pt.noncrossing_partitions(tree)[0]
     with pytest.raises(ConventionError,
                        match="dimension mismatch in decomposition"):

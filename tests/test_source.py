@@ -60,13 +60,12 @@ def memo_builders():
 
 def test_each_memo_family_has_one_builder():
     """Each fact computed per tree is built in exactly one place, and
-    each family but `ext` is one table per tree, not one entry per
-    key."""
+    each family is one table per tree, not one entry per key."""
     builders, tupled = memo_builders()
     assert {"facets", "arcs", "chains", "g", "segments", "subsegments",
-            "gluing", "torsion", "decompositions", "arc_counts",
-            "payloads"} <= set(builders)
-    assert tupled == {"ext"}
+            "submodules", "gluing", "torsion", "decompositions",
+            "arc_counts", "payloads"} <= set(builders)
+    assert tupled == set()
     # torsion pairs and decompositions are read off those two tables;
     # C_s, K_s and Hom off the sub-segment table; a weight is not kept
     assert not {"torsion_pair", "sub_quotients", "C", "K", "hom", "proper",

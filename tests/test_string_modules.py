@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 import oracles
 import randtrees
 from conftest import get_tree, SMALL
-from treestab import gc_vectors, partitions, string_modules as sm
+from treestab import gc_vectors, partitions, semistable, \
+    string_modules as sm
 from treestab.tree_core import EmbeddedTree, Segment, _bits
 
 ALGEBRA_DIMS = {"a2": 3, "star3": 0, "subseg": 8, "cyc3": 6,
@@ -118,8 +120,9 @@ def test_subsegment_table_matches_oracles_random(rotation):
 
 
 def test_non_segments_are_rejected(a2):
-    """C_s, K_s, Hom and torsion decompositions name a segment that is
-    not the tree's, as `is_wide` does, instead of answering for it."""
+    """C_s, K_s, Hom, submodules, quotients and torsion decompositions
+    name a segment that is not the tree's, as `is_wide` does, instead of
+    answering for it."""
     stranger = Segment(("v1", "v3"))
     M, good = sm.StringModule(stranger, (0, 0)), sm.indecomposables(a2)[0]
     for read in (lambda: gc_vectors.submodule_segments(a2, stranger),
@@ -129,6 +132,8 @@ def test_non_segments_are_rejected(a2):
                  lambda: sm.hom_basis(a2, M, good),
                  lambda: sm.hom_basis(a2, good, M),
                  lambda: sm.is_wide(a2, [stranger]),
+                 lambda: sm.all_submodules(a2, M),
+                 lambda: sm.quotient_by(a2, M, sm.ModuleSum()),
                  lambda: partitions.torsion_decompose(
                      a2, partitions.noncrossing_partitions(a2)[0], M)):
         with pytest.raises(ValueError,
@@ -170,6 +175,30 @@ def test_submodules_match_matrix_oracle(small_tree):
             used = frozenset(e for m in sub for e in m.support)
             got.add(used)
         assert got == oracles.submodule_edge_sets(small_tree, s)
+
+
+def assert_submodule_table_matches(tree):
+    """The submodule table, and `all_submodules` and `quotient_by` read
+    off it, against sums of strings built from segment vertices on the
+    runs of each invariant pattern, in the same order."""
+    table = sm._submodules(tree)
+    for s, M in enumerate(sm.indecomposables(tree)):
+        want = oracles.submodules_by_runs(tree, M)
+        assert [(sm._module_sum(tree, sub), sm._module_sum(tree, quot))
+                for sub, quot in table[s]] == want, M
+        assert sm.all_submodules(tree, M) == [sub for sub, _ in want]
+        assert [sm.quotient_by(tree, M, sub) for sub, _ in want] == \
+            [quot for _, quot in want]
+
+
+def test_submodule_table_matches_runs(suite_tree):
+    assert_submodule_table_matches(suite_tree)
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_submodule_table_matches_runs_random(rotation):
+    assert_submodule_table_matches(EmbeddedTree(rotation))
 
 
 def test_indec_subs_quots_match_oracle(small_tree):
@@ -265,10 +294,46 @@ def test_middle_terms_match_ext_oracle_random(rotation):
     assert_middle_terms_exact(EmbeddedTree(rotation))
 
 
+def assert_wide_matches(tree, sets):
+    """`is_wide` against closure under graph-map kernels, cokernels and
+    composition, and against the route through Ext; returns how many
+    sets are wide."""
+    wide = 0
+    for members in sets:
+        got = sm.is_wide(tree, members)
+        assert got == oracles.closed_under_graph_maps(tree, members), members
+        assert got == oracles.is_wide_by_extensions(tree, members), members
+        wide += got
+    return wide
+
+
+def sample_sets(tree, rng, count):
+    """`count` each of random segment sets, semistable sets of random
+    weights, and composition closures of a few random segments."""
+    segs = tree.all_segments
+    for _ in range(count):
+        yield set(rng.sample(segs, rng.randint(0, len(segs))))
+        theta = [rng.randint(-4, 4) for _ in range(tree.n)]
+        yield {m.segment for m in semistable.semistable_modules(tree, theta)}
+        yield partitions.segment_closure(
+            tree, rng.sample(segs, min(rng.randint(1, 4), len(segs))))
+
+
 def test_is_wide_matches_oracle(small_tree):
     segs = small_tree.all_segments
-    for r in range(len(segs) + 1):
-        for combo in itertools.combinations(segs, r):
-            members = set(combo)
-            assert sm.is_wide(small_tree, members) == \
-                oracles.closed_under_graph_maps(small_tree, members), combo
+    assert_wide_matches(small_tree, (
+        set(combo) for r in range(len(segs) + 1)
+        for combo in itertools.combinations(segs, r)))
+
+
+def test_is_wide_matches_oracle_big8():
+    tree = get_tree("big8")
+    assert assert_wide_matches(tree, sample_sets(tree, random.Random(7),
+                                                 200)) >= 200
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_is_wide_matches_oracle_random(rotation):
+    tree = EmbeddedTree(rotation)
+    assert_wide_matches(tree, sample_sets(tree, random.Random(0), 10))
