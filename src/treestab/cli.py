@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import gc_vectors, nc_complex, partitions, semistable, string_modules
@@ -27,37 +28,23 @@ def _json_out(payload):
     print()
 
 
-_INDENTS = ["\n"]  # newline plus two spaces per level, grown on demand
-
-
+@cache
 def _indent(level):
-    while len(_INDENTS) <= level:
-        _INDENTS.append(_INDENTS[-1] + "  ")
-    return _INDENTS[level]
+    return "\n" + "  " * level
 
 
 class _Text(str):
-    """JSON text `_dumps` made of a value at depth `level`; `_dumps`
-    writes it in place of the value, re-indented to the depth where it
-    lands (`at`).  JSON strings hold no raw newline, so each newline in
-    it starts a line at depth `level` or deeper."""
-
-    def __new__(cls, text, level=0):
-        self = str.__new__(cls, text)
-        self.level = level
-        return self
-
-    def at(self, level):
-        return self if level == self.level else _Text(self.replace(
-            _indent(self.level), _indent(level)), level)
+    """JSON text that `_dumps` writes verbatim in place of a value, so
+    it is made by `_dumps` at the depth where it lands."""
 
 
-def _dumps(payload):
+def _dumps(payload, level=0):
     """The text of `json.dumps(payload, sort_keys=True, indent=2)` for
     str-keyed dicts, lists, tuples, str, int, bool, None and `_Text`
-    (others raise TypeError); with `indent`, json.dumps is pure Python."""
+    (others raise TypeError), at depth `level`; with `indent`,
+    json.dumps is pure Python."""
     out = []
-    _emit(out, payload, 0)
+    _emit(out, payload, level)
     return "".join(out)
 
 
@@ -65,7 +52,7 @@ def _emit(out, obj, level):
     """Append the text of `obj` at depth `level` to `out`, in pieces; not
     a closure, which would refer to itself and so keep `out` alive."""
     if isinstance(obj, str):
-        out.append(obj.at(level) if isinstance(obj, _Text) else _quote(obj))
+        out.append(obj if isinstance(obj, _Text) else _quote(obj))
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -125,8 +112,8 @@ def cmd_facets(tree, args):
         every, sep = nc_complex.arcs(tree), "," + _indent(4)
 
         def entry(d, **colored):
-            return sep + _Text(_dumps(dict(colored, leaves=list(d.leaves),
-                                           boundary=d.is_boundary))).at(4)
+            return sep + _dumps(dict(colored, leaves=list(d.leaves),
+                                     boundary=d.is_boundary), 4)
 
         entries = {(d.id,): (entry(d), (1 << len(fs)) - 1)
                    for d in every if d.is_boundary}
@@ -135,10 +122,10 @@ def cmd_facets(tree, args):
                 every[i], color="green" if green else "red",
                 segment=list(tree.all_segments[s].vertices)), col)
         texts, columns = zip(*(entries[k] for k in sorted(entries)))
-        head, tail = _Text(_dumps({"arcs": [_Text("\0")],
-                                   "index": _Text("%d")})).at(2).split("\0")
+        head, tail = _dumps({"arcs": [_Text("\0")], "index": _Text("%d")},
+                            2).split("\0")
         head += texts[0][len(sep):]
-        texts = [_Text("".join((head, *pick, tail % index)), 2)
+        texts = [_Text("".join((head, *pick, tail % index)))
                  for index, pick in enumerate(nc_complex._pick(
                      texts[1:], columns[1:], len(fs)))]
         _json_out({"command": "facets", "count": len(fs), "facets": texts})
@@ -249,7 +236,7 @@ def cmd_kreweras(tree, args):
 def cmd_torsion(tree, args):
     # per segment, its vertex list's JSON text at its depth there, or
     # its name; ids follow vertex order, so T and F come sorted
-    verts = [_Text(_dumps(s.vertices)).at(4) if args.format == "json"
+    verts = [_Text(_dumps(s.vertices, 4)) if args.format == "json"
              else "-".join(s.vertices) for s in tree.all_segments]
     rows = [(p, *([verts[i] for i in _bits(mask)] for mask in pair))
             for p, pair in zip(partitions.noncrossing_partitions(tree),

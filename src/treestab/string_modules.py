@@ -8,13 +8,14 @@ representation-finite, and its indecomposable modules are the string
 modules of the tree's segments, all of them multiplicity-free.
 
 Thinness and the tree reduce the module theory to set operations on
-segments, with no linear algebra.  A submodule is a subset of edges
-closed under the arrow action, kept with its quotient as the segment
-ids of their runs (`_submodules`).  Two segments s and t share at most
-one run r of edges, so a morphism M(s) -> M(t) is zero or the graph
-map that is the identity on r (Crawley-Boevey's graph maps): it is
-nonzero exactly when K_s and C_t meet, in r, one AND of two id masks
-of the sub-segment table (`gc_vectors._subsegments`).  Ext^1 between
+segments, off the id masks of C_s and K_s (`gc_vectors._subsegments`),
+with no linear algebra and no arrow looked up.  A subset of the edges
+of s spans a submodule exactly when each of its runs is in C_s; it is
+kept with its quotient as the segment ids of their runs
+(`_submodules`).  Two segments s and t share at most one run r of
+edges, so a morphism M(s) -> M(t) is zero or the graph map that is the
+identity on r (Crawley-Boevey's graph maps): it is nonzero exactly
+when K_s and C_t meet, in r, one AND of two id masks.  Ext^1 between
 two of them has at most one non-split middle term, an arrow or an
 overlap extension (Canakci-Pauksztello-Schroll, "On extensions for
 gentle algebras"); `middle_terms` needs it, `is_wide` does not.
@@ -26,8 +27,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import gc_vectors
-from .tree_core import ConventionError, Segment, _bits, _id, \
-    _segment_table, segment_turns
+from .tree_core import Segment, _bits, _id, _segment_table, segment_turns
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ class StringModule:
 
 
 def string_module(tree, segment):
+    """M(segment); ValueError for a segment that is not the tree's."""
+    _id(tree, segment)
     return StringModule(segment, gc_vectors.indicator(tree, segment.edges()))
 
 
@@ -120,7 +122,9 @@ def _indecomposables(tree):
 
 def string_word(tree, segment):
     """Display form of the segment's string: edges joined by the arrow
-    or inverse arrow between them."""
+    or inverse arrow between them.  Raises ValueError on a segment that
+    is not the tree's."""
+    _id(tree, segment)
     alg = tiling_algebra(tree)
     names = {ar: "a%d" % i for i, ar in enumerate(alg.arrows)}
     edges = segment.edges()
@@ -169,23 +173,6 @@ class ModuleSum:
 # -- submodule combinatorics -------------------------------------------
 
 
-def _action_pairs(tree, segment):
-    """Ordered pairs (i, j) of edge positions of the segment such that
-    the arrow between edge i and edge j points i -> j."""
-    alg = tiling_algebra(tree)
-    edges = segment.edges()
-    out = []
-    for i in range(len(edges) - 1):
-        if (edges[i], edges[i + 1]) in alg.by_edges:
-            out.append((i, i + 1))
-        elif (edges[i + 1], edges[i]) in alg.by_edges:
-            out.append((i + 1, i))
-        else:
-            raise ConventionError("no arrow between edges %r and %r of %r"
-                                  % (edges[i], edges[i + 1], segment))
-    return out
-
-
 def _submodules(tree):
     """The tree's submodule table, built once."""
     return tree.memo("submodules", _build_submodules)
@@ -194,16 +181,24 @@ def _submodules(tree):
 def _build_submodules(tree):
     """Per segment id, per arrow-closed edge subset in `itertools.product`
     order: (ids of the submodule's runs, ids of the quotient's runs),
-    the maximal runs of edges in and out of the subset, off the splits."""
+    the maximal runs of edges in and out of the subset, off the splits.
+    It is closed exactly when each of its runs is in C_s: the arrow at
+    an inner vertex where a run starts points into it exactly when s
+    turns right there, the one where it ends when s turns left there."""
+    C = gc_vectors._subsegments(tree)[0]
     table = []
-    for seg, rows in zip(tree.all_segments, _segment_table(tree).splits):
-        pairs, options, k = _action_pairs(tree, seg), [], len(seg)
+    for s, rows in enumerate(_segment_table(tree).splits):
+        options, k = [], len(rows)
         for bits in itertools.product((False, True), repeat=k):
-            if not any(bits[i] and not bits[j] for i, j in pairs):
-                cuts = [i for i in range(1, k) if bits[i] != bits[i - 1]]
-                runs = ([], [])
-                for lo, end in zip([0] + cuts, cuts + [k]):
-                    runs[not bits[lo]].append(rows[end - 1][lo][1])
+            runs, lo = ([], []), 0
+            for end in range(1, k + 1):
+                if end == k or bits[end] != bits[lo]:
+                    t = rows[end - 1][lo][1]
+                    if bits[lo] and not C[s] >> t & 1:
+                        break
+                    runs[not bits[lo]].append(t)
+                    lo = end
+            else:
                 options.append(tuple(map(tuple, runs)))
         table.append(tuple(options))
     return tuple(table)
@@ -239,8 +234,9 @@ def indecomposable_quotients(tree, module):
 
 def quotient_by(tree, module, sub):
     """Quotient of an indecomposable by one of its submodules, as a sum
-    of strings on the leftover runs.  Raises ValueError on a foreign
-    module, or a sum that is not its submodule."""
+    of strings on the leftover runs; `sub` is a sum, or one summand.
+    Raises ValueError on a foreign module, or a sub that is not its."""
+    sub = sub if isinstance(sub, ModuleSum) else ModuleSum((sub,))
     for subs, quots in _submodules(tree)[_id(tree, module.segment)]:
         if _module_sum(tree, subs) == sub:
             return _module_sum(tree, quots)

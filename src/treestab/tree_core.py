@@ -333,7 +333,9 @@ def turn(tree, path, i):
 
 
 def segment_turns(tree, seg):
-    """Turn word of a segment in its stored orientation."""
+    """Turn word of a segment in its stored orientation.  Raises
+    ValueError on a segment that is not the tree's."""
+    _id(tree, seg)
     return [turn(tree, list(seg.vertices), i)
             for i in range(1, len(seg.vertices) - 1)]
 
@@ -357,10 +359,10 @@ def _raise_lowest(faults, error):
 
 def compose(tree, s, t):
     """Concatenation of two of the tree's segments sharing exactly one
-    endpoint, when it is again a segment; None otherwise."""
-    table = _segment_table(tree)
-    u = table.compose[table.ids[s]].get(table.ids[t])
-    return None if u is None else table.segments[u]
+    endpoint, when it is again a segment; None otherwise.  Raises
+    ValueError on a segment that is not the tree's."""
+    u = _segment_table(tree).compose[_id(tree, s)].get(_id(tree, t))
+    return None if u is None else tree.all_segments[u]
 
 
 def _id(tree, seg):

@@ -417,16 +417,13 @@ def _fill(payload, value):
 
 
 @settings(max_examples=100, deadline=None)
-@given(SLOTTED, PAYLOADS, st.integers(min_value=0, max_value=6),
-       st.booleans())
-def test_writer_writes_pre_rendered_text_in_place(payload, x, made_at,
-                                                  at_landing):
-    """`_dumps(x)`, wrapped as `_Text` at any depth (or at the depth
-    where it lands), put in the places of a payload gives the text
+@given(SLOTTED, PAYLOADS)
+def test_writer_writes_pre_rendered_text_in_place(payload, x):
+    """`_dumps(x)` rendered at the depth where it lands, wrapped as
+    `_Text` and put in the places of a payload, gives the text
     json.dumps gives with x itself in those places."""
-    text = cli._Text(cli._dumps(x)).at(made_at)
-    assert cli._dumps(_fill(payload, lambda depth: text.at(depth)
-                            if at_landing else text)) == \
+    assert cli._dumps(_fill(payload, lambda depth: cli._Text(
+        cli._dumps(x, depth)))) == \
         json.dumps(_fill(payload, lambda depth: x), sort_keys=True,
                    indent=2)
 

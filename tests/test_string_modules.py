@@ -9,7 +9,8 @@ import randtrees
 from conftest import get_tree, SMALL
 from treestab import gc_vectors, partitions, semistable, \
     string_modules as sm
-from treestab.tree_core import EmbeddedTree, Segment, _bits
+from treestab.tree_core import EmbeddedTree, Segment, _bits, compose, \
+    segment_turns
 
 ALGEBRA_DIMS = {"a2": 3, "star3": 0, "subseg": 8, "cyc3": 6,
                 "deg45": 5, "caterpillar4": 6, "big8": 16}
@@ -120,12 +121,18 @@ def test_subsegment_table_matches_oracles_random(rotation):
 
 
 def test_non_segments_are_rejected(a2):
-    """C_s, K_s, Hom, submodules, quotients and torsion decompositions
-    name a segment that is not the tree's, as `is_wide` does, instead of
-    answering for it."""
+    """Turn words, string words, modules, compositions, C_s, K_s, Hom,
+    submodules, quotients and torsion decompositions name a segment
+    that is not the tree's, as `is_wide` does, instead of answering for
+    it."""
     stranger = Segment(("v1", "v3"))
     M, good = sm.StringModule(stranger, (0, 0)), sm.indecomposables(a2)[0]
-    for read in (lambda: gc_vectors.submodule_segments(a2, stranger),
+    for read in (lambda: segment_turns(a2, stranger),
+                 lambda: sm.string_word(a2, stranger),
+                 lambda: sm.string_module(a2, stranger),
+                 lambda: compose(a2, stranger, good.segment),
+                 lambda: compose(a2, good.segment, stranger),
+                 lambda: gc_vectors.submodule_segments(a2, stranger),
                  lambda: gc_vectors.quotient_segments(a2, stranger),
                  lambda: sm.hom_dim(a2, M, good),
                  lambda: sm.hom_dim(a2, good, M),
@@ -213,6 +220,8 @@ def test_indec_subs_quots_match_oracle(small_tree):
 
 
 def test_quotient_by():
+    """A sum of summands, or one indecomposable read as the sum of one,
+    as in `hom_dim`."""
     tree = get_tree("a2")
     M10 = sm.string_module(tree, Segment.canonical(("v1", "v2")))
     M01 = sm.string_module(tree, Segment.canonical(("v2", "v3")))
@@ -221,6 +230,11 @@ def test_quotient_by():
     assert q == sm.ModuleSum([M01])
     with pytest.raises(ValueError):
         sm.quotient_by(tree, M11, sm.ModuleSum([M01]))
+    assert sm.quotient_by(tree, M11, M11) == sm.ModuleSum()
+    assert sm.quotient_by(tree, M11, M10) == sm.ModuleSum([M01])
+    with pytest.raises(ValueError, match=r"^M\(v2-v3\) is not a submodule "
+                       r"of M\(v1-v2-v3\)$"):
+        sm.quotient_by(tree, M11, M01)
 
 
 def test_quotient_dim_additive(small_tree):

@@ -234,6 +234,31 @@ def test_torsion_decompose_enumerates_submodules_once(name, monkeypatch,
     assert builds == [()]
 
 
+@pytest.mark.parametrize("name", SUITE)
+def test_engine_paths_build_no_tiling_algebra(name, monkeypatch, capsys):
+    """check-all, submodules, quotients and torsion decompositions read
+    arrow closure off C_s, so they build no tiling algebra; `modules`
+    builds it once."""
+    builds = count_builds(monkeypatch, string_modules, "TilingAlgebra")
+    trees = []
+
+    def load(path):  # the tree the command runs on, kept to look at
+        trees.append(load_tree(path))
+        return trees[-1]
+
+    monkeypatch.setattr(cli, "load_tree", load)
+    assert cli.main(["check-all", "--samples", "5", fixture_path(name)]) == 0
+    tree = trees[0]
+    p = noncrossing_partitions(tree)[-1]
+    for M in string_modules.indecomposables(tree):
+        for sub in string_modules.all_submodules(tree, M):
+            string_modules.quotient_by(tree, M, sub)
+        partitions.torsion_decompose(tree, p, M)
+    assert builds == []
+    assert cli.main(["modules", fixture_path(name)]) == 0
+    assert builds == [()]
+
+
 def naive_closure(tree, segments):
     closed = set(segments)
     while True:
