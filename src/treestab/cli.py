@@ -12,20 +12,43 @@ import argparse
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
+from types import GeneratorType
 
 from . import gc_vectors, nc_complex, partitions, semistable, string_modules
 from .tree_core import ConventionError, TreeError, _bits, load_tree
 
 FORMAT_VERSION = 1
+CHUNK = 1 << 20  # characters `_json_out` gathers before each write
 
 
 def _json_out(payload):
+    """Write the text of `payload` (see `_emit`) and a newline to stdout
+    in writes of CHUNK characters or a piece more, each made as soon as
+    its pieces are: a large list comes as a generator of pieces, and is
+    never held whole."""
     payload["format_version"] = FORMAT_VERSION
-    text = _dumps(payload)
-    # a slice at a time, so that no encoded copy of the whole is made
-    for k in range(0, len(text), 1 << 20):
-        sys.stdout.write(text[k:k + (1 << 20)])
-    print()
+    out = _Chunks(sys.stdout.write)
+    _emit(out, payload, 0)
+    out.append("\n")
+    out.flush()
+
+
+class _Chunks:
+    """Text pieces, joined and handed to `write` whenever they add up to
+    CHUNK characters."""
+
+    def __init__(self, write):
+        self.write, self.pieces, self.size = write, [], 0
+
+    def append(self, piece):
+        self.pieces.append(piece)
+        self.size += len(piece)
+        if self.size >= CHUNK:
+            self.flush()
+
+    def flush(self):
+        self.write("".join(self.pieces))
+        self.pieces, self.size = [], 0
 
 
 @cache
@@ -33,26 +56,23 @@ def _indent(level):
     return "\n" + "  " * level
 
 
-class _Text(str):
-    """JSON text that `_dumps` writes verbatim in place of a value, so
-    it is made by `_dumps` at the depth where it lands."""
-
-
 def _dumps(payload, level=0):
     """The text of `json.dumps(payload, sort_keys=True, indent=2)` for
-    str-keyed dicts, lists, tuples, str, int, bool, None and `_Text`
-    (others raise TypeError), at depth `level`; with `indent`,
-    json.dumps is pure Python."""
+    what `_emit` takes, at depth `level`; with `indent`, json.dumps is
+    pure Python."""
     out = []
     _emit(out, payload, level)
     return "".join(out)
 
 
 def _emit(out, obj, level):
-    """Append the text of `obj` at depth `level` to `out`, in pieces; not
-    a closure, which would refer to itself and so keep `out` alive."""
+    """Append the text of `obj` at depth `level` to `out`, in pieces:
+    str-keyed dicts, lists, tuples, str, int, bool and None as json.dumps
+    writes them, and a generator as the pieces it yields, the text of a
+    value at the depth where it lands (others raise TypeError).  Not a
+    closure, which would refer to itself and so keep `out` alive."""
     if isinstance(obj, str):
-        out.append(obj if isinstance(obj, _Text) else _quote(obj))
+        out.append(_quote(obj))
     elif obj is None:
         out.append("null")
     elif obj is True:
@@ -86,9 +106,55 @@ def _emit(out, obj, level):
                 _emit(out, v, level + 1)
                 sep = comma
             out.append(_indent(level) + "]")
+    elif isinstance(obj, GeneratorType):
+        for piece in obj:
+            out.append(piece)
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(obj).__name__)
+
+
+def _items(texts, level=1):
+    """The text of a JSON list at depth `level`, as pieces, from the
+    texts of its items at depth level + 1, taken as they come."""
+    inner = _indent(level + 1)
+    sep = "[" + inner
+    for text in texts:
+        yield sep
+        yield text
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else _indent(level) + "]"
+
+
+def _list_text(texts, level):
+    """The text of a JSON list at depth `level` from the list of its
+    items' texts at depth level + 1."""
+    if not texts:
+        return "[]"
+    inner = _indent(level + 1)
+    return "[" + inner + ("," + inner).join(texts) + _indent(level) + "]"
+
+
+def _object(level, *keys):
+    """The text of a JSON object at depth `level` whose keys, given
+    sorted, each hold a `%s` slot."""
+    inner = _indent(level + 1)
+    return "{" + inner + ("," + inner).join(
+        _quote(k).replace("%", "%%") + ": %s" for k in keys) \
+        + _indent(level) + "}"
+
+
+def _partition_texts(tree, level=None):
+    """Per noncrossing partition, in facet order, made as they are taken:
+    its JSON text at depth `level`, or with no level its name (`str` of
+    the partition).  Each block's text is made once, off the blocks and
+    per-partition block ids that `partitions._blocks` shares."""
+    blocks, parts = partitions._blocks(tree)
+    if level is None:
+        names = ["{%s}" % ",".join(b) for b in blocks]
+        return ("/".join([names[b] for b in part]) for part in parts)
+    texts = [_dumps(b, level + 1) for b in blocks]
+    return (_list_text([texts[b] for b in part], level) for part in parts)
 
 
 def _edge_label(edge):
@@ -122,13 +188,14 @@ def cmd_facets(tree, args):
                 every[i], color="green" if green else "red",
                 segment=list(tree.all_segments[s].vertices)), col)
         texts, columns = zip(*(entries[k] for k in sorted(entries)))
-        head, tail = _dumps({"arcs": [_Text("\0")], "index": _Text("%d")},
-                            2).split("\0")
-        head += texts[0][len(sep):]
-        texts = [_Text("".join((head, *pick, tail % index)))
-                 for index, pick in enumerate(nc_complex._pick(
-                     texts[1:], columns[1:], len(fs)))]
-        _json_out({"command": "facets", "count": len(fs), "facets": texts})
+        head, tail = _object(2, "arcs", "index").split("%s", 1)
+        head += "[" + _indent(4) + texts[0][len(sep):]
+        tail = _indent(3) + "]" + tail
+        _json_out({"command": "facets", "count": len(fs),
+                   "facets": _items(
+                       "".join((head, *pick, tail % index))
+                       for index, pick in enumerate(nc_complex._pick(
+                           texts[1:], columns[1:], len(fs))))})
         return 0
     if args.format == "dot":
         print("graph flips {")
@@ -152,28 +219,40 @@ def cmd_facets(tree, args):
 
 def cmd_vectors(tree, args):
     legend = [(i, _edge_label(e)) for i, e in enumerate(tree.interior_edges)]
-    # per facet its weight, and per colored arc its g- and c-vector
-    data = [(f, list(gc_vectors.kreweras_theta(f)),
-             [(d, list(gc_vectors.g_vector(tree, d)),
-               list(gc_vectors.c_vector(f, d))) for d in f.colored])
-            for f in nc_complex.facets(tree)]
-    if args.format == "json":
+    # per record (arc id, segment id, green?), the vector entry of its
+    # arc in each facet holding it, rendered once; per facet its weight
+    # and its entries, picked off the record table
+    width, records = len(nc_complex.facets(tree)), nc_complex._marking(tree)[2]
+    thetas = semistable._theta_rows(gc_vectors.theta_columns(
+        tree, records, width), width)
+    every, segs = nc_complex.arcs(tree), tree.all_segments
+    as_json = args.format == "json"
+    entries = []
+    for i, s, green in records:
+        d, color = every[i], "green" if green else "red"
+        g = list(gc_vectors.g_vector(tree, d))
+        c = [x if green else -x
+             for x in gc_vectors.indicator(tree, segs[s].edges())]
+        entries.append(_dumps({"arc": list(d.leaves), "color": color,
+                               "segment": list(segs[s].vertices),
+                               "g": g, "c": c}, 4) if as_json else
+                       "  %s %s g=%s c=%s" % (_arc_label(d), color, g, c))
+    picks = nc_complex._pick(entries, records.values(), width)
+    if as_json:
+        weights = {t: _dumps(t, 3) for t in set(thetas)}
+        facet = _object(2, "index", "theta", "vectors")
         _json_out({"command": "vectors",
                    "edges": [{"index": i, "edge": lab} for i, lab in legend],
-                   "facets": [{"index": f.index, "theta": theta,
-                               "vectors": [{
-                                   "arc": list(d.leaves),
-                                   "color": f.color[d],
-                                   "segment": list(f.segment[d].vertices),
-                                   "g": g, "c": c} for d, g, c in rows]}
-                              for f, theta, rows in data]})
+                   "facets": _items(
+                       facet % (index, weights[t], _list_text(list(pick), 3))
+                       for index, (t, pick) in enumerate(zip(thetas, picks)))})
         return 0
     for i, lab in legend:
         print("edge %d: %s" % (i, lab))
-    for f, theta, rows in data:
-        print("facet %d  theta %s" % (f.index, theta))
-        for d, g, c in rows:
-            print("  %s %s g=%s c=%s" % (_arc_label(d), f.color[d], g, c))
+    for index, (t, pick) in enumerate(zip(thetas, picks)):
+        print("facet %d  theta %s" % (index, list(t)))
+        for line in pick:
+            print(line)
     return 0
 
 
@@ -203,72 +282,79 @@ def cmd_modules(tree, args):
 
 
 def cmd_ncp(tree, args):
-    ncps = partitions.noncrossing_partitions(tree)
+    count = len(partitions.noncrossing_partitions(tree))
     if args.format == "json":
-        _json_out({"command": "ncp", "count": len(ncps),
-                   "partitions": [[list(b) for b in p.blocks]
-                                  for p in ncps]})
+        _json_out({"command": "ncp", "count": count,
+                   "partitions": _items(_partition_texts(tree, 2))})
         return 0
-    print("%d noncrossing partitions" % len(ncps))
-    for i, p in enumerate(ncps):
+    print("%d noncrossing partitions" % count)
+    for i, p in enumerate(_partition_texts(tree)):
         print("%d: %s" % (i, p))
     return 0
 
 
 def cmd_kreweras(tree, args):
-    ncps = partitions.noncrossing_partitions(tree)
-    pairs = [(p, ncps[g])
-             for p, g in zip(ncps, partitions._gluing(tree).complement)]
+    # each partition's text is made once, and printed as a partition and
+    # as a complement
+    texts = list(_partition_texts(tree, 3 if args.format == "json"
+                                  else None))
+    complement = partitions._gluing(tree).complement
     orbits = partitions.kreweras_orbits(tree)
     if args.format == "json":
+        pair = _object(2, "complement", "partition")
         _json_out({"command": "kreweras",
-                   "pairs": [{"partition": [list(b) for b in p.blocks],
-                              "complement": [list(b) for b in q.blocks]}
-                             for p, q in pairs],
+                   "pairs": _items(pair % (texts[g], p)
+                                   for p, g in zip(texts, complement)),
                    "orbit_lengths": orbits})
         return 0
-    for p, q in pairs:
-        print("%s  ->  %s" % (p, q))
+    for p, g in zip(texts, complement):
+        print("%s  ->  %s" % (p, texts[g]))
     print("orbit lengths: %s" % (orbits,))
     return 0
 
 
 def cmd_torsion(tree, args):
-    # per segment, its vertex list's JSON text at its depth there, or
-    # its name; ids follow vertex order, so T and F come sorted
-    verts = [_Text(_dumps(s.vertices, 4)) if args.format == "json"
-             else "-".join(s.vertices) for s in tree.all_segments]
-    rows = [(p, *([verts[i] for i in _bits(mask)] for mask in pair))
-            for p, pair in zip(partitions.noncrossing_partitions(tree),
-                               partitions._torsion(tree)[2])]
+    # per partition the id masks of T and F; ids follow vertex order, so
+    # T and F come sorted
+    rows = partitions._torsion(tree)[2]
     if args.format == "json":
+        # each segment's vertex list is rendered once, at its depth here
+        verts = [_dumps(s.vertices, 4) for s in tree.all_segments]
+        pair = _object(2, "free", "partition", "torsion")
+
+        def listed(mask):
+            return _list_text([verts[i] for i in _bits(mask)], 3)
+
         _json_out({"command": "torsion",
-                   "pairs": [{"partition": p.blocks, "torsion": ts,
-                              "free": fsg} for p, ts, fsg in rows]})
+                   "pairs": _items(pair % (listed(fs), p, listed(ts))
+                                   for p, (ts, fs) in zip(
+                                       _partition_texts(tree, 3), rows))})
         return 0
-    for p, ts, fsg in rows:
-        print("%s" % p)
-        print("  T: %s" % (" ".join(ts) or "(none)"))
-        print("  F: %s" % (" ".join(fsg) or "(none)"))
+    names = ["-".join(s.vertices) for s in tree.all_segments]
+    for p, pair in zip(_partition_texts(tree), rows):
+        print(p)
+        for side, mask in zip("TF", pair):
+            print("  %s: %s" % (side, " ".join(names[i] for i in _bits(mask))
+                                or "(none)"))
     return 0
 
 
 def cmd_semistable(tree, args):
     theta = _parse_theta(args.theta, tree.n)
-    mods = sorted(semistable.semistable_modules(tree, theta),
-                  key=lambda m: m.segment.vertices)
-    stable_set = semistable.stable_modules(tree, theta)
-    stables = [m for m in mods if m in stable_set]
+    # one stability pass gives both id masks; ids follow vertex order
+    _, semi, stable = semistable._stability(tree, theta)
+    segs = tree.all_segments
     if args.format == "json":
         _json_out({"command": "semistable", "theta": list(theta),
-                   "semistable": [list(m.segment.vertices) for m in mods],
-                   "stable": [list(m.segment.vertices) for m in stables]})
+                   "semistable": [list(segs[s].vertices)
+                                  for s in _bits(semi)],
+                   "stable": [list(segs[s].vertices) for s in _bits(stable)]})
         return 0
     print("theta %s: %d semistable indecomposables" % (list(theta),
-                                                       len(mods)))
-    for m in mods:
-        print("  %s%s" % ("-".join(m.segment.vertices),
-                          "  (stable)" if m in stable_set else ""))
+                                                       semi.bit_count()))
+    for s in _bits(semi):
+        print("  %s%s" % ("-".join(segs[s].vertices),
+                          "  (stable)" if stable >> s & 1 else ""))
     return 0
 
 
@@ -290,18 +376,19 @@ def cmd_verify_thm1(tree, args):
 def cmd_poset(tree, args):
     if args.which == "ncp":
         po = partitions.ncp_poset(tree)
-        labels = [str(p) for p in po.elements]
+        labels = _partition_texts(tree)
     else:
         po = semistable.semistable_poset(tree)
-        labels = ["{%s}" % ",".join("-".join(s.vertices)
+        labels = ("{%s}" % ",".join("-".join(s.vertices)
                                     for s in sorted(e, key=lambda s:
                                                     s.vertices))
-                  for e in po.elements]
+                  for e in po.elements)
     covers = po.covers()
     if args.format == "json":
+        cover = _list_text(["%d", "%d"], 2)
         _json_out({"command": "poset", "which": args.which,
-                   "size": len(po), "labels": labels,
-                   "covers": [[i, j] for i, j in covers],
+                   "size": len(po), "labels": _items(map(_quote, labels)),
+                   "covers": _items(cover % ij for ij in covers),
                    "lattice": po.is_lattice()})
         return 0
     if args.format == "dot":
@@ -355,9 +442,8 @@ def cmd_check_all(tree, args):
     def theorem():
         report = semistable.verify_kreweras_stability(tree)
         if not report.all_passed:
-            bad = sum(not r.passed for r in report.results)
             raise ConventionError("; ".join(
-                ["%d/%d facets fail" % (bad, len(report.results))]
+                ["%d/%d facets fail" % (len(report.failing), report.count)]
                 + ["facet %d: %s" % f for f in report.failures()[:3]]))
         return report.summary_line()
 

@@ -154,29 +154,40 @@ def _glue_columns(tree, records, width, whole):
 
 
 def _ncp_table(tree):
-    """Red partitions in facet order, and the position of each, built
-    from the gluing's red same-block rows: each block is the part of a
-    row at its least vertex."""
+    """Red partitions in facet order, the position of each, the distinct
+    blocks, and per partition the ids of its blocks into them, in block
+    order; built from the gluing's red same-block rows: each block is
+    the part of a row at its least vertex."""
     glued = _gluing(tree)
     ivs, bits = tree.interior_vertices, nc_complex._BIT
     k = len(ivs)
-    names = {}  # a row part: its first vertex id, and its vertices
-    reds = []
+    names = {}  # a row part: its first vertex id, and its block id
+    blocks, reds, parts = [], [], []
     for row in glued.rows[:len(glued.complement)]:
-        blocks = []
+        mine = []
         for a in range(k):
             m = row[k * a:k * a + k]
-            first, block = names.get(m) or names.setdefault(m, (
-                m.find(b"1"), tuple(compress(ivs, m.translate(bits)))))
-            if first == a:
-                blocks.append(block)
-        reds.append(TreePartition(blocks))
-    return tuple(reds), dict(zip(reds, range(len(reds))))
+            named = names.get(m)
+            if named is None:
+                named = names[m] = m.find(b"1"), len(blocks)
+                blocks.append(tuple(compress(ivs, m.translate(bits))))
+            if named[0] == a:
+                mine.append(named[1])
+        reds.append(TreePartition(blocks[b] for b in mine))
+        parts.append(tuple(mine))
+    return (tuple(reds), dict(zip(reds, range(len(reds)))), tuple(blocks),
+            tuple(parts))
 
 
 def noncrossing_partitions(tree):
     """All noncrossing partitions, in facet order; one per facet."""
     return tree.memo("ncp", _ncp_table)[0]
+
+
+def _blocks(tree):
+    """(the distinct blocks of the noncrossing partitions, per partition
+    in facet order the ids of its blocks into them, in block order)."""
+    return tree.memo("ncp", _ncp_table)[2:]
 
 
 def _position(tree, partition):

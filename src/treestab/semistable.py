@@ -15,8 +15,9 @@ summed along the weight steps of the tree's segment table, and its
 semistable and stable sets as id masks.  The facet weights run
 column-wise, on int bitsets over facet positions: per edge and per
 segment a column per weight value, per segment the semistable and
-stable columns, per claim a fault column.  Reasons are written out for
-the failing facets only.
+stable columns, per claim a fault column.  Reasons, weights and
+per-facet results are written out for the failing facets only, and for
+the rest when a report's `results` are read.
 """
 
 from __future__ import annotations
@@ -120,20 +121,43 @@ class FacetResult:
         return not self.failures
 
 
-@dataclass
 class SemistableReport:
-    results: list
+    """The main theorem's checks on `count` facets: `results` holds a
+    FacetResult per facet, in order, and `failing` those of the failing
+    facets, which is all that `all_passed`, `summary_line` and
+    `failures` read.  Built from the results; the column route builds
+    the failing ones alone, and the rest when `results` is first read
+    (`_lazy`)."""
+
+    def __init__(self, results):
+        self._results = list(results)
+        self.count = len(self._results)
+        self.failing = [r for r in self._results if not r.passed]
+
+    @classmethod
+    def _lazy(cls, count, failing, make):
+        """A report whose `results` are `make()`, run on first read."""
+        report = cls.__new__(cls)
+        report.count, report.failing = count, failing
+        report._results, report._make = None, make
+        return report
+
+    @property
+    def results(self):
+        if self._results is None:
+            self._results = self._make()
+        return self._results
 
     @property
     def all_passed(self):
-        return all(r.passed for r in self.results)
+        return not self.failing
 
     def summary_line(self):
-        good = sum(1 for r in self.results if r.passed)
-        return "%d/%d facets pass" % (good, len(self.results))
+        return "%d/%d facets pass" % (self.count - len(self.failing),
+                                      self.count)
 
     def failures(self):
-        return [(r.index, f) for r in self.results for f in r.failures]
+        return [(r.index, f) for r in self.failing for f in r.failures]
 
 
 def _length_columns(tree, parts):
@@ -157,12 +181,13 @@ def _length_columns(tree, parts):
 
 
 def _check_facets(tree, facets, glued):
-    """A FacetResult per facet of `facets`, every claim of the main
-    theorem worked out for all of them at once, as int bitsets over
-    their positions (columns), from their gluing `glued` (see
+    """The SemistableReport of `facets`, every claim of the main theorem
+    worked out for all of them at once, as int bitsets over their
+    positions (columns), from their gluing `glued` (see
     `partitions._glue_columns`).  Each claim gives fault columns, in the
-    order the reasons are reported; the reasons are written out for the
-    facets in some fault column only."""
+    order the reasons are reported; the reasons, and the weights, are
+    written out for the facets in some fault column only, until the
+    report's `results` are read."""
     segs = tree.all_segments
     everyone = (1 << len(facets)) - 1
     theta = gc_vectors.theta_columns(tree, glued.records, len(facets))
@@ -177,6 +202,9 @@ def _check_facets(tree, facets, glued):
 
     def value(columns, f):
         return next(v for v, c in columns.items() if c >> f & 1)
+
+    def weight(f):
+        return tuple(value(col, f) for col in theta)
 
     # (positions, reason, or a function of the position giving it)
     faults = [(reduce(or_, map(xor, semi, wide), 0), lambda f: (
@@ -208,24 +236,32 @@ def _check_facets(tree, facets, glued):
     # partition of that color has a block segment
     all_red = everyone & ~reduce(or_, greens, 0)
     all_green = everyone & ~reduce(or_, reds, 0)
-    thetas = _theta_rows(theta, len(facets))
     faults += [
         (all_red & ~reduce(and_, (col.get(0, 0) for col in theta), everyone),
-         lambda f: "all-red facet weight %r nonzero" % (thetas[f],)),
+         lambda f: "all-red facet weight %r nonzero" % (weight(f),)),
         (all_red & ~reduce(and_, semi, everyone),
          "all-red facet misses some module"),
         (all_green & ~reduce(and_, (col.get(1, 0) for col in theta),
                              everyone),
-         lambda f: "all-green facet weight %r not all ones" % (thetas[f],)),
+         lambda f: "all-green facet weight %r not all ones" % (weight(f),)),
         (all_green & reduce(or_, semi, 0), lambda f: (
             "all-green facet has semistables %r"
             % (row(string_modules.indecomposables(tree), semi, f),)))]
     faults = [(col, why) for col, why in faults if col]
-    results = [FacetResult(facet.index, t) for facet, t in zip(facets, thetas)]
-    for f in _bits(reduce(or_, (col for col, _ in faults), 0)):
-        results[f].failures = [why(f) if callable(why) else why
-                               for col, why in faults if col >> f & 1]
-    return results
+    failing = {f: FacetResult(facets[f].index, weight(f), [
+        why(f) if callable(why) else why
+        for col, why in faults if col >> f & 1])
+        for f in _bits(reduce(or_, (col for col, _ in faults), 0))}
+
+    def results():
+        out = [FacetResult(facet.index, t) for facet, t in
+               zip(facets, _theta_rows(theta, len(facets)))]
+        for f, result in failing.items():
+            out[f] = result
+        return out
+
+    return SemistableReport._lazy(len(facets), list(failing.values()),
+                                  results)
 
 
 def _theta_rows(theta, width):
@@ -245,13 +281,13 @@ def check_facet(tree, facet):
     column route of `verify_kreweras_stability` on it alone, glued by
     itself: the checks across the tree's facets are not run."""
     return _check_facets(tree, (facet,), partitions._glue_columns(
-        tree, dict.fromkeys(sorted(facet.payload), 1), 1, False))[0]
+        tree, dict.fromkeys(sorted(facet.payload), 1), 1, False)).results[0]
 
 
 def verify_kreweras_stability(tree):
     """Check every facet, in facet order, in one column-wise pass."""
-    return SemistableReport(_check_facets(tree, nc_complex.facets(tree),
-                                          partitions._gluing(tree)))
+    return _check_facets(tree, nc_complex.facets(tree),
+                         partitions._gluing(tree))
 
 
 # -- poset comparison ----------------------------------------------------

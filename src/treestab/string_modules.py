@@ -71,6 +71,8 @@ class TilingAlgebra:
                     rels.append((first, second))
         self.relations = tuple(rels)
         self.by_edges = {(ar.source, ar.target): ar for ar in self.arrows}
+        # the display name of each arrow, by its (source, target) edges
+        self.names = {pair: "a%d" % i for i, pair in enumerate(self.by_edges)}
 
     def dimension(self):
         """Number of paths with no relation sub-path, trivial paths
@@ -125,15 +127,14 @@ def string_word(tree, segment):
     or inverse arrow between them.  Raises ValueError on a segment that
     is not the tree's."""
     _id(tree, segment)
-    alg = tiling_algebra(tree)
-    names = {ar: "a%d" % i for i, ar in enumerate(alg.arrows)}
+    names = tiling_algebra(tree).names
     edges = segment.edges()
     parts = ["|".join(edges[0])]
     for e1, e2 in zip(edges, edges[1:]):
-        if (e1, e2) in alg.by_edges:
-            parts.append("-%s>" % names[alg.by_edges[(e1, e2)]])
+        if (e1, e2) in names:
+            parts.append("-%s>" % names[e1, e2])
         else:
-            parts.append("<%s-" % names[alg.by_edges[(e2, e1)]])
+            parts.append("<%s-" % names[e2, e1])
         parts.append("|".join(e2))
     return " ".join(parts)
 

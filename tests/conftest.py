@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -6,6 +7,11 @@ from treestab import nc_complex
 from treestab.tree_core import load_tree
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+# the interpreters that tests start import the package from src/ too, as
+# the tests themselves do (`pythonpath` in pyproject.toml)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [str(FIXTURES.parent / "src")]
+    + [p for p in [os.environ.get("PYTHONPATH")] if p])
 
 # small trees first; big8 is the stress case (8 interior vertices, a
 # degree-4 vertex, 1074 facets)

@@ -17,8 +17,9 @@ walking each arc's path, block segments and the vertex-pair table by
 walking tree paths, the compose table by endpoint lookup over
 all pairs of segments, semistability by summing weights over edges,
 decomposition lengths by matching vertex windows, the maximal-clique
-search on Python sets, the facet list's JSON payload built as one
-dict per facet, wideness through Ext by vertex surgery
+search on Python sets, the JSON payloads of `facets`, `vectors`,
+`ncp`, `kreweras`, `torsion` and `poset` built as one dict per facet
+or partition, string words with the arrow names made per call, wideness through Ext by vertex surgery
 (`is_wide_by_extensions`), and each submodule and quotient as a sum of
 strings built from segment vertices (`submodules_by_runs`).  And it keeps
 the per-facet routes that the column-wise passes replaced: the main
@@ -591,6 +592,88 @@ def facet_dicts(facets):
             entries.append(entry)
         out.append({"index": facet.index, "arcs": entries})
     return out
+
+
+def vectors_payload(tree):
+    """The payload of `vectors --format json` as one dict per facet and
+    per colored arc, the way the command built it before it picked
+    entries rendered once per record: each facet's weight from
+    `kreweras_theta`, each arc's g- and c-vector by itself."""
+    return {"command": "vectors",
+            "edges": [{"index": i, "edge": "-".join(e)}
+                      for i, e in enumerate(tree.interior_edges)],
+            "facets": [{"index": f.index,
+                        "theta": list(gc_vectors.kreweras_theta(f)),
+                        "vectors": [{
+                            "arc": list(d.leaves), "color": f.color[d],
+                            "segment": list(f.segment[d].vertices),
+                            "g": list(gc_vectors.g_vector(tree, d)),
+                            "c": list(gc_vectors.c_vector(f, d))}
+                            for d in f.colored]}
+                       for f in nc_complex.facets(tree)]}
+
+
+def _blocks(partition):
+    return [list(b) for b in partition.blocks]
+
+
+def ncp_payload(tree):
+    """The payload of `ncp --format json`, a list of blocks per
+    partition object."""
+    ncps = partitions.noncrossing_partitions(tree)
+    return {"command": "ncp", "count": len(ncps),
+            "partitions": [_blocks(p) for p in ncps]}
+
+
+def kreweras_payload(tree):
+    """The payload of `kreweras --format json`, each complement looked up
+    by `kreweras_complement`."""
+    return {"command": "kreweras",
+            "pairs": [{"partition": _blocks(p), "complement": _blocks(
+                partitions.kreweras_complement(tree, p))}
+                for p in partitions.noncrossing_partitions(tree)],
+            "orbit_lengths": partitions.kreweras_orbits(tree)}
+
+
+def torsion_payload(tree):
+    """The payload of `torsion --format json`, off each partition's
+    `torsion_pair`, its modules sorted by vertices."""
+    def listed(modules):
+        return [list(v) for v in sorted(m.segment.vertices for m in modules)]
+
+    pairs = []
+    for p in partitions.noncrossing_partitions(tree):
+        T, F = partitions.torsion_pair(tree, p)
+        pairs.append({"partition": _blocks(p), "torsion": listed(T),
+                      "free": listed(F)})
+    return {"command": "torsion", "pairs": pairs}
+
+
+def poset_payload(tree, which):
+    """The payload of `poset --which <which> --format json`, each label
+    made from its element."""
+    if which == "ncp":
+        po = partitions.ncp_poset(tree)
+        labels = [str(p) for p in po.elements]
+    else:
+        po = semistable.semistable_poset(tree)
+        labels = ["{%s}" % ",".join("-".join(s.vertices) for s in sorted(
+            e, key=lambda s: s.vertices)) for e in po.elements]
+    return {"command": "poset", "which": which, "size": len(po),
+            "labels": labels, "covers": [[i, j] for i, j in po.covers()],
+            "lattice": po.is_lattice()}
+
+
+def string_word(tree, segment):
+    """`string_modules.string_word` with the arrows' names made afresh
+    on each call, from their places in the algebra's arrow list."""
+    names = {ar: "a%d" % i for i, ar in enumerate(
+        string_modules.tiling_algebra(tree).arrows)}
+    parts = ["|".join(segment.edges()[0])]
+    for (ar, forward), e in zip(_letters(tree, segment), segment.edges()[1:]):
+        parts.append(("-%s>" if forward else "<%s-") % names[ar])
+        parts.append("|".join(e))
+    return " ".join(parts)
 
 
 def scan_flip_neighbors(facet, all_facets):

@@ -380,7 +380,8 @@ def test_writer_leaves_nothing_for_the_cyclic_collector():
     """`_dumps` makes no reference cycle: with the cyclic collector off,
     nothing the call made is left for it to free once it returns, so
     the pieces of a large output go as soon as the text is joined."""
-    payload = {"a": [1, {"b": None, "c": [True, "x"]}], "d": cli._Text("[]")}
+    payload = {"a": [1, {"b": None, "c": [True, "x"]}],
+               "d": (piece for piece in ["[", "]"])}
     gc.collect()
     gc.disable()
     try:
@@ -416,16 +417,39 @@ def _fill(payload, value):
     return fill(payload, 0)
 
 
+def _pieces(text):
+    """A generator of the pieces of `text`, three characters each."""
+    return (text[k:k + 3] for k in range(0, len(text), 3))
+
+
 @settings(max_examples=100, deadline=None)
 @given(SLOTTED, PAYLOADS)
 def test_writer_writes_pre_rendered_text_in_place(payload, x):
-    """`_dumps(x)` rendered at the depth where it lands, wrapped as
-    `_Text` and put in the places of a payload, gives the text
-    json.dumps gives with x itself in those places."""
-    assert cli._dumps(_fill(payload, lambda depth: cli._Text(
+    """`_dumps(x)` rendered at the depth where it lands, handed over as
+    a generator of pieces and put in the places of a payload, gives the
+    text json.dumps gives with x itself in those places."""
+    assert cli._dumps(_fill(payload, lambda depth: _pieces(
         cli._dumps(x, depth)))) == \
         json.dumps(_fill(payload, lambda depth: x), sort_keys=True,
                    indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(PAYLOADS, max_size=4),
+       st.dictionaries(st.text(alphabet="abc%", min_size=1), PAYLOADS,
+                       min_size=1, max_size=4),
+       st.integers(min_value=0, max_value=4))
+def test_list_and_object_texts_match_the_writer(items, obj, level):
+    """A list's text from its items' texts, as pieces (`_items`) or
+    joined (`_list_text`), and an object's from its slotted frame
+    (`_object`), are the writer's text of the list and the object."""
+    texts = [cli._dumps(x, level + 1) for x in items]
+    assert "".join(cli._items(texts, level)) == cli._dumps(items, level)
+    assert cli._list_text(texts, level) == cli._dumps(items, level)
+    keys = sorted(obj)
+    assert cli._object(level, *keys) % tuple(
+        cli._dumps(obj[k], level + 1) for k in keys) == \
+        cli._dumps(obj, level)
 
 
 def _main(*argv):
@@ -457,17 +481,34 @@ def test_json_output_is_canonical(name):
                                  indent=2) + "\n", cmd
 
 
-def assert_facets_json_matches_dicts(tree, out):
-    fs = nc_complex.facets(tree)
-    payload = {"command": "facets", "count": len(fs),
-               "facets": oracles.facet_dicts(fs),
-               "format_version": cli.FORMAT_VERSION}
-    want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+# each command, but `facets`, that writes its large lists as pieces,
+# with the route that built them as dicts
+PIECE_ROUTES = {
+    ("vectors",): oracles.vectors_payload,
+    ("ncp",): oracles.ncp_payload,
+    ("kreweras",): oracles.kreweras_payload,
+    ("torsion",): oracles.torsion_payload,
+    ("poset", "--which", "ncp"): lambda tree: oracles.poset_payload(
+        tree, "ncp"),
+    ("poset", "--which", "ss"): lambda tree: oracles.poset_payload(
+        tree, "ss"),
+}
+
+
+def assert_json_matches_dicts(out, payload):
+    want = json.dumps(dict(payload, format_version=cli.FORMAT_VERSION),
+                      sort_keys=True, indent=2) + "\n"
     same = out == want  # not compared in the assert: pytest's diff of
     # megabyte strings takes minutes
     assert same, "first difference at character %d" % next(
         (k for k, (a, b) in enumerate(zip(out, want)) if a != b),
         min(len(out), len(want)))
+
+
+def assert_facets_json_matches_dicts(tree, out):
+    fs = nc_complex.facets(tree)
+    assert_json_matches_dicts(out, {"command": "facets", "count": len(fs),
+                                    "facets": oracles.facet_dicts(fs)})
 
 
 @pytest.mark.parametrize("name", SUITE)
@@ -486,6 +527,45 @@ def test_random_tree_facets_json_matches_facet_dicts(rotation):
     with contextlib.redirect_stdout(out):
         assert cli.cmd_facets(tree, SimpleNamespace(format="json")) == 0
     assert_facets_json_matches_dicts(tree, out.getvalue())
+
+
+@pytest.mark.parametrize("name", SUITE)
+@pytest.mark.parametrize("cmd", sorted(PIECE_ROUTES))
+def test_piece_routes_match_dict_routes(name, cmd):
+    """Each command's JSON is json.dumps of its oracle dict route."""
+    code, out, err = _main(*cmd, "--format", "json", fixture_path(name))
+    assert code == 0, err
+    assert_json_matches_dicts(out, PIECE_ROUTES[cmd](get_tree(name)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(randtrees.rotations(max_interior=6))
+def test_random_tree_piece_routes_match_dict_routes(rotation):
+    tree = EmbeddedTree(rotation)
+    for cmd, route in PIECE_ROUTES.items():
+        out = io.StringIO()
+        args = SimpleNamespace(format="json", which=cmd[-1])
+        with contextlib.redirect_stdout(out):
+            assert getattr(cli, "cmd_" + cmd[0])(tree, args) == 0
+        assert_json_matches_dicts(out.getvalue(), route(tree))
+
+
+def test_facets_json_is_written_in_chunks_as_made(monkeypatch):
+    """`facets --format json` on big8 (3.2 MB) goes out in writes of at
+    most CHUNK characters plus the largest piece, the first of them
+    before half of the pieces are made."""
+    made, writes = [], []  # piece sizes; (size, pieces made) per write
+    append = cli._Chunks.append
+    monkeypatch.setattr(cli._Chunks, "append", lambda self, piece: (
+        made.append(len(piece)), append(self, piece)))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(
+        write=lambda text: writes.append((len(text), len(made)))))
+    assert cli.main(["facets", "--format", "json",
+                     fixture_path("big8")]) == 0
+    assert len(writes) >= 3
+    assert sum(size for size, _ in writes) == sum(made)
+    assert max(size for size, _ in writes) <= cli.CHUNK + max(made)
+    assert writes[0][1] < len(made) / 2
 
 
 def test_facets_json_never_calls_json_dumps(monkeypatch):

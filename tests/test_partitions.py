@@ -60,6 +60,17 @@ def test_partitions_distinct_both_sides(suite_tree):
     assert len(set(greens)) == len(fs)
 
 
+def test_blocks_are_shared_by_the_partitions(suite_tree):
+    """Each partition's blocks, in order, are its ids into one tuple of
+    distinct blocks."""
+    blocks, parts = pt._blocks(suite_tree)
+    assert len(set(blocks)) == len(blocks)
+    assert sorted({b for part in parts for b in part}) == \
+        list(range(len(blocks)))
+    assert [tuple(blocks[b] for b in part) for part in parts] == \
+        [p.blocks for p in pt.noncrossing_partitions(suite_tree)]
+
+
 def test_unknown_partition_raises():
     tree = get_tree("a2")
     with pytest.raises(ValueError):

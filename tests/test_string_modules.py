@@ -67,6 +67,14 @@ def test_string_words_avoid_relations(small_tree):
         assert word  # display form exists
 
 
+def test_string_words_match_oracle(suite_tree):
+    """The arrow names made once per algebra give the words that names
+    made afresh on each call give."""
+    for s in suite_tree.all_segments:
+        assert sm.string_word(suite_tree, s) == \
+            oracles.string_word(suite_tree, s)
+
+
 def test_hom_frozen_a2():
     tree = get_tree("a2")
     M10 = sm.string_module(tree, Segment.canonical(("v1", "v2")))

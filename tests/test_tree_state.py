@@ -2,6 +2,7 @@
 and freed with their tree."""
 
 import gc
+import json
 import weakref
 
 import pytest
@@ -171,18 +172,23 @@ def test_check_all_builds_facets_and_torsion_pairs_once(name, monkeypatch,
 
 def test_torsion_formats_without_frozenset_pairs(monkeypatch, capsys):
     """`torsion` formats every partition's T and F off the torsion
-    table's id rows: it builds no frozenset pair, and the JSON lists
-    one shared vertex list per segment."""
+    table's id rows: it builds no frozenset pair, and its JSON renders
+    each segment's vertex list, and each distinct partition block, once,
+    however often they are printed."""
     monkeypatch.setattr(partitions, "torsion_pair", forbidden("torsion_pair"))
-    made = []
-    real = cli._json_out
-    monkeypatch.setattr(cli, "_json_out", lambda payload: (
-        made.append(payload), real(payload)))
+    rendered = []
+    real = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda obj, level=0: (
+        rendered.append(tuple(obj)), real(obj, level))[1])
     assert cli.main(["torsion", "--format", "json",
                      fixture_path("cyc3")]) == 0
-    lists = [v for pair in made[0]["pairs"]
-             for v in pair["torsion"] + pair["free"]]
-    assert len({id(v) for v in lists}) == len({tuple(v) for v in lists})
+    printed = [tuple(v) for pair in json.loads(capsys.readouterr().out)[
+        "pairs"] for v in pair["torsion"] + pair["free"]]
+    tree = load_tree(fixture_path("cyc3"))
+    segments = [s.vertices for s in tree.all_segments]
+    assert sorted(rendered) == sorted(segments
+                                      + list(partitions._blocks(tree)[0]))
+    assert set(printed) <= set(segments) and len(printed) > len(segments)
 
 
 def test_torsion_reads_hom_once_per_segment_pair(monkeypatch, capsys):
@@ -222,6 +228,32 @@ def test_verify_thm1_weighs_each_facet_once(monkeypatch, capsys):
     assert cli.main(["verify-thm1", fixture_path("big8")]) == 0
     assert capsys.readouterr().out == "1074/1074 facets pass\n"
     assert builds == []
+
+
+def test_verify_thm1_builds_results_for_failing_facets_only(monkeypatch,
+                                                            capsys):
+    """With every facet passing, verify-thm1 and check-all's theorem
+    step build no FacetResult and transpose no weight: the verdicts are
+    read off the fault columns."""
+    for name in ("FacetResult", "_theta_rows"):
+        monkeypatch.setattr(semistable, name, forbidden(name))
+    assert cli.main(["verify-thm1", "--format", "json",
+                     fixture_path("big8")]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"] == \
+        "1074/1074 facets pass"
+    assert cli.main(["check-all", "--samples", "5",
+                     fixture_path("cyc3")]) == 0
+    assert "all checks pass" in capsys.readouterr().out
+
+
+def test_semistable_weighs_once(monkeypatch, capsys):
+    """`semistable` reads its semistable and stable modules off one
+    stability pass of its weight."""
+    builds = count_builds(monkeypatch, semistable, "_stability")
+    for fmt in ("text", "json"):
+        assert cli.main(["semistable", "--theta=0,0,0,0,0,0,0", "--format",
+                         fmt, fixture_path("big8")]) == 0
+    assert builds == [((0,) * 7,)] * 2
 
 
 @pytest.mark.parametrize("name", SMALL)
