@@ -19,8 +19,8 @@ all pairs of segments, semistability by summing weights over edges,
 decomposition lengths by matching vertex windows, the maximal-clique
 search on Python sets, the JSON payloads of `facets`, `vectors`,
 `ncp`, `kreweras`, `torsion` and `poset` built as one dict per facet
-or partition, string words with the arrow names made per call, wideness through Ext by vertex surgery
-(`is_wide_by_extensions`), and each submodule and quotient as a sum of
+or partition, string words with the arrow names made per call,
+wideness through Ext by vertex surgery (`is_wide_by_extensions`), and each submodule and quotient as a sum of
 strings built from segment vertices (`submodules_by_runs`).  And it keeps
 the per-facet routes that the column-wise passes replaced: the main
 theorem's claims with one weight pass per facet, segments, closures

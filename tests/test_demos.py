@@ -1,6 +1,5 @@
 """Every demo script runs to completion against the installed layers."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -12,11 +11,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_python(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    # conftest.py puts src/ on the PYTHONPATH the interpreter inherits
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
