@@ -6,11 +6,14 @@ reads off how the arc turns at the two ends of each interior edge it
 uses (the turns its walk recorded), in one per-tree table
 (`_g_vectors`); the c-vector of a colored arc in a facet is a signed
 indicator of the segment between its marked corners.  Per facet the
-two families are dual bases.  `pairing_matrix` checks that and
-`zigzag_dominance_check` counts zigzags on one per-tree table, of the
-+1 and -1 entries of each arc's g-vector on each segment
-(`_arc_counts`), with no vector built.  The facet weights also come
-column-wise, for all facets at once (`theta_columns`).
+two families are dual bases.  Both that and the zigzag counts run on
+one per-tree table, of the +1 and -1 entries of each arc's g-vector
+on each segment (`_arc_counts`), with no vector built: `pairing_matrix`
+and `zigzag_dominance_check` on one facet's payload, and
+`verify_pairing` and `verify_dominance` for all the tree's facets at
+once, on the record table of marking, as int bitsets over facet
+positions (columns).  The facet weights also come column-wise
+(`theta_columns`).
 
 The sub-path families C_s and K_s defined here are one per-tree table
 of id masks (`_subsegments`).  It drives both the module theory
@@ -124,6 +127,50 @@ def pairing_matrix(facet):
                     "pairing <g(%r), c(%r)> = %d, expected %d"
                     % (every[a], every[b], x, i == j))
     return matrix
+
+
+def verify_pairing(tree):
+    """`pairing_matrix` on every facet of the tree, column-wise (see
+    `_pairing_faults`); returns the number of facets.  The lowest
+    failing facet is then checked alone, for its message."""
+    fs = nc_complex.facets(tree)
+    _recheck_lowest(_pairing_faults(tree), lambda p: pairing_matrix(fs[p]),
+                    "pairing")
+    return len(fs)
+
+
+def _pairing_faults(tree):
+    """The positions of the tree's facets where the pairing is not the
+    identity, off the record table.  <g(a), c(b)> reads arc a and the
+    record of b only, so a record fails where its own value is not 1,
+    and where it meets another colored arc with plus != minus on its
+    segment."""
+    counts, records = _arc_counts(tree), nc_complex._marking(tree)[2]
+    held = {}  # per colored arc id, the positions where it is colored
+    for (a, _, _), col in records.items():
+        held[a] = held.get(a, 0) | col
+    faults = 0
+    for (b, s, green), col in records.items():
+        p, m = counts[b][s]
+        if p - m != (1 if green else -1):
+            faults |= col
+        others = 0
+        for a, other in held.items():
+            if a != b and counts[a][s][0] != counts[a][s][1]:
+                others |= other
+        faults |= col & others
+    return faults
+
+
+def _recheck_lowest(faults, check, name):
+    """Run `check`, a per-facet route that raises on failure, on the
+    lowest position of the fault column `faults`, if any, so the message
+    is the per-facet one."""
+    if faults:
+        p = (faults & -faults).bit_length() - 1
+        check(p)
+        raise ConventionError("%s fails at facet %d column-wise, not alone"
+                              % (name, p))
 
 
 def kreweras_theta(facet):
@@ -243,3 +290,58 @@ def zigzag_dominance_check(facet, arc):
     return (all(m >= p for row in rows.values() for p, m in row)
             and all(any(m == p + 1 for p, m in row)
                     for t, row in rows.items() if t != s))
+
+
+def verify_dominance(tree):
+    """`zigzag_dominance_check` on every qualifying (facet, red arc) pair
+    of the tree, column-wise (see `_dominance_faults`); returns the
+    number of pairs.  The lowest failing facet is then checked alone,
+    pair by pair, for its message."""
+    fs = nc_complex.facets(tree)
+    count, faults = _dominance_faults(tree)
+    _recheck_lowest(faults, lambda p: _dominance_at(fs[p]), "dominance")
+    return count
+
+
+def _dominance_faults(tree):
+    """(the number of qualifying pairs, the positions of the tree's
+    facets where one fails), off the record table.  Per segment t,
+    bad[t] holds the positions of a green arc with more plus than minus
+    edges in t, good[t] those of one with one more minus than plus edge.
+    A red record whose segment s has two or more edges qualifies at the
+    positions of its column, and fails where it meets bad[t] for a t in
+    C_s and where it misses good[t] for a proper t in C_s.  That covers
+    a facet with no green arc too, as such an s has a proper C_s member:
+    its first edge if s turns left at its second vertex, else the rest
+    of s."""
+    counts, records = _arc_counts(tree), nc_complex._marking(tree)[2]
+    segs, C = tree.all_segments, _subsegments(tree)[0]
+    bad, good = [0] * len(segs), [0] * len(segs)
+    for (a, _, green), col in records.items():
+        if green:
+            for t, (p, m) in enumerate(counts[a]):
+                if p > m:
+                    bad[t] |= col
+                elif m == p + 1:
+                    good[t] |= col
+    count = faults = 0
+    for (_, s, green), col in records.items():
+        if not green and len(segs[s]) >= 2:
+            count += col.bit_count()
+            miss = 0
+            for t in _bits(C[s]):
+                miss |= bad[t] if t == s else bad[t] | ~good[t]
+            faults |= col & miss
+    return count, faults
+
+
+def _dominance_at(facet):
+    """`zigzag_dominance_check` on each red arc of the facet whose
+    segment has two or more edges, in payload order; the first that
+    fails raises ConventionError naming the facet and the arc."""
+    every, segs = nc_complex.arcs(facet.tree), facet.tree.all_segments
+    for i, s, green in facet.payload:
+        if not (green or len(segs[s]) < 2
+                or zigzag_dominance_check(facet, every[i])):
+            raise ConventionError("facet %d arc %s~%s"
+                                  % ((facet.index,) + every[i].leaves))

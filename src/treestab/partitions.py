@@ -16,7 +16,9 @@ every gluing check is run, once per tree.  Transposed, the same-block
 columns give each facet a row per color, its partition as vertex
 pairs: red rows tell partitions apart and are what the partitions and
 their refinement order are built from, green ones are looked up among
-them (the Kreweras map).  The torsion pairs of all partitions come from
+them (the Kreweras map).  The red same-block columns are kept too: a
+partition's up-row under refinement ANDs those of its blocks' vertex
+pairs, one partition at a time.  The torsion pairs of all partitions come from
 the block columns too, as per-segment columns of T and F, checked once
 per tree, and so are each module's canonical sequences (the positions
 of each submodule option).  Closures run column-wise on the
@@ -70,9 +72,11 @@ class _Gluing(NamedTuple):
     blocks: tuple
     # of the tree's facets only: rows[p], the same-block relation at
     # position p as b"0"/b"1" with vertex ids (a, b) at place V * a + b;
-    # complement[f], the facet whose red partition is facet f's green one
+    # complement[f], the facet whose red partition is facet f's green one;
+    # same[a][b], the facets where vertex ids a and b share a red block
     rows: tuple
     complement: tuple
+    same: tuple
 
 
 def _gluing(tree):
@@ -133,8 +137,10 @@ def _glue_columns(tree, records, width, whole):
 
     faults = [(reduce(or_, through, 0), crossing),
               (reduce(or_, lost.values(), 0), undrawn)]
-    rows = complement = ()
+    red = (1 << width) - 1
+    rows = complement = red_same = ()
     if whole:
+        red_same = tuple(tuple(c & red for c in row) for row in same)
         rows = nc_complex._transpose([c for row in same for c in row],
                                      2 * width)
         first = dict(zip(reversed(rows[:width]), range(width - 1, -1, -1)))
@@ -148,9 +154,9 @@ def _glue_columns(tree, records, width, whole):
              lambda p: ConventionError("green partition of facet %d is no "
                                        "red partition" % (p % width)))]
     _raise_lowest(faults, lambda p, error: error(p))
-    red = (1 << width) - 1
     return _Gluing(records, ([c & red for c in block],
-                             [c >> width for c in block]), rows, complement)
+                             [c >> width for c in block]), rows, complement,
+                   red_same)
 
 
 def _ncp_table(tree):
@@ -408,6 +414,23 @@ class Poset:
         return sorted(image) == list(range(k)) and all(
             sum(1 << image[j] for j in _bits(up)) == other.up[image[i]]
             for i, up in enumerate(self.up))
+
+
+def _ncp_up_rows(tree):
+    """Per red partition, in facet order, its up-row in `ncp_poset` (the
+    positions of the partitions it refines), made one at a time: the AND
+    of the red same-block columns that pair the first vertex of each of
+    its blocks with each other vertex of that block."""
+    glued = _gluing(tree)
+    k, width = len(tree.interior_vertices), len(glued.complement)
+    everyone = (1 << width) - 1
+    for row in glued.rows[:width]:
+        up = everyone
+        for a in range(1, k):
+            first = row.find(b"1", k * a) - k * a
+            if first < a:
+                up &= glued.same[first][a]
+        yield up
 
 
 def ncp_poset(tree):

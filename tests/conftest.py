@@ -63,3 +63,89 @@ def doctor_marking(monkeypatch, tree, fs):
     marked = tuple(fs), real(tree)[1], payload_columns(fs)
     monkeypatch.setattr(nc_complex, "_marking",
                         lambda t: marked if t is tree else real(t))
+
+
+def outcome(fn, tree):
+    """(passed, detail) of `fn(tree)` as check-all reports a step."""
+    try:
+        return True, fn(tree)
+    except Exception as e:
+        return False, "%s: %s" % (type(e).__name__, e)
+
+
+# Doctors of the tables check-all's steps read: each wraps the real
+# builder, and leaves a tree with nothing to doctor as it is.
+
+
+def swapped_count(real):
+    """The counts of the first record's arc swapped on its segment."""
+    def counts(tree):
+        out = [list(row) for row in real(tree)]
+        records = nc_complex._marking(tree)[2]
+        if records:
+            a, s, _ = next(iter(records))
+            out[a][s] = out[a][s][::-1]
+        return out
+    return counts
+
+
+def raised_count(real):
+    """The plus count, on the first record's segment, of the first other
+    arc that shares a facet with that record raised by one, so the two
+    pair to a nonzero value."""
+    def counts(tree):
+        out = [list(row) for row in real(tree)]
+        records = list(nc_complex._marking(tree)[2].items())
+        if records:
+            (b, s, _), col = records[0]
+            a = next(a for (a, _, _), other in records
+                     if a != b and col & other)
+            out[a][s] = (out[a][s][0] + 1, out[a][s][1])
+        return out
+    return counts
+
+
+def first_green(change):
+    """A doctor mapping each count (plus, minus) of the first green
+    record's arc by `change`."""
+    def doctor(real):
+        def counts(tree):
+            out = list(real(tree))
+            greens = [a for a, _, green in nc_complex._marking(tree)[2]
+                      if green]
+            if greens:
+                out[greens[0]] = [change(*pm) for pm in out[greens[0]]]
+            return out
+        return counts
+    return doctor
+
+
+negated_green = first_green(lambda p, m: (-p, -m))
+# as many minus as plus edges everywhere, so it witnesses nothing
+evened_green = first_green(lambda p, m: (p, p))
+
+
+def swapped_semi(real):
+    """The semi columns of the first two segments with different columns
+    swapped.  That relabels segments, so the order check passes while
+    the theorem step fails."""
+    def columns(tree, weights):
+        semi, stable = real(tree, weights)
+        semi = list(semi)
+        pairs = [(s, t) for s in range(len(semi)) for t in range(s)
+                 if semi[s] != semi[t]]
+        if pairs:
+            s, t = pairs[0]
+            semi[s], semi[t] = semi[t], semi[s]
+        return semi, stable
+    return columns
+
+
+def dropped_semi(real):
+    """The last segment's semi column without its lowest position."""
+    def columns(tree, weights):
+        semi, stable = real(tree, weights)
+        if semi:
+            semi = semi[:-1] + [semi[-1] & semi[-1] - 1]
+        return semi, stable
+    return columns

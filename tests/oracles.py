@@ -33,8 +33,10 @@ filtering its submodules; and the lattice verdict from every pair of
 poset elements, with the down-rows transposed from the up-rows.  The vector routes that
 counting replaced are here too: the pairing matrix as dot products of
 g- and c-vectors, zigzag dominance on edge sets, and the algebra
-dimension by depth-first search over arrow paths.  Tests compare each
-with its id or column form.  Code that only tests use (red-green trees,
+dimension by depth-first search over arrow paths.  So are check-all's
+per-facet pairing and dominance steps, and the poset isomorphism with
+both posets built whole.  Tests compare each with its id or column
+form.  Code that only tests use (red-green trees,
 biclosed sets, supporting arcs) lives here too.
 """
 
@@ -1490,6 +1492,60 @@ def dominance_by_zigzags(facet, arc):
     return (all(m >= p for row in counts.values() for p, m in row)
             and all(any(m == p + 1 for p, m in row)
                     for t, row in counts.items() if t != seg))
+
+
+# -- check-all's per-facet steps, before the record-table routes ---------
+
+
+def pairing_per_facet(tree):
+    """check-all's pairing detail, `pairing_matrix` on every facet in
+    facet order."""
+    fs = nc_complex.facets(tree)
+    for f in fs:
+        gc_vectors.pairing_matrix(f)
+    return "%d facets" % len(fs)
+
+
+def dominance_per_facet(tree):
+    """check-all's dominance detail, `zigzag_dominance_check` on every
+    red arc whose segment has two or more edges, in facet and payload
+    order."""
+    every, segs = nc_complex.arcs(tree), tree.all_segments
+    count = 0
+    for f in nc_complex.facets(tree):
+        for i, s, green in f.payload:
+            if green or len(segs[s]) < 2:
+                continue
+            if not gc_vectors.zigzag_dominance_check(f, every[i]):
+                raise ConventionError("facet %d arc %s~%s"
+                                      % ((f.index,) + every[i].leaves))
+            count += 1
+    return "%d qualifying pairs" % count
+
+
+def semistable_poset_by_posets(tree):
+    """`semistable.semistable_poset` with both posets built whole: the
+    semistable sets' up-rows against `partitions.ncp_poset`'s."""
+    fs = nc_complex.facets(tree)
+    semi, _ = semistable._semistable_columns(
+        tree, semistable._segment_weights(tree, gc_vectors.theta_columns(
+            tree, partitions._gluing(tree).records, len(fs))))
+    masks = list(map(nc_complex._as_int,
+                     nc_complex._transpose(semi, len(fs))))
+    if len(set(masks)) != len(masks):
+        raise ConventionError("facet weights share a semistable set")
+    segs = tree.all_segments
+    po = partitions.Poset([frozenset(segs[s] for s in tree_core._bits(m))
+                           for m in masks], masks)
+    if po.up != partitions.ncp_poset(tree).up:
+        raise ConventionError(
+            "semistable order disagrees with refinement order")
+    return po
+
+
+def order_per_poset(tree):
+    """check-all's poset detail, from `semistable_poset_by_posets`."""
+    return "%d elements" % len(semistable_poset_by_posets(tree))
 
 
 def algebra_dimension_by_paths(tree):

@@ -12,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import randtrees
-from conftest import SUITE, fixture_path, get_tree
-from treestab import cli, nc_complex
-from treestab.tree_core import EmbeddedTree
+from conftest import (SUITE, dropped_semi, fixture_path, get_tree,
+                      negated_green, outcome, raised_count,
+                      swapped_count, swapped_semi)
+from treestab import cli, gc_vectors, nc_complex, semistable
+from treestab.tree_core import EmbeddedTree, load_tree
 
 BIN = [sys.executable, "-m", "treestab.cli"]
 
@@ -199,8 +201,11 @@ DOCTORED = {
     "pairing-identity": "real = gc_vectors._arc_counts\n"
                         "gc_vectors._arc_counts = lambda tree: [[(m, p) "
                         "for p, m in row] for row in real(tree)]\n",
-    "zigzag-dominance": "gc_vectors.zigzag_dominance_check = "
-                        "lambda facet, arc: False\n",
+    # every arc's minus counts set to its plus counts, so no green arc
+    # has one more minus than plus edge in a proper member of C_s
+    "zigzag-dominance": "real = gc_vectors._arc_counts\n"
+                        "gc_vectors._arc_counts = lambda tree: [[(p, p) "
+                        "for p, m in row] for row in real(tree)]\n",
     "converse-sweep": "string_modules.is_wide = lambda tree, segs: False\n",
     # segment 0 in every C_s and K_s, so every Hom space is nonzero
     "torsion-pairs": "real = gc_vectors._build_subsegments\n"
@@ -255,6 +260,47 @@ def test_check_all_fails_non_unique_decomposition(optimize):
     assert [ln.split()[0] for ln in failed] == ["torsion-pairs"], r.stdout
     assert "ConventionError: torsion decomposition of " in failed[0]
     assert "not unique" in failed[0]
+
+
+PER_FACET = {"pairing-identity": oracles.pairing_per_facet,
+             "zigzag-dominance": oracles.dominance_per_facet,
+             "poset-isomorphism": oracles.order_per_poset}
+# per doctor: what it patches, and the steps it fails on big8
+COUNTS = (gc_vectors, "_arc_counts")
+SEMI = (semistable, "_semistable_columns")
+DOCTORS = {"none": (None, []),
+           "swapped-count": (COUNTS + (swapped_count,),
+                             ["pairing-identity", "zigzag-dominance"]),
+           "raised-count": (COUNTS + (raised_count,),
+                            ["pairing-identity", "zigzag-dominance"]),
+           "negated-green": (COUNTS + (negated_green,),
+                             ["pairing-identity", "zigzag-dominance"]),
+           "swapped-semi": (SEMI + (swapped_semi,), []),
+           "dropped-semi": (SEMI + (dropped_semi,), ["poset-isomorphism"])}
+
+
+@pytest.mark.parametrize("doctor", sorted(DOCTORS))
+@pytest.mark.parametrize("name", SUITE)
+def test_check_all_steps_match_per_facet_routes(name, doctor, monkeypatch,
+                                                 capsys):
+    """check-all's pairing, dominance and poset steps run on the record
+    table, the count table and the gluing; passing or failing, each
+    gives the verdict and detail of the per-facet route, the facet and
+    arc a failure names included, also with the counts or the semi
+    columns doctored."""
+    patch, fails = DOCTORS[doctor]
+    if patch:
+        module, attr, make = patch
+        monkeypatch.setattr(module, attr, make(getattr(module, attr)))
+    cli.main(["check-all", "--format", "json", "--samples", "0",
+              fixture_path(name)])
+    got = {c["name"]: (c["passed"], c["detail"])
+           for c in json.loads(capsys.readouterr().out)["checks"]
+           if c["name"] in PER_FACET}
+    tree = load_tree(fixture_path(name))
+    assert got == {step: outcome(fn, tree) for step, fn in PER_FACET.items()}
+    if name == "big8":
+        assert [step for step, (ok, _) in got.items() if not ok] == fails
 
 
 def path_tree(n):

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 
 import oracles
 import randtrees
-from conftest import fixture_path, get_tree
+from conftest import (SUITE, doctor_marking, evened_green, fixture_path,
+                      get_tree, negated_green, outcome,
+                      raised_count, swapped_count)
 from treestab import gc_vectors, string_modules
-from treestab.nc_complex import arcs, facets
+from treestab.nc_complex import Facet, arcs, facets
 from treestab.string_modules import algebra_dimension
 from treestab.gc_vectors import (
     c_vector,
@@ -90,12 +92,18 @@ def dominance_verdicts(tree):
 def assert_counts_match_oracles(tree):
     """The g-vector table, the pairing matrix of every facet, every
     dominance verdict and the algebra dimension, as counted, against
-    the walk, vector and path routes."""
+    the walk, vector and path routes; and check-all's pairing and
+    dominance details, from the record table, against the per-facet
+    routes."""
     assert [g_vector(tree, d) for d in arcs(tree)] \
         == [oracles.g_vector_by_turns(tree, d) for d in arcs(tree)]
     for f in facets(tree):
         assert pairing_matrix(f) == oracles.pairing_by_vectors(f), f.index
     assert all(dominance_verdicts(tree))
+    assert "%d facets" % gc_vectors.verify_pairing(tree) \
+        == oracles.pairing_per_facet(tree)
+    assert "%d qualifying pairs" % gc_vectors.verify_dominance(tree) \
+        == oracles.dominance_per_facet(tree)
     assert algebra_dimension(tree) == oracles.algebra_dimension_by_paths(tree)
 
 
@@ -128,6 +136,68 @@ def test_doctored_g_vectors_fail_like_the_oracles(name, monkeypatch):
             "expected %d" % (f.colored[i], f.colored[j], mat[i][j], i == j)
     verdicts = dominance_verdicts(tree)
     assert verdicts and not any(verdicts)
+
+
+def per_facet_faults(tree):
+    """(pairing faults, qualifying pairs, dominance faults) of the
+    per-facet routes: the facets where `pairing_matrix` raises, and
+    those with a red arc on a segment of two or more edges that
+    `zigzag_dominance_check` fails or refuses (no green arc)."""
+    every, segs = arcs(tree), tree.all_segments
+    pairing = count = dominance = 0
+    for f in facets(tree):
+        try:
+            pairing_matrix(f)
+        except ConventionError:
+            pairing |= 1 << f.index
+        for i, s, green in f.payload:
+            if not green and len(segs[s]) >= 2:
+                count += 1
+                try:
+                    ok = zigzag_dominance_check(f, every[i])
+                except ValueError:
+                    ok = False
+                dominance |= (not ok) << f.index
+    return pairing, count, dominance
+
+
+def all_red(tree):
+    """The tree's facets with every colored arc recolored red."""
+    out = []
+    for f in facets(tree):
+        g = Facet.__new__(Facet)
+        g.tree, g.index, g._mask = tree, f.index, f._mask
+        g.payload = tuple((a, s, False) for a, s, _ in f.payload)
+        out.append(g)
+    return out
+
+
+COUNT_DOCTORS = {"none": None, "swapped-count": swapped_count,
+                 "raised-count": raised_count, "negated-green": negated_green,
+                 "evened-green": evened_green, "all-red": "all-red"}
+
+
+@pytest.mark.parametrize("doctor", sorted(COUNT_DOCTORS))
+@pytest.mark.parametrize("name", SUITE)
+def test_fault_columns_match_per_facet_verdicts(name, doctor, monkeypatch):
+    """The pairing and dominance fault columns, off the record table,
+    hold exactly the facets where the per-facet routes fail, with the
+    same qualifying pairs, also with doctored counts and with every
+    colored arc red (no facet has a green arc); and `verify_pairing`
+    and `verify_dominance` report as the per-facet loops do."""
+    tree = load_tree(fixture_path(name))
+    if doctor == "all-red":
+        doctor_marking(monkeypatch, tree, all_red(tree))
+    elif COUNT_DOCTORS[doctor]:
+        monkeypatch.setattr(gc_vectors, "_arc_counts", COUNT_DOCTORS[doctor](
+            gc_vectors._arc_counts))
+    assert (gc_vectors._pairing_faults(tree),) + \
+        gc_vectors._dominance_faults(tree) == per_facet_faults(tree)
+    assert outcome(lambda t: "%d facets" % gc_vectors.verify_pairing(t),
+                   tree) == outcome(oracles.pairing_per_facet, tree)
+    assert outcome(lambda t: "%d qualifying pairs"
+                   % gc_vectors.verify_dominance(t), tree) \
+        == outcome(oracles.dominance_per_facet, tree)
 
 
 def test_g_vector_rejects_arcs_not_of_the_tree():

@@ -700,7 +700,7 @@ def test_hot_path_reads_record_table_only(argv, monkeypatch, capsys):
 
 def test_check_all_pairing_and_dominance_read_counts(monkeypatch, capsys):
     """The pairing and dominance steps of `check-all` on big8 read the
-    facets' payloads and the arc count table: up to the next step they
+    record table and the arc count table: up to the next step they
     build no facet view, hash no arc and call neither `c_vector` nor
     `zigzag`."""
     events = []

@@ -70,15 +70,26 @@ def test_ncp_poset_matches_oracle(name):
                           dense_lattice=name != "big8")
 
 
+def assert_order_check_matches_posets(tree):
+    """The streamed order check against both posets built whole: the
+    up-rows it streams are `ncp_poset`'s, and `semistable_poset` passes
+    with the poset of the route that compares the two whole."""
+    assert list(pt._ncp_up_rows(tree)) == pt.ncp_poset(tree).up
+    po, whole = st.semistable_poset(tree), \
+        oracles.semistable_poset_by_posets(tree)
+    assert (po.elements, po.up) == (whole.elements, whole.up)
+
+
 @pytest.mark.parametrize("name", SUITE)
 def test_semistable_poset_matches_oracle(name):
     po = st.semistable_poset(get_tree(name))
     dense = oracles.DensePoset(po.elements, lambda a, b: a <= b)
     assert_matches_oracle(po, dense, dense_lattice=name != "big8")
+    assert_order_check_matches_posets(get_tree(name))
 
 
 @settings(max_examples=20, deadline=None)
-@given(randtrees.rotations())
+@given(randtrees.rotations(max_interior=6))
 def test_random_tree_posets_match_oracle(rotation):
     tree = EmbeddedTree(rotation)
     assert_matches_oracle(pt.ncp_poset(tree), oracles.DensePoset(
@@ -86,6 +97,7 @@ def test_random_tree_posets_match_oracle(rotation):
     po = st.semistable_poset(tree)
     assert_matches_oracle(po, oracles.DensePoset(po.elements,
                                                  lambda a, b: a <= b))
+    assert_order_check_matches_posets(tree)
 
 
 @pytest.mark.parametrize("name", SMALL)
@@ -218,13 +230,14 @@ def test_nine_vertex_posets_are_lattices(tmp_path):
 
 DOCTORED = {
     "reversed-ncp-order": (
-        "import oracles\n"
-        "real = partitions.ncp_poset\n"
+        # the up-rows the order check reads, transposed to down-rows
+        "from treestab import nc_complex\n"
+        "real = partitions._ncp_up_rows\n"
         "def reversed_order(tree):\n"
-        "    po = real(tree)\n"
-        "    po.up = oracles.down_rows(po)\n"
-        "    return po\n"
-        "partitions.ncp_poset = reversed_order\n",
+        "    ups = list(real(tree))\n"
+        "    return map(nc_complex._as_int,\n"
+        "               nc_complex._transpose(ups, len(ups)))\n"
+        "partitions._ncp_up_rows = reversed_order\n",
         "semistable order disagrees with refinement order"),
     "one-semistable-set": (
         "semistable._semistable_columns = lambda tree, w: "

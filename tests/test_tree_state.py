@@ -291,6 +291,33 @@ def test_engine_paths_build_no_tiling_algebra(name, monkeypatch, capsys):
     assert builds == [()]
 
 
+@pytest.mark.parametrize("name", SUITE)
+def test_check_all_builds_no_payload_or_partition_table(name, monkeypatch,
+                                                        capsys):
+    """check-all's pairing, dominance and poset steps read the record
+    table, the count table and the gluing: a passing run builds no facet
+    payload and no partition table, and asks for no facet's pairing
+    matrix or dominance check and no `ncp_poset`; `poset --which ss`
+    builds no partition table either."""
+    for module, fn in ((gc_vectors, "pairing_matrix"),
+                       (gc_vectors, "zigzag_dominance_check"),
+                       (partitions, "ncp_poset")):
+        monkeypatch.setattr(module, fn, forbidden(fn))
+    trees = []
+
+    def load(path):  # the tree the command runs on, kept to look at
+        trees.append(load_tree(path))
+        return trees[-1]
+
+    monkeypatch.setattr(cli, "load_tree", load)
+    assert cli.main(["check-all", "--samples", "5", fixture_path(name)]) == 0
+    assert "all checks pass" in capsys.readouterr().out
+    assert not {"payloads", "ncp"} & set(trees[0]._memo)
+    assert cli.main(["poset", "--which", "ss", fixture_path(name)]) == 0
+    assert capsys.readouterr().out
+    assert "ncp" not in trees[1]._memo
+
+
 def naive_closure(tree, segments):
     closed = set(segments)
     while True:
