@@ -18,37 +18,17 @@ from . import gc_vectors, nc_complex, partitions, semistable, string_modules
 from .tree_core import ConventionError, TreeError, _bits, load_tree
 
 FORMAT_VERSION = 1
-CHUNK = 1 << 20  # characters `_json_out` gathers before each write
 
 
 def _json_out(payload):
-    """Write the text of `payload` (see `_emit`) and a newline to stdout
-    in writes of CHUNK characters or a piece more, each made as soon as
-    its pieces are: a large list comes as a generator of pieces, and is
-    never held whole."""
+    """Write the text of `payload` (see `_emit`) and a newline to stdout,
+    each piece as soon as it is made; `sys.stdout` buffers the writes.
+    A large list comes as a generator of pieces, and is never held
+    whole."""
     payload["format_version"] = FORMAT_VERSION
-    out = _Chunks(sys.stdout.write)
-    _emit(out, payload, 0)
-    out.append("\n")
-    out.flush()
-
-
-class _Chunks:
-    """Text pieces, joined and handed to `write` whenever they add up to
-    CHUNK characters."""
-
-    def __init__(self, write):
-        self.write, self.pieces, self.size = write, [], 0
-
-    def append(self, piece):
-        self.pieces.append(piece)
-        self.size += len(piece)
-        if self.size >= CHUNK:
-            self.flush()
-
-    def flush(self):
-        self.write("".join(self.pieces))
-        self.pieces, self.size = [], 0
+    write = sys.stdout.write
+    _emit(write, payload, 0)
+    write("\n")
 
 
 @cache
@@ -61,54 +41,55 @@ def _dumps(payload, level=0):
     what `_emit` takes, at depth `level`; with `indent`, json.dumps is
     pure Python."""
     out = []
-    _emit(out, payload, level)
+    _emit(out.append, payload, level)
     return "".join(out)
 
 
-def _emit(out, obj, level):
-    """Append the text of `obj` at depth `level` to `out`, in pieces:
+def _emit(append, obj, level):
+    """Hand the text of `obj` at depth `level` to `append`, in pieces:
     str-keyed dicts, lists, tuples, str, int, bool and None as json.dumps
     writes them, and a generator as the pieces it yields, the text of a
     value at the depth where it lands (others raise TypeError).  Not a
-    closure, which would refer to itself and so keep `out` alive."""
+    closure, which would refer to itself and so keep what `append`
+    fills alive."""
     if isinstance(obj, str):
-        out.append(_quote(obj))
+        append(_quote(obj))
     elif obj is None:
-        out.append("null")
+        append("null")
     elif obj is True:
-        out.append("true")
+        append("true")
     elif obj is False:
-        out.append("false")
+        append("false")
     elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+        append(int.__repr__(obj))
     elif isinstance(obj, (list, tuple, dict)):
         if not obj:
-            out.append("{}" if isinstance(obj, dict) else "[]")
+            append("{}" if isinstance(obj, dict) else "[]")
             return
         inner = _indent(level + 1)
         comma = "," + inner
         if isinstance(obj, dict):
-            out.append("{")
+            append("{")
             sep = inner
             for k, v in sorted(obj.items()):
                 if not isinstance(k, str):
                     raise TypeError("keys must be str, not %s"
                                     % type(k).__name__)
-                out.append(sep + _quote(k) + ": ")
-                _emit(out, v, level + 1)
+                append(sep + _quote(k) + ": ")
+                _emit(append, v, level + 1)
                 sep = comma
-            out.append(_indent(level) + "}")
+            append(_indent(level) + "}")
         else:
-            out.append("[")
+            append("[")
             sep = inner
             for v in obj:
-                out.append(sep)
-                _emit(out, v, level + 1)
+                append(sep)
+                _emit(append, v, level + 1)
                 sep = comma
-            out.append(_indent(level) + "]")
+            append(_indent(level) + "]")
     elif isinstance(obj, GeneratorType):
         for piece in obj:
-            out.append(piece)
+            append(piece)
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % type(obj).__name__)
@@ -223,8 +204,7 @@ def cmd_vectors(tree, args):
     # arc in each facet holding it, rendered once; per facet its weight
     # and its entries, picked off the record table
     width, records = len(nc_complex.facets(tree)), nc_complex._marking(tree)[2]
-    thetas = semistable._theta_rows(gc_vectors.theta_columns(
-        tree, records, width), width)
+    thetas = semistable._theta_rows(semistable._facet_weights(tree)[0], width)
     every, segs = nc_complex.arcs(tree), tree.all_segments
     as_json = args.format == "json"
     entries = []

@@ -10,20 +10,20 @@ form a spanning tree on the interior vertices, which is what makes the
 torsion-pair bookkeeping finite and checkable.
 
 There is one gluing, column-wise: int bitsets over facet positions
-(columns) say per color where two interior vertices share a block and
-where a segment is a block segment.  The tree's facets are glued, and
-every gluing check is run, once per tree.  Transposed, the same-block
-columns give each facet a row per color, its partition as vertex
-pairs: red rows tell partitions apart and are what the partitions and
-their refinement order are built from, green ones are looked up among
-them (the Kreweras map).  The red same-block columns are kept too: a
-partition's up-row under refinement ANDs those of its blocks' vertex
-pairs, one partition at a time.  The torsion pairs of all partitions come from
-the block columns too, as per-segment columns of T and F, checked once
-per tree, and so are each module's canonical sequences (the positions
-of each submodule option).  Closures run column-wise on the
-compositions of the segment table (see `tree_core`); public functions
-hand out sets.
+(columns) say per color where two interior vertices share a block,
+where a segment is a block segment, and where a segment's ends share a
+block: the partition side of the main theorem, whose modules make up
+the partition's subcategory (as in Ingalls and Thomas, for quivers).
+The tree's facets are glued, and every gluing check is run, once per
+tree.  Transposed, the same-block columns give each facet a row per
+color, its partition as vertex pairs: red rows tell partitions apart
+and are what the partitions and their refinement order are built from,
+green ones are looked up among them (the Kreweras map).  The torsion
+pairs of all partitions come from the block columns too, as
+per-segment columns of T and F, checked once per tree, and so are each
+module's canonical sequences (the positions of each submodule option).
+Closures run column-wise on the compositions of the segment table (see
+`tree_core`); public functions hand out sets.
 """
 
 from __future__ import annotations
@@ -66,17 +66,21 @@ class _Gluing(NamedTuple):
     """Both gluings of F facets, as columns over 2F positions: position
     f stands for the red partition of facet f, F + f for its green one."""
 
-    records: dict  # the facets' record table (see `nc_complex._mark`)
     # blocks[color][s], by facet: where segment id s is a block segment
     # (its ends share a block, no inner vertex of its path does)
     blocks: tuple
+    # ends[color][s], by facet: where the ends of segment id s share a
+    # block.  That is the composition closure of the block segments:
+    # every sub-path of a segment is a segment, so one whose ends share
+    # a block splits at its inner vertices in that block into block
+    # segments, and composing two segments whose ends share a block
+    # gives one whose ends do
+    ends: tuple
     # of the tree's facets only: rows[p], the same-block relation at
     # position p as b"0"/b"1" with vertex ids (a, b) at place V * a + b;
-    # complement[f], the facet whose red partition is facet f's green one;
-    # same[a][b], the facets where vertex ids a and b share a red block
+    # complement[f], the facet whose red partition is facet f's green one
     rows: tuple
     complement: tuple
-    same: tuple
 
 
 def _gluing(tree):
@@ -111,7 +115,8 @@ def _glue_columns(tree, records, width, whole):
             via = row[k]
             if via and row is not pivot:
                 row[:] = [c | via & d for c, d in zip(row, pivot)]
-    block, through, lost = [0] * len(segs), [0] * len(segs), {}
+    block, ends, through = [0] * len(segs), [0] * len(segs), [0] * len(segs)
+    lost = {}
     for (a, b), (inner, s) in table.pairs.items():
         if a < b:
             # where the path meets a's block
@@ -119,6 +124,7 @@ def _glue_columns(tree, records, width, whole):
             if s is None:
                 lost[a, b] = same[a][b] & ~meets
             else:
+                ends[s] = same[a][b]
                 block[s] = same[a][b] & ~meets
                 through[s] = glued[s] & meets
 
@@ -138,9 +144,8 @@ def _glue_columns(tree, records, width, whole):
     faults = [(reduce(or_, through, 0), crossing),
               (reduce(or_, lost.values(), 0), undrawn)]
     red = (1 << width) - 1
-    rows = complement = red_same = ()
+    rows = complement = ()
     if whole:
-        red_same = tuple(tuple(c & red for c in row) for row in same)
         rows = nc_complex._transpose([c for row in same for c in row],
                                      2 * width)
         first = dict(zip(reversed(rows[:width]), range(width - 1, -1, -1)))
@@ -154,9 +159,8 @@ def _glue_columns(tree, records, width, whole):
              lambda p: ConventionError("green partition of facet %d is no "
                                        "red partition" % (p % width)))]
     _raise_lowest(faults, lambda p, error: error(p))
-    return _Gluing(records, ([c & red for c in block],
-                             [c >> width for c in block]), rows, complement,
-                   red_same)
+    return _Gluing(*(([c & red for c in cols], [c >> width for c in cols])
+                     for cols in (block, ends)), rows, complement)
 
 
 def _ncp_table(tree):
@@ -414,23 +418,6 @@ class Poset:
         return sorted(image) == list(range(k)) and all(
             sum(1 << image[j] for j in _bits(up)) == other.up[image[i]]
             for i, up in enumerate(self.up))
-
-
-def _ncp_up_rows(tree):
-    """Per red partition, in facet order, its up-row in `ncp_poset` (the
-    positions of the partitions it refines), made one at a time: the AND
-    of the red same-block columns that pair the first vertex of each of
-    its blocks with each other vertex of that block."""
-    glued = _gluing(tree)
-    k, width = len(tree.interior_vertices), len(glued.complement)
-    everyone = (1 << width) - 1
-    for row in glued.rows[:width]:
-        up = everyone
-        for a in range(1, k):
-            first = row.find(b"1", k * a) - k * a
-            if first < a:
-                up &= glued.same[first][a]
-        yield up
 
 
 def ncp_poset(tree):

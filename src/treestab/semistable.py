@@ -17,11 +17,13 @@ column-wise, on int bitsets over facet positions: per edge and per
 segment a column per weight value, per segment the semistable and
 stable columns, per claim a fault column.  Reasons, weights and
 per-facet results are written out for the failing facets only, and for
-the rest when a report's `results` are read.  The poset half of the
-statement runs facet by facet on the same semi columns: each facet's
-up-row under inclusion of semistable sets is compared with its up-row
-under refinement, from the red same-block columns of the gluing, and
-both are dropped, so no poset is built to check it.
+the rest when a report's `results` are read.  The facet weights'
+columns are one table per tree (`_facet_weights`), which the theorem's
+checks, the order isomorphism and `semistable_poset` all read.  The
+partition side of the theorem, where a segment's ends share a block,
+comes from the gluing; where it is the semistable side everywhere, the
+order isomorphism follows (see `_check_order`) and no poset is built
+to check it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress
-from operator import and_, ne, or_, xor
+from operator import and_, or_, xor
 
 from . import gc_vectors, nc_complex, partitions, string_modules
 from .tree_core import ConventionError, _bits, _segment_table
@@ -71,6 +72,23 @@ def _segment_weights(tree, theta):
         weights[s] = theta[e] if prefix < 0 else gc_vectors._sum_columns(
             weights[prefix], theta[e])
     return weights
+
+
+def _facet_weights(tree):
+    """The `_weigh` table of the tree's facets, built once."""
+    width = len(nc_complex.facets(tree))  # so `facets` builds them
+    return tree.memo("facet_weights", _weigh, nc_complex._marking(tree)[2],
+                     width)
+
+
+def _weigh(tree, records, width):
+    """(theta, weights, semi, stable) of `width` facets, off their record
+    table `records`: the value columns of their weights per edge (see
+    `gc_vectors.theta_columns`) and per segment (`_segment_weights`),
+    and the semistable and stable columns (`_semistable_columns`)."""
+    theta = gc_vectors.theta_columns(tree, records, width)
+    weights = _segment_weights(tree, theta)
+    return (theta, weights, *_semistable_columns(tree, weights))
 
 
 def _semistable_columns(tree, weights):
@@ -185,21 +203,19 @@ def _length_columns(tree, parts):
     return out
 
 
-def _check_facets(tree, facets, glued):
+def _check_facets(tree, facets, glued, weighed):
     """The SemistableReport of `facets`, every claim of the main theorem
     worked out for all of them at once, as int bitsets over their
     positions (columns), from their gluing `glued` (see
-    `partitions._glue_columns`).  Each claim gives fault columns, in the
-    order the reasons are reported; the reasons, and the weights, are
-    written out for the facets in some fault column only, until the
-    report's `results` are read."""
+    `partitions._glue_columns`) and their `_weigh` table `weighed`: the
+    partition side is where a segment's ends share a block.  Each claim
+    gives fault columns, in the order the reasons are reported; the
+    reasons, and the weights, are written out for the facets in some
+    fault column only, until the report's `results` are read."""
     segs = tree.all_segments
     everyone = (1 << len(facets)) - 1
-    theta = gc_vectors.theta_columns(tree, glued.records, len(facets))
-    weights = _segment_weights(tree, theta)
-    semi, stable = _semistable_columns(tree, weights)
-    (reds, greens), close = glued.blocks, partitions._closure_columns
-    wide, green_wide = close(tree, reds), close(tree, greens)
+    theta, weights, semi, stable = weighed
+    (reds, greens), (wide, green_wide) = glued.blocks, glued.ends
     lengths = _length_columns(tree, greens)
 
     def row(items, columns, f):  # the items whose column holds f
@@ -285,14 +301,15 @@ def check_facet(tree, facet):
     """The claims of the main theorem for one facet of the tree: the
     column route of `verify_kreweras_stability` on it alone, glued by
     itself: the checks across the tree's facets are not run."""
+    records = dict.fromkeys(sorted(facet.payload), 1)
     return _check_facets(tree, (facet,), partitions._glue_columns(
-        tree, dict.fromkeys(sorted(facet.payload), 1), 1, False)).results[0]
+        tree, records, 1, False), _weigh(tree, records, 1)).results[0]
 
 
 def verify_kreweras_stability(tree):
     """Check every facet, in facet order, in one column-wise pass."""
     return _check_facets(tree, nc_complex.facets(tree),
-                         partitions._gluing(tree))
+                         partitions._gluing(tree), _facet_weights(tree))
 
 
 # -- poset comparison ----------------------------------------------------
@@ -311,24 +328,25 @@ def semistable_poset(tree):
 def _check_order(tree):
     """The poset half of the main statement: the map from noncrossing
     partitions to the semistable sets of the facet weights is an order
-    isomorphism.  Both list the facets in order, so each facet's up-row
-    under inclusion of semistable sets, the AND of the semi columns of
-    its semistable segments, must equal its up-row under refinement
-    (`partitions._ncp_up_rows`).  The rows are made, compared and
-    dropped one facet at a time.  Returns the facets' semistable sets,
-    as id masks, which must differ."""
-    width = len(nc_complex.facets(tree))
-    semi, _ = _semistable_columns(tree, _segment_weights(
-        tree, gc_vectors.theta_columns(
-            tree, partitions._gluing(tree).records, width)))
-    picks = nc_complex._transpose(semi, width)
-    masks = list(map(nc_complex._as_int, picks))
+    isomorphism.  Both list the facets in order.  Write R(p) for the
+    vertex pairs that share a red block at position p, and E(p) for the
+    segments whose end pair lies in R(p) (`_Gluing.ends`).  Refinement
+    is inclusion of R, and R(p) <= R(q) exactly when E(p) <= E(q): E
+    reads R at end pairs only, and R(p) is the transitive closure of the
+    end pairs of the segments glued at p, which all lie in E(p).  So
+    where each semi column is the red ends column, inclusion of
+    semistable sets is refinement, and distinct partitions, which the
+    gluing checks, give distinct sets.  Where some column differs,
+    which a doctored table alone brings about, the two posets are built
+    whole and compared.  Returns the facets' semistable sets, as id
+    masks, which must differ."""
+    glued, semi = partitions._gluing(tree), _facet_weights(tree)[2]
+    masks = list(map(nc_complex._as_int, nc_complex._transpose(
+        semi, len(glued.complement))))
     if len(set(masks)) != len(masks):
         raise ConventionError("facet weights share a semistable set")
-    everyone = (1 << width) - 1
-    ups = (reduce(and_, compress(semi, pick.translate(nc_complex._BIT)),
-                  everyone) for pick in picks)
-    if any(map(ne, ups, partitions._ncp_up_rows(tree))):
+    if semi != glued.ends[0] and partitions.Poset(
+            masks, masks).up != partitions.ncp_poset(tree).up:
         raise ConventionError(
             "semistable order disagrees with refinement order")
     return masks

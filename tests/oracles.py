@@ -1529,7 +1529,7 @@ def semistable_poset_by_posets(tree):
     fs = nc_complex.facets(tree)
     semi, _ = semistable._semistable_columns(
         tree, semistable._segment_weights(tree, gc_vectors.theta_columns(
-            tree, partitions._gluing(tree).records, len(fs))))
+            tree, nc_complex._marking(tree)[2], len(fs))))
     masks = list(map(nc_complex._as_int,
                      nc_complex._transpose(semi, len(fs))))
     if len(set(masks)) != len(masks):

@@ -597,21 +597,30 @@ def test_random_tree_piece_routes_match_dict_routes(rotation):
 
 
 def test_facets_json_is_written_in_chunks_as_made(monkeypatch):
-    """`facets --format json` on big8 (3.2 MB) goes out in writes of at
-    most CHUNK characters plus the largest piece, the first of them
-    before half of the pieces are made."""
-    made, writes = [], []  # piece sizes; (size, pieces made) per write
-    append = cli._Chunks.append
-    monkeypatch.setattr(cli._Chunks, "append", lambda self, piece: (
-        made.append(len(piece)), append(self, piece)))
+    """`facets --format json` on big8 (3.2 MB) goes out in chunks of one
+    piece each: every piece of its facet list is handed to
+    `sys.stdout.write` alone, as soon as it is made, and no write is the
+    whole output."""
+    events = []  # ("made", piece) per facet-list piece, ("write", text)
+    items = cli._items
+
+    def spied(texts, level=1):
+        for piece in items(texts, level):
+            events.append(("made", piece))
+            yield piece
+
+    monkeypatch.setattr(cli, "_items", spied)
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(
-        write=lambda text: writes.append((len(text), len(made)))))
+        write=lambda text: events.append(("write", text))))
     assert cli.main(["facets", "--format", "json",
                      fixture_path("big8")]) == 0
-    assert len(writes) >= 3
-    assert sum(size for size, _ in writes) == sum(made)
-    assert max(size for size, _ in writes) <= cli.CHUNK + max(made)
-    assert writes[0][1] < len(made) / 2
+    made = [i for i, (kind, _) in enumerate(events) if kind == "made"]
+    assert len(made) > 2 * 1074
+    assert all(events[i + 1] == ("write", events[i][1]) for i in made)
+    writes = [text for kind, text in events if kind == "write"]
+    whole = "".join(writes)
+    assert json.loads(whole)["count"] == 1074
+    assert max(map(len, writes)) < len(whole) // 100
 
 
 def test_facets_json_never_calls_json_dumps(monkeypatch):

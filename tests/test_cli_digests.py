@@ -110,29 +110,6 @@ def test_grown_tree_json_matches_digests(tmp_path, monkeypatch):
         assert digest(argv) == want[" ".join(argv)], " ".join(argv)
 
 
-TINY = 7  # characters per write of `cli._json_out`, far under a line
-
-
-@pytest.mark.parametrize("name", SUITE)
-def test_cli_output_in_tiny_chunks_matches_digests(name, monkeypatch):
-    """Every command's output is the same, byte for byte, when the JSON
-    writer writes every few characters."""
-    monkeypatch.chdir(ROOT)
-    monkeypatch.setattr(cli, "CHUNK", TINY)
-    want = json.loads(DIGESTS.read_text())
-    for argv in commands(name):
-        assert digest(argv) == want[" ".join(argv)], " ".join(argv)
-
-
-def test_grown_tree_json_in_tiny_chunks_matches_digests(tmp_path,
-                                                        monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "CHUNK", TINY)
-    want = json.loads(GROWN_DIGESTS.read_text())
-    for argv in grown_commands(tmp_path):
-        assert digest(argv) == want[" ".join(argv)], " ".join(argv)
-
-
 def write_table(path, cmds):
     table = {" ".join(argv): digest(argv) for argv in cmds}
     path.write_text(json.dumps(table, sort_keys=True, indent=1) + "\n")

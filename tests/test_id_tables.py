@@ -124,7 +124,7 @@ def assert_columns_match(tree, seed=5):
     forms: payload records, weights, gluings and closures."""
     fs = facets(tree)
     glued = partitions._gluing(tree)
-    records = glued.records
+    records = nc_complex._marking(tree)[2]
     assert records == payload_columns(fs)
     assert {r for f in fs for r in f.payload} == set(records)
     for r, col in records.items():
@@ -596,8 +596,10 @@ def test_check_facet_failures_match_object_route(name, monkeypatch):
     same failures, in the same words and order, as the route on segment
     and module sets.  The weight is shifted where the column route reads
     it, in `theta_columns`: the facet at each position, known by its
-    payload records, hands over the records of the facet before it."""
-    tree = get_tree(name)
+    payload records, hands over the records of the facet before it.
+    The tree is loaded afresh: the shared one may hold its facet weight
+    table from before the patch."""
+    tree = tree_core.load_tree(fixture_path(name))
     fs = facets(tree)
     shifted = {f.index: gc_vectors.kreweras_theta(fs[f.index - 1])
                for f in fs}

@@ -71,10 +71,15 @@ def test_ncp_poset_matches_oracle(name):
 
 
 def assert_order_check_matches_posets(tree):
-    """The streamed order check against both posets built whole: the
-    up-rows it streams are `ncp_poset`'s, and `semistable_poset` passes
-    with the poset of the route that compares the two whole."""
-    assert list(pt._ncp_up_rows(tree)) == pt.ncp_poset(tree).up
+    """The order check against both posets built whole: the gluing's
+    ends columns are the composition closures of each color's block
+    segments, the semi columns are the red ones, so the check never
+    falls back to the posets, and `semistable_poset` passes with the
+    poset of the route that compares the two whole."""
+    glued = pt._gluing(tree)
+    assert glued.ends == tuple(pt._closure_columns(tree, blocks)
+                               for blocks in glued.blocks)
+    assert st._facet_weights(tree)[2] == glued.ends[0]
     po, whole = st.semistable_poset(tree), \
         oracles.semistable_poset_by_posets(tree)
     assert (po.elements, po.up) == (whole.elements, whole.up)
@@ -230,14 +235,15 @@ def test_nine_vertex_posets_are_lattices(tmp_path):
 
 DOCTORED = {
     "reversed-ncp-order": (
-        # the up-rows the order check reads, transposed to down-rows
+        # each semi column complemented within the facets, which reverses
+        # inclusion of semistable sets, and sends the check to the posets
         "from treestab import nc_complex\n"
-        "real = partitions._ncp_up_rows\n"
-        "def reversed_order(tree):\n"
-        "    ups = list(real(tree))\n"
-        "    return map(nc_complex._as_int,\n"
-        "               nc_complex._transpose(ups, len(ups)))\n"
-        "partitions._ncp_up_rows = reversed_order\n",
+        "real = semistable._semistable_columns\n"
+        "def complemented(tree, w):\n"
+        "    semi, stable = real(tree, w)\n"
+        "    everyone = (1 << len(nc_complex.facets(tree))) - 1\n"
+        "    return [everyone & ~c for c in semi], stable\n"
+        "semistable._semistable_columns = complemented\n",
         "semistable order disagrees with refinement order"),
     "one-semistable-set": (
         "semistable._semistable_columns = lambda tree, w: "

@@ -64,7 +64,7 @@ def test_each_memo_family_has_one_builder():
     builders, tupled = memo_builders()
     assert {"facets", "arcs", "chains", "g", "segments", "subsegments",
             "submodules", "gluing", "torsion", "decompositions",
-            "arc_counts", "payloads"} <= set(builders)
+            "arc_counts", "payloads", "facet_weights"} <= set(builders)
     assert tupled == set()
     # torsion pairs and decompositions are read off those two tables;
     # C_s, K_s and Hom off the sub-segment table; a weight is not kept
@@ -83,3 +83,26 @@ def test_memo_is_reached_through_its_method_only():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "_memo"]
     assert not found, found
+
+
+def calls(name):
+    """["module:line"] of each call of a function or method `name` in
+    the package."""
+    return ["%s:%d" % (path.stem, node.lineno)
+            for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))]
+
+
+def test_facet_weights_are_built_in_one_place():
+    """The facet weights' value columns and their semistable columns are
+    made by the builder of one memo family (`semistable._weigh`), so no
+    step rebuilds them; the partition side is read off the gluing, not
+    closed again."""
+    assert len(calls("theta_columns")) == 1, calls("theta_columns")
+    assert len(calls("_semistable_columns")) == 1, \
+        calls("_semistable_columns")
+    assert not [at for at in calls("_closure_columns")
+                if at.startswith("semistable:")]
