@@ -3,12 +3,14 @@
 Every subcommand loads a tree file, computes one layer of the theory,
 and prints it in a deterministic order; json and dot output are for
 piping into other tools.  Exit status is 0 for success, 1 when a
-verification subcommand finds a failing check, 2 for unusable input.
+verification subcommand finds a failing check or the reader of stdout
+closes it early (quietly), 2 for unusable input.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
@@ -526,7 +528,14 @@ def main(argv=None):
     # looked up at call time, so that a replaced `cmd_*` is the one run
     fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return fn(tree, args)
+        try:
+            return fn(tree, args)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # what is left goes nowhere, so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as e:
         print(str(e), file=sys.stderr)
         return 2

@@ -8,12 +8,12 @@ uses (the turns its walk recorded), in one per-tree table
 indicator of the segment between its marked corners.  Per facet the
 two families are dual bases.  Both that and the zigzag counts run on
 one per-tree table, of the +1 and -1 entries of each arc's g-vector
-on each segment (`_arc_counts`), with no vector built: `pairing_matrix`
-and `zigzag_dominance_check` on one facet's payload, and
-`verify_pairing` and `verify_dominance` for all the tree's facets at
-once, on the record table of marking, as int bitsets over facet
-positions (columns).  The facet weights also come column-wise
-(`theta_columns`).
+on each segment (`_arc_counts`), with no vector built.  Each claim has
+one route, on a record table as int bitsets over facet positions
+(columns): `verify_pairing` and `verify_dominance` run it on the table
+of marking, for all the tree's facets at once, and `pairing_matrix`
+and `zigzag_dominance_check` on one facet's record, a table of one
+position.  The facet weights also come column-wise (`theta_columns`).
 
 The sub-path families C_s and K_s defined here are one per-tree table
 of id masks (`_subsegments`).  It drives both the module theory
@@ -26,8 +26,8 @@ and a C_t) and the stability checks, which read the proper C_s
 from __future__ import annotations
 
 from . import nc_complex
-from .tree_core import ConventionError, _bits, _id, _segment_table, \
-    segment_turns, turn
+from .tree_core import ConventionError, _bits, _id, _raise_lowest, \
+    _segment_table, segment_turns, turn
 
 
 def indicator(tree, edges):
@@ -109,43 +109,32 @@ def _build_arc_counts(tree):
 
 
 def pairing_matrix(facet):
-    """Gram matrix <g(row), c(col)> over the facet's colored arcs, read
-    off its payload: <g(a), c(b)> is plus - minus of a on the segment of
-    b (see `_arc_counts`), negated for red b.
-
-    Checked to be the identity; a failure is a convention bug and
-    names the offending pair."""
-    counts, payload = _arc_counts(facet.tree), facet.payload
-    columns = [(s, 1 if green else -1) for _, s, green in payload]
-    matrix = [[sign * (row[s][0] - row[s][1]) for s, sign in columns]
-              for row in (counts[a] for a, _, _ in payload)]
-    every = nc_complex.arcs(facet.tree)
-    for i, (row, (a, _, _)) in enumerate(zip(matrix, payload)):
-        for j, (x, (b, _, _)) in enumerate(zip(row, payload)):
-            if x != (i == j):
-                raise ConventionError(
-                    "pairing <g(%r), c(%r)> = %d, expected %d"
-                    % (every[a], every[b], x, i == j))
-    return matrix
+    """Gram matrix <g(row), c(col)> over the facet's colored arcs: <g(a),
+    c(b)> is plus - minus of a on the segment of b (see `_arc_counts`),
+    negated for red b.  Checked to be the identity by `_pairing_faults`
+    on the facet's record alone; a failure is a convention bug and names
+    the offending pair."""
+    payload = facet.payload
+    _raise_lowest(*_pairing_faults(facet.tree, dict.fromkeys(payload, 1)))
+    k = len(payload)
+    return [[int(i == j) for j in range(k)] for i in range(k)]
 
 
 def verify_pairing(tree):
     """`pairing_matrix` on every facet of the tree, column-wise (see
-    `_pairing_faults`); returns the number of facets.  The lowest
-    failing facet is then checked alone, for its message."""
-    fs = nc_complex.facets(tree)
-    _recheck_lowest(_pairing_faults(tree), lambda p: pairing_matrix(fs[p]),
-                    "pairing")
-    return len(fs)
+    `_pairing_faults`); returns the number of facets."""
+    _raise_lowest(*_pairing_faults(tree, nc_complex._marking(tree)[2]))
+    return len(nc_complex.facets(tree))
 
 
-def _pairing_faults(tree):
-    """The positions of the tree's facets where the pairing is not the
-    identity, off the record table.  <g(a), c(b)> reads arc a and the
-    record of b only, so a record fails where its own value is not 1,
-    and where it meets another colored arc with plus != minus on its
-    segment."""
-    counts, records = _arc_counts(tree), nc_complex._marking(tree)[2]
+def _pairing_faults(tree, records):
+    """([(the positions where the pairing is not the identity, None)],
+    the error at a position), for `_raise_lowest`, off the record table
+    `records`.  <g(a), c(b)> reads arc a and the record of b only, so a
+    record fails where its own value is not 1, and where it meets
+    another colored arc with plus != minus on its segment.  The error
+    names the first wrong entry at the position, row by row."""
+    counts = _arc_counts(tree)
     held = {}  # per colored arc id, the positions where it is colored
     for (a, _, _), col in records.items():
         held[a] = held.get(a, 0) | col
@@ -159,18 +148,18 @@ def _pairing_faults(tree):
             if a != b and counts[a][s][0] != counts[a][s][1]:
                 others |= other
         faults |= col & others
-    return faults
 
-
-def _recheck_lowest(faults, check, name):
-    """Run `check`, a per-facet route that raises on failure, on the
-    lowest position of the fault column `faults`, if any, so the message
-    is the per-facet one."""
-    if faults:
-        p = (faults & -faults).bit_length() - 1
-        check(p)
-        raise ConventionError("%s fails at facet %d column-wise, not alone"
-                              % (name, p))
+    def wrong(p, _):
+        every = nc_complex.arcs(tree)
+        here = [r for r, col in records.items() if col >> p & 1]
+        for i, (a, _, _) in enumerate(here):
+            for j, (b, s, green) in enumerate(here):
+                x = (counts[a][s][0] - counts[a][s][1]) * (1 if green else -1)
+                if x != (i == j):
+                    return ConventionError(
+                        "pairing <g(%r), c(%r)> = %d, expected %d"
+                        % (every[a], every[b], x, i == j))
+    return [(faults, None)], wrong
 
 
 def kreweras_theta(facet):
@@ -272,10 +261,10 @@ def zigzag_dominance_check(facet, arc):
     (a) is deliberately quantified per sub-segment.  The one-witness-
     for-all-t variant is false in general: a four-edge red segment over
     a degree-5 vertex splits its proper sub-segments between two green
-    arcs, one per kept end."""
+    arcs, one per kept end.  Read off `_dominance_faults` on the facet's
+    record alone."""
     tree, payload = facet.tree, facet.payload
-    greens = [a for a, _, green in payload if green]
-    if not greens:
+    if not any(green for _, _, green in payload):
         raise ValueError("facet has no green arc")
     s = next((s for a, s, green in payload if a == arc.id and not green),
              None)
@@ -283,39 +272,42 @@ def zigzag_dominance_check(facet, arc):
         raise ValueError("arc is not red in this facet")
     if len(tree.all_segments[s]) < 2:
         raise ValueError("segment of the red arc has fewer than two edges")
-    counts = _arc_counts(tree)
-    # per member t of C_s, per green arc: plus and minus in t
-    rows = {t: [counts[a][t] for a in greens]
-            for t in _bits(_subsegments(tree)[0][s])}
-    return (all(m >= p for row in rows.values() for p, m in row)
-            and all(any(m == p + 1 for p, m in row)
-                    for t, row in rows.items() if t != s))
+    # the one position fails or not: the arc's fault column is 1 or 0
+    return (0, arc.id) in _dominance_faults(
+        tree, dict.fromkeys(payload, 1))[1]
 
 
 def verify_dominance(tree):
     """`zigzag_dominance_check` on every qualifying (facet, red arc) pair
     of the tree, column-wise (see `_dominance_faults`); returns the
-    number of pairs.  The lowest failing facet is then checked alone,
-    pair by pair, for its message."""
-    fs = nc_complex.facets(tree)
-    count, faults = _dominance_faults(tree)
-    _recheck_lowest(faults, lambda p: _dominance_at(fs[p]), "dominance")
+    number of pairs.  The lowest failing facet raises for its first
+    failing red arc, or for having no green arc."""
+    records = nc_complex._marking(tree)[2]
+    count, faults = _dominance_faults(tree, records)
+
+    def error(p, a):
+        if not any(green and col >> p & 1
+                   for (_, _, green), col in records.items()):
+            return ValueError("facet has no green arc")
+        return ConventionError("facet %d arc %s~%s"
+                               % ((p,) + nc_complex.arcs(tree)[a].leaves))
+    _raise_lowest(faults, error)
     return count
 
 
-def _dominance_faults(tree):
-    """(the number of qualifying pairs, the positions of the tree's
-    facets where one fails), off the record table.  Per segment t,
-    bad[t] holds the positions of a green arc with more plus than minus
-    edges in t, good[t] those of one with one more minus than plus edge.
-    A red record whose segment s has two or more edges qualifies at the
-    positions of its column, and fails where it meets bad[t] for a t in
-    C_s and where it misses good[t] for a proper t in C_s.  That covers
-    a facet with no green arc too, as such an s has a proper C_s member:
-    its first edge if s turns left at its second vertex, else the rest
-    of s."""
-    counts, records = _arc_counts(tree), nc_complex._marking(tree)[2]
-    segs, C = tree.all_segments, _subsegments(tree)[0]
+def _dominance_faults(tree, records):
+    """(the number of qualifying pairs, per qualifying red record in
+    record order (the positions where it fails, its arc id)), off the
+    record table `records`.  Per segment t, bad[t] holds the positions
+    of a green arc with more plus than minus edges in t, good[t] those
+    of one with one more minus than plus edge.  A red record whose
+    segment s has two or more edges qualifies at the positions of its
+    column, and fails where it meets bad[t] for a t in C_s and where it
+    misses good[t] for a proper t in C_s.  That covers a facet with no
+    green arc too, as such an s has a proper C_s member: its first edge
+    if s turns left at its second vertex, else the rest of s."""
+    counts, segs = _arc_counts(tree), tree.all_segments
+    C = _subsegments(tree)[0]
     bad, good = [0] * len(segs), [0] * len(segs)
     for (a, _, green), col in records.items():
         if green:
@@ -324,24 +316,12 @@ def _dominance_faults(tree):
                     bad[t] |= col
                 elif m == p + 1:
                     good[t] |= col
-    count = faults = 0
-    for (_, s, green), col in records.items():
+    count, faults = 0, []
+    for (a, s, green), col in records.items():
         if not green and len(segs[s]) >= 2:
             count += col.bit_count()
             miss = 0
             for t in _bits(C[s]):
                 miss |= bad[t] if t == s else bad[t] | ~good[t]
-            faults |= col & miss
+            faults.append((col & miss, a))
     return count, faults
-
-
-def _dominance_at(facet):
-    """`zigzag_dominance_check` on each red arc of the facet whose
-    segment has two or more edges, in payload order; the first that
-    fails raises ConventionError naming the facet and the arc."""
-    every, segs = nc_complex.arcs(facet.tree), facet.tree.all_segments
-    for i, s, green in facet.payload:
-        if not (green or len(segs[s]) < 2
-                or zigzag_dominance_check(facet, every[i])):
-            raise ConventionError("facet %d arc %s~%s"
-                                  % ((facet.index,) + every[i].leaves))

@@ -74,55 +74,60 @@ def outcome(fn, tree):
 
 
 # Doctors of the tables check-all's steps read: each wraps the real
-# builder, and leaves a tree with nothing to doctor as it is.
+# builder, and leaves a tree with nothing to doctor as it is.  The count
+# doctors plant their fault in the g-vector table (`_g_vectors`), which
+# the count table and the oracles' vectors are both built from.
 
 
-def swapped_count(real):
-    """The counts of the first record's arc swapped on its segment."""
-    def counts(tree):
-        out = [list(row) for row in real(tree)]
-        records = nc_complex._marking(tree)[2]
-        if records:
-            a, s, _ = next(iter(records))
-            out[a][s] = out[a][s][::-1]
-        return out
-    return counts
-
-
-def raised_count(real):
-    """The plus count, on the first record's segment, of the first other
-    arc that shares a facet with that record raised by one, so the two
-    pair to a nonzero value."""
-    def counts(tree):
-        out = [list(row) for row in real(tree)]
-        records = list(nc_complex._marking(tree)[2].items())
-        if records:
-            (b, s, _), col = records[0]
-            a = next(a for (a, _, _), other in records
-                     if a != b and col & other)
-            out[a][s] = (out[a][s][0] + 1, out[a][s][1])
-        return out
-    return counts
-
-
-def first_green(change):
-    """A doctor mapping each count (plus, minus) of the first green
-    record's arc by `change`."""
+def g_doctor(change):
+    """A doctor of the g-vector table: `change(tree, records, g)` edits
+    g, the vectors as lists by arc id, given the record table."""
     def doctor(real):
-        def counts(tree):
-            out = list(real(tree))
-            greens = [a for a, _, green in nc_complex._marking(tree)[2]
-                      if green]
-            if greens:
-                out[greens[0]] = [change(*pm) for pm in out[greens[0]]]
-            return out
-        return counts
+        def g_vectors(tree):
+            out = [list(g) for g in real(tree)]
+            records = nc_complex._marking(tree)[2]
+            if records:
+                change(tree, records, out)
+            return tuple(map(tuple, out))
+        return g_vectors
     return doctor
 
 
-negated_green = first_green(lambda p, m: (-p, -m))
+def _swap(tree, records, g):
+    a, s, _ = next(iter(records))
+    for e in tree.all_segments[s].edges():
+        g[a][tree.edge_index[e]] *= -1
+
+
+def _raise(tree, records, g):
+    (b, s, _), col = next(iter(records.items()))
+    a = next(a for (a, _, _), other in records.items()
+             if a != b and col & other)
+    # a and b pair to 0, so plus = minus for a on s: some entry is not 1
+    e = next(i for i in map(tree.edge_index.get,
+                            tree.all_segments[s].edges()) if g[a][i] != 1)
+    g[a][e] += 1
+
+
+def first_green(change):
+    """A doctor mapping the g-vector of the first green record's arc by
+    `change`."""
+    def edit(tree, records, g):
+        greens = [a for a, _, green in records if green]
+        if greens:
+            g[greens[0]] = change(g[greens[0]])
+    return g_doctor(edit)
+
+
+# the first record's arc's plus and minus counts swapped on its segment
+swapped_count = g_doctor(_swap)
+# plus - minus, on the first record's segment, of the first other arc
+# that shares a facet with that record raised by one, so the two pair
+# to a nonzero value
+raised_count = g_doctor(_raise)
+negated_green = first_green(lambda g: [-x for x in g])
 # as many minus as plus edges everywhere, so it witnesses nothing
-evened_green = first_green(lambda p, m: (p, p))
+evened_green = first_green(lambda g: [0] * len(g))
 
 
 def swapped_semi(real):

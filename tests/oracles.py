@@ -1494,31 +1494,39 @@ def dominance_by_zigzags(facet, arc):
                     for t, row in counts.items() if t != seg))
 
 
-# -- check-all's per-facet steps, before the record-table routes ---------
+# -- check-all's per-facet steps, on the vectors themselves --------------
 
 
 def pairing_per_facet(tree):
-    """check-all's pairing detail, `pairing_matrix` on every facet in
-    facet order."""
+    """check-all's pairing detail, `pairing_by_vectors` on every facet in
+    facet order; the first entry off the identity, row by row, raises
+    as `gc_vectors.pairing_matrix` does."""
     fs = nc_complex.facets(tree)
     for f in fs:
-        gc_vectors.pairing_matrix(f)
+        for i, row in enumerate(pairing_by_vectors(f)):
+            for j, x in enumerate(row):
+                if x != (i == j):
+                    raise ConventionError(
+                        "pairing <g(%r), c(%r)> = %d, expected %d"
+                        % (f.colored[i], f.colored[j], x, i == j))
     return "%d facets" % len(fs)
 
 
 def dominance_per_facet(tree):
-    """check-all's dominance detail, `zigzag_dominance_check` on every
-    red arc whose segment has two or more edges, in facet and payload
-    order."""
-    every, segs = nc_complex.arcs(tree), tree.all_segments
+    """check-all's dominance detail, `dominance_by_zigzags` on every red
+    arc whose segment has two or more edges, in facet and payload
+    order; such an arc in a facet with no green arc raises ValueError,
+    as `gc_vectors.zigzag_dominance_check` does."""
     count = 0
     for f in nc_complex.facets(tree):
-        for i, s, green in f.payload:
-            if green or len(segs[s]) < 2:
+        for d in f.reds():
+            if len(f.segment[d]) < 2:
                 continue
-            if not gc_vectors.zigzag_dominance_check(f, every[i]):
+            if not f.greens():
+                raise ValueError("facet has no green arc")
+            if not dominance_by_zigzags(f, d):
                 raise ConventionError("facet %d arc %s~%s"
-                                      % ((f.index,) + every[i].leaves))
+                                      % ((f.index,) + d.leaves))
             count += 1
     return "%d qualifying pairs" % count
 

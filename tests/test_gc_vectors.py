@@ -1,4 +1,6 @@
 import itertools
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ import randtrees
 from conftest import (SUITE, doctor_marking, evened_green, fixture_path,
                       get_tree, negated_green, outcome,
                       raised_count, swapped_count)
-from treestab import gc_vectors, string_modules
+from treestab import gc_vectors, nc_complex, string_modules
 from treestab.nc_complex import Facet, arcs, facets
 from treestab.string_modules import algebra_dimension
 from treestab.gc_vectors import (
@@ -139,60 +141,68 @@ def test_doctored_g_vectors_fail_like_the_oracles(name, monkeypatch):
 
 
 def per_facet_faults(tree):
-    """(pairing faults, qualifying pairs, dominance faults) of the
-    per-facet routes: the facets where `pairing_matrix` raises, and
-    those with a red arc on a segment of two or more edges that
-    `zigzag_dominance_check` fails or refuses (no green arc)."""
-    every, segs = arcs(tree), tree.all_segments
+    """(pairing faults, qualifying pairs, dominance faults) of the vector
+    oracles: the facets whose pairing by vectors is not the identity,
+    and those with a red arc on a segment of two or more edges that
+    fails on the zigzags or has no green arc beside it."""
     pairing = count = dominance = 0
     for f in facets(tree):
-        try:
-            pairing_matrix(f)
-        except ConventionError:
-            pairing |= 1 << f.index
-        for i, s, green in f.payload:
-            if not green and len(segs[s]) >= 2:
+        k = len(f.colored)
+        pairing |= (oracles.pairing_by_vectors(f) != [
+            [int(i == j) for j in range(k)] for i in range(k)]) << f.index
+        for d in f.reds():
+            if len(f.segment[d]) >= 2:
                 count += 1
-                try:
-                    ok = zigzag_dominance_check(f, every[i])
-                except ValueError:
-                    ok = False
+                ok = bool(f.greens()) and oracles.dominance_by_zigzags(f, d)
                 dominance |= (not ok) << f.index
     return pairing, count, dominance
 
 
-def all_red(tree):
-    """The tree's facets with every colored arc recolored red."""
-    out = []
-    for f in facets(tree):
+def all_red(tree, last=False):
+    """The tree's facets with every colored arc recolored red; with
+    `last`, only in the last facet with a colored arc on a segment of
+    two or more edges, so the lowest failing facet has no green arc
+    while other facets do."""
+    fs, segs = facets(tree), tree.all_segments
+    chosen = range(len(fs))
+    if last:
+        chosen = [f.index for f in fs
+                  if any(len(segs[s]) >= 2 for _, s, _ in f.payload)][-1:]
+    out = list(fs)
+    for p in chosen:
         g = Facet.__new__(Facet)
-        g.tree, g.index, g._mask = tree, f.index, f._mask
-        g.payload = tuple((a, s, False) for a, s, _ in f.payload)
-        out.append(g)
+        g.tree, g.index, g._mask = tree, p, fs[p]._mask
+        g.payload = tuple((a, s, False) for a, s, _ in fs[p].payload)
+        out[p] = g
     return out
 
 
 COUNT_DOCTORS = {"none": None, "swapped-count": swapped_count,
                  "raised-count": raised_count, "negated-green": negated_green,
-                 "evened-green": evened_green, "all-red": "all-red"}
+                 "evened-green": evened_green, "all-red": "all-red",
+                 "last-red": "last-red"}
 
 
 @pytest.mark.parametrize("doctor", sorted(COUNT_DOCTORS))
 @pytest.mark.parametrize("name", SUITE)
 def test_fault_columns_match_per_facet_verdicts(name, doctor, monkeypatch):
     """The pairing and dominance fault columns, off the record table,
-    hold exactly the facets where the per-facet routes fail, with the
-    same qualifying pairs, also with doctored counts and with every
-    colored arc red (no facet has a green arc); and `verify_pairing`
-    and `verify_dominance` report as the per-facet loops do."""
+    hold exactly the facets where the vector oracles fail, with the same
+    qualifying pairs, also with doctored g-vectors and with every
+    colored arc red, in all facets or in one; and `verify_pairing` and
+    `verify_dominance` report as the per-facet oracles do."""
+    if callable(COUNT_DOCTORS[doctor]):
+        monkeypatch.setattr(gc_vectors, "_g_vectors", COUNT_DOCTORS[doctor](
+            gc_vectors._g_vectors))
     tree = load_tree(fixture_path(name))
-    if doctor == "all-red":
-        doctor_marking(monkeypatch, tree, all_red(tree))
-    elif COUNT_DOCTORS[doctor]:
-        monkeypatch.setattr(gc_vectors, "_arc_counts", COUNT_DOCTORS[doctor](
-            gc_vectors._arc_counts))
-    assert (gc_vectors._pairing_faults(tree),) + \
-        gc_vectors._dominance_faults(tree) == per_facet_faults(tree)
+    if doctor.endswith("-red"):
+        doctor_marking(monkeypatch, tree,
+                       all_red(tree, last=doctor == "last-red"))
+    records = nc_complex._marking(tree)[2]
+    [(pairing, _)], _ = gc_vectors._pairing_faults(tree, records)
+    count, faults = gc_vectors._dominance_faults(tree, records)
+    assert (pairing, count, reduce(or_, (col for col, _ in faults), 0)) \
+        == per_facet_faults(tree)
     assert outcome(lambda t: "%d facets" % gc_vectors.verify_pairing(t),
                    tree) == outcome(oracles.pairing_per_facet, tree)
     assert outcome(lambda t: "%d qualifying pairs"

@@ -106,3 +106,24 @@ def test_facet_weights_are_built_in_one_place():
         calls("_semistable_columns")
     assert not [at for at in calls("_closure_columns")
                 if at.startswith("semistable:")]
+
+
+def test_pairing_and_dominance_have_one_route():
+    """Pairing and dominance are each checked by one record-table route,
+    called by the tree-wide and the per-facet public functions alike,
+    and a failure is raised through `_raise_lowest`: `gc_vectors` raises
+    no ConventionError itself but the per-tree one of the turn words."""
+    assert len(calls("_pairing_faults")) == 2, calls("_pairing_faults")
+    assert len(calls("_dominance_faults")) == 2, calls("_dominance_faults")
+    body = ast.parse((SRC / "gc_vectors.py").read_text()).body
+    functions = [fn for fn in body if isinstance(fn, ast.FunctionDef)]
+
+    def doing(test):
+        return {fn.name for fn in functions
+                if any(test(node) for node in ast.walk(fn))}
+    assert doing(lambda n: isinstance(n, ast.Call) and getattr(
+        n.func, "id", None) == "_raise_lowest") \
+        == {"pairing_matrix", "verify_pairing", "verify_dominance"}
+    assert doing(lambda n: isinstance(n, ast.Raise) and isinstance(
+        n.exc, ast.Call) and getattr(n.exc.func, "id", None)
+        == "ConventionError") == {"_build_subsegments"}

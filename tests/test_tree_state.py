@@ -8,7 +8,7 @@ import weakref
 import pytest
 
 import oracles
-from conftest import SMALL, SUITE, fixture_path, get_tree
+from conftest import SMALL, SUITE, fixture_path, get_tree, outcome
 from treestab import (cli, gc_vectors, nc_complex, partitions, semistable,
                       string_modules)
 from treestab.gc_vectors import quotient_segments, submodule_segments
@@ -298,7 +298,11 @@ def test_check_all_builds_no_payload_or_partition_table(name, monkeypatch,
     table, the count table and the gluing: a passing run builds no facet
     payload and no partition table, and asks for no facet's pairing
     matrix or dominance check and no `ncp_poset`; `poset --which ss`
-    builds no partition table either."""
+    builds no partition table either.  With every count swapped, the
+    failing pairing and dominance steps word their failure off the
+    records of the lowest failing facet: still no payload is built, and
+    the text is the vector oracles' on the negated g-vectors, which have
+    those counts."""
     for module, fn in ((gc_vectors, "pairing_matrix"),
                        (gc_vectors, "zigzag_dominance_check"),
                        (partitions, "ncp_poset")):
@@ -316,6 +320,23 @@ def test_check_all_builds_no_payload_or_partition_table(name, monkeypatch,
     assert cli.main(["poset", "--which", "ss", fixture_path(name)]) == 0
     assert capsys.readouterr().out
     assert "ncp" not in trees[1]._memo
+    steps = {"pairing-identity": oracles.pairing_per_facet,
+             "zigzag-dominance": oracles.dominance_per_facet}
+    real = gc_vectors._g_vectors
+    monkeypatch.setattr(gc_vectors, "_g_vectors", lambda tree: tuple(
+        tuple(-x for x in g) for g in real(tree)))
+    tree = load_tree(fixture_path(name))
+    want = {step: outcome(fn, tree) for step, fn in steps.items()}
+    monkeypatch.setattr(gc_vectors, "_g_vectors", real)
+    counts = gc_vectors._arc_counts
+    monkeypatch.setattr(gc_vectors, "_arc_counts", lambda tree: [
+        [(m, p) for p, m in row] for row in counts(tree)])
+    cli.main(["check-all", "--format", "json", "--samples", "0",
+              fixture_path(name)])
+    assert {c["name"]: (c["passed"], c["detail"])
+            for c in json.loads(capsys.readouterr().out)["checks"]
+            if c["name"] in steps} == want
+    assert "payloads" not in trees[2]._memo
 
 
 def naive_closure(tree, segments):
